@@ -1,9 +1,11 @@
-"""Tour of the payoff model: anonymous games, channels, utilities.
+"""Tour of the payoff model: anonymous games as vectors of utilities.
 
-An anonymous game maps (own action, population distribution) to a payoff
-lottery.  Expected utility is all the learning dynamics ever need, but the
-channel itself matters in matching mode, where payoffs arrive one noisy
-sample at a time.
+An anonymous game maps a population distribution rho to the expected utility
+u(a, rho) of every action a: `game.utilities(rho)`.  That is all the learning
+theory ever needs.  How a run realizes payoffs is the simulator's choice: in
+mean-field mode each agent gets its exact expected payoff, in matching mode a
+lottery draw, matrix[a][a'] for a partner a' drawn from rho, one noisy sample
+at a time.
 """
 
 import numpy as np
@@ -27,9 +29,10 @@ print("  c(x):", " ".join(f"{contribution_cost(x):>5.0f}" for x in range(0, 20, 
 
 delta8 = ActionDistribution.point_mass(8, 20)
 uniform = ActionDistribution.uniform(20)
-print(f"u(8, all-8)    = {game.expected_payoff(8, delta8):.1f}")
-print(f"u(8, uniform)  = {game.expected_payoff(8, uniform):.1f}")
-print(f"u(9, all-8)    = {game.expected_payoff(9, delta8):.1f}   <- the kink bites")
+u_all8 = game.utilities(delta8)
+print(f"u(8, all-8)    = {u_all8[8]:.1f}")
+print(f"u(8, uniform)  = {game.utilities(uniform)[8]:.1f}")
+print(f"u(9, all-8)    = {u_all8[9]:.1f}   <- the kink bites")
 print(f"payoff bounds  = {game.payoff_bounds()}")
 
 # mixed strategies are first-class: a_eps explores off a base action
@@ -38,12 +41,13 @@ print(f"u(8_0.05, all-8) = {utility(a_eps, delta8, game):.2f} (exploration is co
 
 print()
 print("== matrix games ==")
-pd = prisoners_dilemma("matching")
-print("prisoner's dilemma, matching mode: payoff channel at rho = (0.5, 0.5)")
-for a in range(2):
-    ch = pd.payoff_channel(a, ActionDistribution.uniform(2))
-    pairs = ", ".join(f"{v:.0f} w.p. {p:.2f}" for v, p in zip(ch.values, ch.probs))
-    print(f"  {pd.action_set.label(a)}: {pairs}  (mean {ch.mean():.1f})")
+pd = prisoners_dilemma()
+half = ActionDistribution.uniform(2)
+print("prisoner's dilemma, matching lottery matrix[a] weighted by rho = (0.5, 0.5)")
+for a, u in enumerate(pd.utilities(half)):
+    row = pd.payoff_matrix()[a]
+    pairs = ", ".join(f"{v:.0f} w.p. {p:.2f}" for v, p in zip(row, half.weights))
+    print(f"  {pd.action_set.label(a)}: {pairs}  (mean {u:.1f})")
 
 climb = climbing_game()
 print(f"climbing game matrix:\n{climb.payoff_matrix()}")

@@ -15,12 +15,9 @@ from .core import (
     AnonymousGame,
     DimensionError,
     MixedAction,
-    PayoffDistribution,
-    PayoffSet,
     as_strategy_vector,
     estimate_lipschitz,
     l1_distance,
-    matching_utility,
     utility,
 )
 from .dynamics import (
@@ -38,7 +35,6 @@ from .dynamics import (
 )
 from .games import (
     CONTRIBUTION_LEVELS,
-    MODES,
     ContributionGame,
     MatrixGame,
     builtin_matrix,
@@ -90,11 +86,8 @@ __all__ = [
     "DimensionError",
     "ExperimentSpec",
     "FixedAgent",
-    "MODES",
     "MatrixGame",
     "MixedAction",
-    "PayoffDistribution",
-    "PayoffSet",
     "Population",
     "RegretMatcher",
     "RunConfig",
@@ -120,7 +113,6 @@ __all__ = [
     "l1_distance",
     "load_experiment",
     "load_matrix",
-    "matching_utility",
     "measure_stage_rho",
     "mixed_profile_distribution",
     "parse_config_text",

@@ -19,7 +19,7 @@ import numpy as np
 from .config import ConfigError, ExperimentSpec, load_experiment
 from .core import ActionDistribution, estimate_lipschitz
 from .dynamics import best_reply_set, br_sequence, is_eta_nash
-from .engine import RunConfig, build_game, run_many
+from .engine import GAME_KINDS, build_game, run_many
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -119,13 +119,7 @@ def _parse_rho(text: str, k: int) -> ActionDistribution:
 
 
 def cmd_analyze(args) -> int:
-    config = RunConfig(
-        game=args.game,
-        matrix_path=args.matrix,
-        penalty_n=args.penalty_n,
-        mode=args.payoff_mode,
-    )
-    game = build_game(config)
+    game = build_game(args.game, args.penalty_n, args.matrix)
     if args.mode == "lipschitz":
         declared = game.lipschitz
         est = estimate_lipschitz(game, samples=args.samples, rng_seed=args.seed or 0)
@@ -197,25 +191,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="execute the runs a config describes")
-    p_run.add_argument("--config", required=True, help="experiment config file")
-    p_run.add_argument("--out", default="out", help="output directory (default: out)")
+    runs = argparse.ArgumentParser(add_help=False)
+    runs.add_argument("--config", required=True, help="experiment config file")
+    runs.add_argument("--out", default="out", help="output directory (default: out)")
+    runs.add_argument("--threads", type=int, default=1, help="parallel runs (default: 1)")
+
+    p_run = sub.add_parser("run", parents=[runs], help="execute the runs a config describes")
     p_run.add_argument("--seed", type=int, default=None, help="force a single master seed")
-    p_run.add_argument("--threads", type=int, default=1, help="parallel runs (default: 1)")
     p_run.set_defaults(func=cmd_run)
 
-    p_sweep = sub.add_parser("sweep", help="like run, but requires a sweep grid")
-    p_sweep.add_argument("--config", required=True)
-    p_sweep.add_argument("--out", default="out")
-    p_sweep.add_argument("--threads", type=int, default=1)
+    p_sweep = sub.add_parser("sweep", parents=[runs], help="like run, but requires a sweep grid")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_an = sub.add_parser("analyze", help="best-reply sequences, eta-Nash, Lipschitz")
-    p_an.add_argument("--game", default="contribution",
-                      choices=("contribution", "prisoners_dilemma", "climbing", "matrix"))
+    p_an.add_argument("--game", default="contribution", choices=GAME_KINDS)
     p_an.add_argument("--matrix", default=None, help="matrix file for --game matrix")
     p_an.add_argument("--penalty-n", type=int, default=20, dest="penalty_n")
-    p_an.add_argument("--payoff-mode", default="meanfield", choices=("meanfield", "matching"))
     p_an.add_argument("--mode", default="brs", choices=("brs", "nash", "lipschitz"))
     p_an.add_argument("--eta", type=float, default=0.0)
     p_an.add_argument("--rho", default=None, help="comma/space-separated weights")

@@ -3,7 +3,7 @@ defaults for every key, unknown keys rejected."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from .engine import RunConfig
 
@@ -36,30 +36,32 @@ def _optional(parser):
     return lambda s: None if s == "" else parser(s)
 
 
-# key -> (parser, default, RunConfig field or sweep axis)
+# key -> (parser, RunConfig field); sweep axes have no field.  A key's
+# default is its field's default in RunConfig; sweep axes default to None.
 CONFIG_KEYS = {
-    "game.kind": (_parse_str, "contribution", "game"),
-    "game.penalty_n": (_parse_int, 20, "penalty_n"),
-    "game.matrix_path": (_optional(_parse_str), None, "matrix_path"),
-    "learner.kind": (_parse_str, "stage", "learner"),
-    "learner.explore": (_parse_float, 0.05, "explore"),
-    "learner.stage_len": (_optional(_parse_int), None, "stage_len"),
-    "learner.mu": (_optional(_parse_float), None, "mu"),
-    "learner.delta": (_parse_float, 0.05, "delta"),
-    "sim.mode": (_parse_str, "meanfield", "mode"),
-    "sim.n": (_parse_int, 100, "n"),
-    "sim.rounds": (_parse_int, 3000, "rounds"),
-    "sim.churn_rate": (_parse_float, 0.0, "churn_rate"),
-    "sim.fixed_fraction": (_parse_float, 0.0, "fixed_fraction"),
-    "sim.fixed_base": (_parse_int, 0, "fixed_base"),
-    "sim.fixed_explore": (_parse_float, 0.0, "fixed_explore"),
-    "sim.seed": (_parse_int, 0, "seed"),
-    "sim.target": (_parse_int, 8, "target"),
-    "sim.metrics_eta": (_parse_float, 1.0, "metrics_eta"),
-    "sweep.populations": (_parse_int_list, None, None),
-    "sweep.seeds": (_parse_int_list, None, None),
-    "sweep.learners": (_parse_str_list, None, None),
+    "game.kind": (_parse_str, "game"),
+    "game.penalty_n": (_parse_int, "penalty_n"),
+    "game.matrix_path": (_optional(_parse_str), "matrix_path"),
+    "learner.kind": (_parse_str, "learner"),
+    "learner.explore": (_parse_float, "explore"),
+    "learner.stage_len": (_optional(_parse_int), "stage_len"),
+    "learner.mu": (_optional(_parse_float), "mu"),
+    "learner.delta": (_parse_float, "delta"),
+    "sim.mode": (_parse_str, "mode"),
+    "sim.n": (_parse_int, "n"),
+    "sim.rounds": (_parse_int, "rounds"),
+    "sim.churn_rate": (_parse_float, "churn_rate"),
+    "sim.fixed_fraction": (_parse_float, "fixed_fraction"),
+    "sim.fixed_base": (_parse_int, "fixed_base"),
+    "sim.fixed_explore": (_parse_float, "fixed_explore"),
+    "sim.seed": (_parse_int, "seed"),
+    "sim.target": (_parse_int, "target"),
+    "sim.metrics_eta": (_parse_float, "metrics_eta"),
+    "sweep.populations": (_parse_int_list, None),
+    "sweep.seeds": (_parse_int_list, None),
+    "sweep.learners": (_parse_str_list, None),
 }
+_DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict:
@@ -83,8 +85,8 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
             values[key] = parser(val)
         except (ValueError, TypeError):
             raise ConfigError(f"{source}:{lineno}: bad value for {key}: {val!r}") from None
-    for key, (_, default, _) in CONFIG_KEYS.items():
-        values.setdefault(key, default)
+    for key, (_, field) in CONFIG_KEYS.items():
+        values.setdefault(key, None if field is None else _DEFAULTS[field])
     return values
 
 
@@ -116,7 +118,7 @@ class ExperimentSpec:
 
 def spec_from_values(values: dict) -> ExperimentSpec:
     kwargs = {}
-    for key, (_, _, field) in CONFIG_KEYS.items():
+    for key, (_, field) in CONFIG_KEYS.items():
         if field is not None:
             kwargs[field] = values[key]
     try:

@@ -1,9 +1,9 @@
 """Core model for anonymous games.
 
-An anonymous game is described by a finite action set, a finite payoff set,
-and a payoff channel mapping (own action, population action distribution) to
-a distribution over payoffs.  Everything an agent's payoff depends on is the
-fraction of the population on each action, never agent identities.
+An anonymous game is described by a finite action set and the expected
+utility u(a, rho) of each action a against the population's action
+distribution rho.  Everything an agent's payoff depends on is the fraction of
+the population on each action, never agent identities.
 """
 
 from __future__ import annotations
@@ -129,76 +129,17 @@ class MixedAction:
         return ActionDistribution(self.vector(k))
 
 
-@dataclass(frozen=True)
-class PayoffSet:
-    """Finite set of distinct payoff values."""
-
-    values: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.values) == 0:
-            raise ValueError("payoff set must be nonempty")
-        if not all(np.isfinite(self.values)):
-            raise ValueError("payoff values must be finite")
-        if len(set(self.values)) != len(self.values):
-            raise ValueError("payoff values must be distinct")
-
-    def __len__(self):
-        return len(self.values)
-
-
-class PayoffDistribution:
-    """Distribution over finitely many payoff values."""
-
-    __slots__ = ("values", "probs")
-
-    def __init__(self, values, probs):
-        v = np.asarray(values, dtype=float)
-        p = np.asarray(probs, dtype=float)
-        if v.shape != p.shape or v.ndim != 1 or v.size == 0:
-            raise DimensionError("values and probs must be matching nonempty 1-d vectors")
-        if not np.isfinite(v).all():
-            raise ValueError("payoff values must be finite")
-        if (p < -NORM_TOL).any():
-            raise ValueError("probabilities must be nonnegative")
-        p = np.where(p < 0.0, 0.0, p)
-        total = p.sum()
-        if abs(total - 1.0) > NORM_TOL:
-            raise ValueError(f"probabilities sum to {total}, not 1 within {NORM_TOL}")
-        p = p / total
-        v.setflags(write=False)
-        p.setflags(write=False)
-        object.__setattr__(self, "values", v)
-        object.__setattr__(self, "probs", p)
-
-    @classmethod
-    def point_mass(cls, value: float) -> "PayoffDistribution":
-        return cls(np.array([value]), np.array([1.0]))
-
-    @classmethod
-    def from_support(cls, payoff_set: PayoffSet, support, probs) -> "PayoffDistribution":
-        idx = np.asarray(support, dtype=int)
-        vals = np.asarray(payoff_set.values, dtype=float)[idx]
-        return cls(vals, probs)
-
-    def mean(self) -> float:
-        return float(self.values @ self.probs)
-
-    def __repr__(self):
-        return f"PayoffDistribution(values={self.values}, probs={self.probs})"
-
-
 class AnonymousGame(abc.ABC):
     """Payoff model of a large anonymous game.
 
-    Subclasses fix the action set and implement `payoff_channel`, which must
-    be deterministic in (action, rho).  `lipschitz` documents a bound on how
+    Subclasses fix the action set and implement `utilities`, the expected
+    payoff u(a, rho) of every action a against population distribution rho,
+    which must be deterministic in rho.  `lipschitz` documents a bound on how
     fast expected payoffs move in rho (L1 norm); None means callers should
     fall back to `estimate_lipschitz`.
     """
 
     action_set: ActionSet
-    payoff_set: PayoffSet | None = None
     lipschitz: float | None = None
 
     @property
@@ -206,20 +147,12 @@ class AnonymousGame(abc.ABC):
         return self.action_set.size
 
     @abc.abstractmethod
-    def payoff_channel(self, action: int, rho: ActionDistribution) -> PayoffDistribution:
-        """Distribution over payoffs for playing `action` against `rho`."""
-
-    def expected_payoff(self, action: int, rho: ActionDistribution) -> float:
-        """Mean of the payoff channel; subclasses may override with a closed form."""
-        return self.payoff_channel(action, rho).mean()
+    def utilities(self, rho: ActionDistribution) -> np.ndarray:
+        """Expected payoff of each action against `rho`, shape (k,)."""
 
     @abc.abstractmethod
     def payoff_bounds(self) -> tuple[float, float]:
-        """(min, max) payoff the channel can ever emit."""
-
-    def _check_action(self, action: int):
-        if not 0 <= action < self.k:
-            raise DimensionError(f"action {action} out of range for {self.k} actions")
+        """(min, max) payoff a single round can ever realize."""
 
     def _check_rho(self, rho: ActionDistribution):
         if rho.k != self.k:
@@ -246,27 +179,10 @@ def as_strategy_vector(s, k: int) -> np.ndarray:
 def utility(s, rho: ActionDistribution, game: AnonymousGame) -> float:
     """Expected utility of strategy s against population distribution rho.
 
-    Exact expectation over both the strategy's mixing and the payoff channel;
-    nothing is sampled.
+    Exact expectation over the strategy's mixing; nothing is sampled.
     """
     game._check_rho(rho)
-    sv = as_strategy_vector(s, game.k)
-    total = 0.0
-    for a in np.flatnonzero(sv):
-        total += sv[a] * game.expected_payoff(int(a), rho)
-    return float(total)
-
-
-def matching_utility(s, rho: ActionDistribution, matrix) -> float:
-    """Bilinear expected payoff when matched against one opponent drawn from rho."""
-    m = np.asarray(matrix, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionError(f"payoff matrix must be square, got shape {m.shape}")
-    k = m.shape[0]
-    if rho.k != k:
-        raise DimensionError(f"distribution over {rho.k} actions, matrix is {k}x{k}")
-    sv = as_strategy_vector(s, k)
-    return float(sv @ m @ rho.weights)
+    return float(as_strategy_vector(s, game.k) @ game.utilities(rho))
 
 
 def l1_distance(rho1: ActionDistribution, rho2: ActionDistribution) -> float:
@@ -294,8 +210,7 @@ def estimate_lipschitz(game: AnonymousGame, samples: int = 200, rng_seed: int = 
         gap = l1_distance(r1, r2)
         if gap < 1e-12:
             continue
-        for a in range(game.k):
-            diff = abs(game.expected_payoff(a, r1) - game.expected_payoff(a, r2))
-            if diff / gap > best:
-                best = diff / gap
+        ratio = np.abs(game.utilities(r1) - game.utilities(r2)).max() / gap
+        if ratio > best:
+            best = float(ratio)
     return best

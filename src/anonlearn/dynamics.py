@@ -20,10 +20,6 @@ from .core import (
 BR_RULES = ("pointmass", "uniform")
 
 
-def _utilities(rho: ActionDistribution, game: AnonymousGame) -> np.ndarray:
-    return np.array([game.expected_payoff(a, rho) for a in range(game.k)])
-
-
 def best_reply_set(rho: ActionDistribution, eta: float, game: AnonymousGame) -> set[int]:
     """Actions whose utility against rho is within eta of the best.
 
@@ -33,7 +29,7 @@ def best_reply_set(rho: ActionDistribution, eta: float, game: AnonymousGame) -> 
     if eta < 0:
         raise ValueError(f"eta must be >= 0, got {eta}")
     game._check_rho(rho)
-    u = _utilities(rho, game)
+    u = game.utilities(rho)
     best = u.max()
     return {int(a) for a in np.flatnonzero(u + eta >= best)}
 

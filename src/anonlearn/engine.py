@@ -33,7 +33,8 @@ LEARNER_KINDS = ("stage", "regret")
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything one run needs; validation happens at construction."""
+    """Everything one run needs; validation happens at construction, against
+    the game itself (so game=matrix reads its matrix file then)."""
 
     game: str = "contribution"
     penalty_n: int = 20
@@ -55,10 +56,6 @@ class RunConfig:
     metrics_eta: float = 1.0
 
     def __post_init__(self):
-        if self.game not in GAME_KINDS:
-            raise ValueError(f"game: must be one of {GAME_KINDS}, got {self.game!r}")
-        if self.game == "matrix" and not self.matrix_path:
-            raise ValueError("matrix_path: required when game=matrix")
         if self.mode not in ("meanfield", "matching"):
             raise ValueError(f"mode: must be meanfield or matching, got {self.mode!r}")
         if self.learner not in LEARNER_KINDS:
@@ -79,6 +76,11 @@ class RunConfig:
             v = getattr(self, key)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{key}: must be in [0, 1], got {v}")
+        if self.churn_rate > 0.0 and int(self.fixed_fraction * self.n) == self.n:
+            raise ValueError(
+                f"churn_rate: churn replaces learners, and fixed_fraction="
+                f"{self.fixed_fraction} leaves none among {self.n} agents"
+            )
         if not 0.0 <= self.fixed_explore < 1.0:
             raise ValueError(f"fixed_explore: must be in [0, 1), got {self.fixed_explore}")
         if self.rounds < self.resolved_stage_len:
@@ -88,10 +90,13 @@ class RunConfig:
             )
         if self.seed < 0:
             raise ValueError(f"seed: must be nonnegative, got {self.seed}")
-        if self.target < 0:
-            raise ValueError(f"target: must be a nonnegative action index, got {self.target}")
         if self.metrics_eta < 0:
             raise ValueError(f"metrics_eta: must be >= 0, got {self.metrics_eta}")
+        k = build_game(self.game, self.penalty_n, self.matrix_path).k
+        for key in ("target", "fixed_base"):
+            a = getattr(self, key)
+            if not 0 <= a < k:
+                raise ValueError(f"{key}: action {a} out of range for {k} actions")
 
     @property
     def resolved_stage_len(self) -> int:
@@ -106,14 +111,19 @@ class RunConfig:
         return out
 
 
-def build_game(config: RunConfig) -> AnonymousGame:
-    if config.game == "contribution":
-        return ContributionGame(config.penalty_n, config.mode)
-    if config.game == "prisoners_dilemma":
-        return prisoners_dilemma(config.mode)
-    if config.game == "climbing":
-        return climbing_game(config.mode)
-    return MatrixGame(load_matrix(config.matrix_path), config.mode)
+def build_game(kind: str, penalty_n: int, matrix_path: str | None) -> AnonymousGame:
+    """The game named by kind, one of GAME_KINDS."""
+    if kind == "contribution":
+        return ContributionGame(penalty_n)
+    if kind == "prisoners_dilemma":
+        return prisoners_dilemma()
+    if kind == "climbing":
+        return climbing_game()
+    if kind != "matrix":
+        raise ValueError(f"game: must be one of {GAME_KINDS}, got {kind!r}")
+    if not matrix_path:
+        raise ValueError("matrix_path: required when game=matrix")
+    return MatrixGame(load_matrix(matrix_path))
 
 
 @dataclass
@@ -147,10 +157,6 @@ def build_population(config: RunConfig, game: AnonymousGame, agent_rngs) -> Popu
 
     Learner bases are drawn uniformly from each agent's own stream.
     """
-    if config.target >= game.k:
-        raise ValueError(f"target: action {config.target} out of range for {game.k} actions")
-    if config.fixed_base >= game.k:
-        raise ValueError(f"fixed_base: action {config.fixed_base} out of range")
     n_fixed = int(config.fixed_fraction * config.n)
     strategy = MixedAction(config.fixed_base, config.fixed_explore)
     agents = []
@@ -167,7 +173,7 @@ def realize_meanfield(actions, game: AnonymousGame) -> np.ndarray:
     """Exact expected payoff for each agent against the other n-1 agents.
 
     Games exposing payoff_matrix() get a closed-form path; otherwise the
-    payoff channel is evaluated once per distinct action played.
+    utilities are evaluated once per distinct action played.
     """
     acts = np.asarray(actions, dtype=int)
     n = acts.size
@@ -184,7 +190,7 @@ def realize_meanfield(actions, game: AnonymousGame) -> np.ndarray:
     for a in np.flatnonzero(counts):
         others = counts.copy()
         others[a] -= 1.0
-        by_action[a] = game.expected_payoff(int(a), ActionDistribution(others / (n - 1)))
+        by_action[a] = game.utilities(ActionDistribution(others / (n - 1)))[a]
     return by_action[acts]
 
 
@@ -328,7 +334,7 @@ class RunTrace:
 def run(config: RunConfig) -> RunTrace:
     """Execute one run: act, realize payoffs, observe, every round; metrics and
     churn at stage boundaries.  Deterministic given config (seed included)."""
-    game = build_game(config)
+    game = build_game(config.game, config.penalty_n, config.matrix_path)
     k, n, tau = game.k, config.n, config.resolved_stage_len
     agent_rngs = [np.random.default_rng([config.seed, 0, i]) for i in range(n)]
     population = build_population(config, game, agent_rngs)
@@ -402,7 +408,7 @@ def run_stationary(game: AnonymousGame, rho: ActionDistribution, learners, round
     is the learners' own exploration.  Learner i draws from
     default_rng([seed, 0, i]).  Mutates the learners; returns them.
     """
-    payoffs = np.array([game.expected_payoff(a, rho) for a in range(game.k)])
+    payoffs = game.utilities(rho)
     for i, learner in enumerate(learners):
         rng = np.random.default_rng([seed, 0, i])
         for _ in range(rounds):

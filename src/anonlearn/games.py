@@ -6,23 +6,9 @@ import importlib.resources
 
 import numpy as np
 
-from .core import (
-    ActionDistribution,
-    ActionSet,
-    AnonymousGame,
-    DimensionError,
-    PayoffDistribution,
-    PayoffSet,
-)
+from .core import ActionDistribution, ActionSet, AnonymousGame, DimensionError
 
 CONTRIBUTION_LEVELS = 20
-
-MODES = ("meanfield", "matching")
-
-
-def _check_mode(mode: str):
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
 
 
 def contribution_cost(x: int, penalty_n: int = 20) -> float:
@@ -51,71 +37,16 @@ def contribution_utility(x: int, y: float, penalty_n: int = 20) -> float:
     return 2.0 * x * y - contribution_cost(x, penalty_n)
 
 
-class ContributionGame(AnonymousGame):
-    """Collective-contribution game on levels 0..19.
-
-    An agent contributing x against a population whose mean contribution is y
-    earns 2*x*y - c(x).  In mean-field mode the payoff channel is a point mass
-    at that exact value, so the globally-finite payoff set is replaced by a
-    per-evaluation singleton (payoff_set is None).  `mode` only tags how a
-    simulator should realize payoffs; expected utilities are identical in both
-    modes.
-    """
-
-    def __init__(self, penalty_n: int = 20, mode: str = "meanfield"):
-        _check_mode(mode)
-        if penalty_n < 0:
-            raise ValueError(f"penalty_n must be nonnegative, got {penalty_n}")
-        self.penalty_n = penalty_n
-        self.mode = mode
-        self.action_set = ActionSet(CONTRIBUTION_LEVELS)
-        self._levels = np.arange(CONTRIBUTION_LEVELS, dtype=float)
-        self._costs = np.array(
-            [contribution_cost(x, penalty_n) for x in range(CONTRIBUTION_LEVELS)]
-        )
-        # |u(a,rho)-u(a,rho')| = 2a|mean(rho)-mean(rho')| and the mean moves by
-        # at most (range/2)*L1, so K = 2*19*9.5.
-        self.lipschitz = 2.0 * 19.0 * 9.5
-        self.payoff_set = None
-
-    def mean_contribution(self, rho: ActionDistribution) -> float:
-        self._check_rho(rho)
-        return float(rho.weights @ self._levels)
-
-    def expected_payoff(self, action: int, rho: ActionDistribution) -> float:
-        self._check_action(action)
-        return 2.0 * action * self.mean_contribution(rho) - self._costs[action]
-
-    def payoff_channel(self, action: int, rho: ActionDistribution) -> PayoffDistribution:
-        return PayoffDistribution.point_mass(self.expected_payoff(action, rho))
-
-    def payoff_bounds(self) -> tuple[float, float]:
-        # Utility is linear in y, so extremes sit at y in {0, 19}.
-        lo = min(contribution_utility(x, y, self.penalty_n)
-                 for x in range(CONTRIBUTION_LEVELS) for y in (0.0, 19.0))
-        hi = max(contribution_utility(x, y, self.penalty_n)
-                 for x in range(CONTRIBUTION_LEVELS) for y in (0.0, 19.0))
-        return lo, hi
-
-    def payoff_matrix(self) -> np.ndarray:
-        """Two-player matrix view p[x][x'] = 2*x*x' - c(x), used for random matching."""
-        x = self._levels[:, None]
-        xp = self._levels[None, :]
-        return 2.0 * x * xp - self._costs[:, None]
-
-
 class MatrixGame(AnonymousGame):
-    """Anonymous game induced by a symmetric two-player payoff matrix.
+    """Anonymous game induced by a two-player payoff matrix.
 
     matrix[a][a'] is the payoff to an agent playing a whose opponent plays a'.
-    In matching mode the channel is the honest partner lottery (payoff
-    matrix[a][a'] with probability rho[a']); in mean-field mode it is a point
-    mass at the expected payoff.  Expected utilities agree in both modes and
-    equal `matching_utility`.
+    The expected utility of a against rho is the mean of that partner lottery,
+    sum over a' of matrix[a][a'] * rho[a'].  Whether a run realizes it exactly
+    (mean field) or by sampling a partner (matching) is the simulator's choice.
     """
 
-    def __init__(self, matrix, mode: str = "meanfield", labels=None):
-        _check_mode(mode)
+    def __init__(self, matrix, labels=None):
         m = np.asarray(matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionError(f"payoff matrix must be square, got shape {m.shape}")
@@ -124,35 +55,51 @@ class MatrixGame(AnonymousGame):
         m = m.copy()
         m.setflags(write=False)
         self.matrix = m
-        self.mode = mode
         self.action_set = ActionSet(m.shape[0], tuple(labels) if labels else None)
         self.lipschitz = float(np.abs(m).max())
-        if mode == "matching":
-            self.payoff_set = PayoffSet(tuple(np.unique(m)))
-        else:
-            self.payoff_set = None  # point masses vary with rho
 
-    def expected_payoff(self, action: int, rho: ActionDistribution) -> float:
-        self._check_action(action)
+    def utilities(self, rho: ActionDistribution) -> np.ndarray:
         self._check_rho(rho)
-        return float(self.matrix[action] @ rho.weights)
-
-    def payoff_channel(self, action: int, rho: ActionDistribution) -> PayoffDistribution:
-        self._check_action(action)
-        self._check_rho(rho)
-        if self.mode == "meanfield":
-            return PayoffDistribution.point_mass(self.expected_payoff(action, rho))
-        values = np.asarray(self.payoff_set.values)
-        idx = np.searchsorted(values, self.matrix[action])
-        probs = np.bincount(idx, weights=rho.weights, minlength=values.size)
-        keep = probs > 0.0
-        return PayoffDistribution(values[keep], probs[keep])
+        # vecdot sums each row exactly as the row dot product matrix[a] @ rho
+        # does; matrix @ rho can differ in the last bit and flip near-ties.
+        return np.vecdot(self.matrix, rho.weights)
 
     def payoff_bounds(self) -> tuple[float, float]:
         return float(self.matrix.min()), float(self.matrix.max())
 
     def payoff_matrix(self) -> np.ndarray:
         return self.matrix
+
+
+class ContributionGame(MatrixGame):
+    """Collective-contribution game on levels 0..19.
+
+    An agent contributing x against a population whose mean contribution is y
+    earns 2*x*y - c(x); matched against one partner contributing x', it earns
+    p[x][x'] = 2*x*x' - c(x).
+    """
+
+    def __init__(self, penalty_n: int = 20):
+        self.penalty_n = penalty_n
+        self._levels = np.arange(CONTRIBUTION_LEVELS, dtype=float)
+        self._costs = np.array(
+            [contribution_cost(x, penalty_n) for x in range(CONTRIBUTION_LEVELS)]
+        )
+        x = self._levels
+        super().__init__(2.0 * x[:, None] * x[None, :] - self._costs[:, None])
+        # |u(a,rho)-u(a,rho')| = 2a|mean(rho)-mean(rho')| and the mean moves by
+        # at most (range/2)*L1, so K = 2*19*9.5, tighter than the inherited
+        # max|p| (401 at penalty_n = 20).
+        self.lipschitz = 2.0 * 19.0 * 9.5
+
+    def mean_contribution(self, rho: ActionDistribution) -> float:
+        self._check_rho(rho)
+        return float(rho.weights @ self._levels)
+
+    def utilities(self, rho: ActionDistribution) -> np.ndarray:
+        # The closed form, not the matrix: p @ rho differs from it in the
+        # last bit.
+        return 2.0 * self._levels * self.mean_contribution(rho) - self._costs
 
 
 def load_matrix(path) -> np.ndarray:
@@ -191,11 +138,11 @@ def builtin_matrix(name: str) -> np.ndarray:
         return load_matrix(path)
 
 
-def prisoners_dilemma(mode: str = "meanfield") -> MatrixGame:
+def prisoners_dilemma() -> MatrixGame:
     """Standard prisoner's dilemma (R=3, S=0, T=5, P=1); actions 0=C, 1=D."""
-    return MatrixGame(builtin_matrix("prisoners_dilemma"), mode, labels=("C", "D"))
+    return MatrixGame(builtin_matrix("prisoners_dilemma"), labels=("C", "D"))
 
 
-def climbing_game(mode: str = "meanfield") -> MatrixGame:
+def climbing_game() -> MatrixGame:
     """Three-action climbing game with the literature-standard common payoffs."""
-    return MatrixGame(builtin_matrix("climbing"), mode)
+    return MatrixGame(builtin_matrix("climbing"))

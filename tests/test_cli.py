@@ -5,6 +5,7 @@ import csv
 import numpy as np
 import pytest
 
+from anonlearn import ConfigError, load_experiment
 from anonlearn.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
 
 TINY = """\
@@ -87,6 +88,23 @@ def test_run_bad_value_exits_2(tmp_path):
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize(
+    "text,key",
+    [
+        ("game.kind = prisoners_dilemma\n", "target"),  # default target 8 of 2 actions
+        ("sim.fixed_base = 25\n", "fixed_base"),
+        ("sim.churn_rate = 0.1\nsim.fixed_fraction = 1.0\n", "churn_rate"),
+    ],
+)
+def test_run_rejects_bad_config_at_load(tmp_path, capsys, text, key):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(TINY + text)
+    with pytest.raises(ConfigError, match=f"{key}: "):
+        load_experiment(cfg)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert f"{key}: " in capsys.readouterr().err
+
+
 def test_run_missing_config_exits_3(tmp_path, capsys):
     missing = tmp_path / "nope.cfg"
     assert main(["run", "--config", str(missing), "--out", str(tmp_path / "o")]) == EXIT_IO
@@ -129,6 +147,11 @@ def test_analyze_nash(capsys):
     out = capsys.readouterr().out
     assert "eta-nash (eta=0.0): True" in out
     assert "ABR_eta(rho) = [8]" in out
+
+
+def test_analyze_has_no_payoff_mode(capsys):
+    with pytest.raises(SystemExit):
+        main(["analyze", "--payoff-mode", "matching"])
 
 
 def test_analyze_nash_requires_rho(capsys):

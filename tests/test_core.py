@@ -1,4 +1,4 @@
-"""Primitives: distributions, mixed actions, payoff channels, utilities."""
+"""Primitives: distributions, mixed actions, utilities."""
 
 import numpy as np
 import pytest
@@ -7,13 +7,11 @@ from anonlearn import (
     ActionDistribution,
     ActionSet,
     DimensionError,
+    MatrixGame,
     MixedAction,
-    PayoffDistribution,
-    PayoffSet,
     as_strategy_vector,
     estimate_lipschitz,
     l1_distance,
-    matching_utility,
     prisoners_dilemma,
     utility,
 )
@@ -94,29 +92,6 @@ def test_mixed_action_validation():
         MixedAction(base=5, explore=0.1).vector(3)
 
 
-def test_payoff_set():
-    ps = PayoffSet((0.0, 1.0, 3.0, 5.0))
-    assert len(ps) == 4
-    with pytest.raises(ValueError):
-        PayoffSet((1.0, 1.0))
-    with pytest.raises(ValueError):
-        PayoffSet(())
-
-
-def test_payoff_distribution_mean():
-    d = PayoffDistribution([0.0, 10.0], [0.75, 0.25])
-    assert d.mean() == pytest.approx(2.5)
-    assert PayoffDistribution.point_mass(7.0).mean() == 7.0
-    with pytest.raises(ValueError):
-        PayoffDistribution([1.0, 2.0], [0.7, 0.7])
-
-
-def test_payoff_distribution_from_support():
-    ps = PayoffSet((0.0, 1.0, 3.0, 5.0))
-    d = PayoffDistribution.from_support(ps, [1, 3], [0.5, 0.5])
-    assert d.mean() == pytest.approx(3.0)
-
-
 def test_as_strategy_vector_forms():
     np.testing.assert_array_equal(as_strategy_vector(1, 3), [0.0, 1.0, 0.0])
     np.testing.assert_allclose(
@@ -151,14 +126,18 @@ def test_utility_linear_in_strategy():
 
 
 def test_matching_utility_matches_expected_payoff():
-    game = prisoners_dilemma()
+    # one partner drawn from rho: the bilinear form s @ PD @ rho
+    game = MatrixGame(PD)
     rho = ActionDistribution([0.2, 0.8])
-    for a in range(2):
-        assert matching_utility(a, rho, PD) == pytest.approx(
-            game.expected_payoff(a, rho)
-        )
+    mix = ActionDistribution([0.6, 0.4])
+    for s in (0, 1, mix):
+        bilinear = as_strategy_vector(s, 2) @ np.array(PD) @ rho.weights
+        assert utility(s, rho, game) == pytest.approx(bilinear)
+    np.testing.assert_allclose(game.utilities(rho), [0.6, 1.8])
     with pytest.raises(DimensionError):
-        matching_utility(0, ActionDistribution.uniform(3), PD)
+        utility(0, ActionDistribution.uniform(3), game)
+    with pytest.raises(DimensionError):
+        game.utilities(ActionDistribution.uniform(3))
 
 
 def test_l1_distance():
@@ -183,8 +162,10 @@ def test_estimate_lipschitz_bounds_and_determinism():
 
 
 def test_payoff_channel_degenerate_for_meanfield():
-    game = prisoners_dilemma("meanfield")
+    # the game is its expected utilities: one deterministic value per action
+    game = prisoners_dilemma()
     rho = ActionDistribution([0.5, 0.5])
-    ch = game.payoff_channel(1, rho)
-    assert ch.mean() == pytest.approx(3.0)
-    assert len(ch.values) == 1  # mean-field payoff is deterministic
+    u = game.utilities(rho)
+    assert u.shape == (2,)
+    assert u[1] == pytest.approx(3.0)
+    np.testing.assert_array_equal(game.utilities(rho), u)

@@ -12,7 +12,6 @@ from anonlearn import (
     DimensionError,
     FixedAgent,
     MixedAction,
-    PayoffDistribution,
     Population,
     RegretMatcher,
     RunConfig,
@@ -64,6 +63,9 @@ def test_run_config_defaults_and_stage_resolution():
         (dict(rounds=100), "rounds"),  # less than one stage of 400
         (dict(seed=-1), "seed"),
         (dict(metrics_eta=-0.5), "metrics_eta"),
+        (dict(game="prisoners_dilemma"), "target"),  # default target 8 of 2 actions
+        (dict(fixed_base=25), "fixed_base"),
+        (dict(churn_rate=0.1, fixed_fraction=1.0), "churn_rate"),  # no learner to churn
     ],
 )
 def test_run_config_validation_names_offending_key(kwargs, needle):
@@ -79,19 +81,19 @@ def test_run_config_items_echoes_resolved_values():
 
 
 def test_build_game_kinds(tmp_path):
-    assert build_game(RunConfig()).k == 20
-    assert build_game(RunConfig(game="prisoners_dilemma")).k == 2
-    assert build_game(RunConfig(game="climbing")).k == 3
-    assert build_game(RunConfig(penalty_n=100)).penalty_n == 100
+    assert build_game("contribution", 20, None).k == 20
+    assert build_game("prisoners_dilemma", 20, None).k == 2
+    assert build_game("climbing", 20, None).k == 3
+    assert build_game("contribution", 100, None).penalty_n == 100
     path = tmp_path / "m.txt"
     path.write_text("0 1\n1 0\n")
-    game = build_game(RunConfig(game="matrix", matrix_path=str(path)))
+    game = build_game("matrix", 20, str(path))
     np.testing.assert_array_equal(game.payoff_matrix(), [[0, 1], [1, 0]])
 
 
 def test_build_population_layout():
     cfg = RunConfig(n=8, fixed_fraction=0.25, fixed_base=8, fixed_explore=0.1)
-    game = build_game(cfg)
+    game = build_game(cfg.game, cfg.penalty_n, cfg.matrix_path)
     rngs = [np.random.default_rng([0, 0, i]) for i in range(8)]
     pop = build_population(cfg, game, rngs)
     assert pop.n == 8
@@ -101,10 +103,20 @@ def test_build_population_layout():
     assert set(pop.bases()[:2]) == {8}
 
 
-def test_build_population_range_checks():
-    cfg = RunConfig(game="prisoners_dilemma", target=5)
+def test_build_population_range_checks(tmp_path):
+    # action indices are checked against the game when the config is built,
+    # so a bad one never reaches build_population or a worker
+    with pytest.raises(ValueError, match="target: action 5 out of range for 2 actions"):
+        RunConfig(game="prisoners_dilemma", target=5)
+    with pytest.raises(ValueError, match="fixed_base: action 3 out of range for 3 actions"):
+        RunConfig(game="climbing", target=0, fixed_base=3)
+    path = tmp_path / "m.txt"
+    path.write_text("0 1 2\n1 0 2\n2 1 0\n")
     with pytest.raises(ValueError, match="target"):
-        build_population(cfg, build_game(cfg), [np.random.default_rng(i) for i in range(100)])
+        RunConfig(game="matrix", matrix_path=str(path))
+    RunConfig(game="matrix", matrix_path=str(path), target=2, fixed_base=2)
+    with pytest.raises(OSError):
+        RunConfig(game="matrix", matrix_path=str(tmp_path / "missing.txt"), target=0)
 
 
 # ---------------------------------------------------------------------------
@@ -132,16 +144,15 @@ def test_realize_meanfield_excludes_self():
         realize_meanfield([0], game)
 
 
-class _ChannelOnly(AnonymousGame):
+class _UtilitiesOnly(AnonymousGame):
     """Wraps a matrix game but hides payoff_matrix to force the generic path."""
 
     def __init__(self, inner):
         self.inner = inner
         self.action_set = inner.action_set
-        self.payoff_set = None
 
-    def payoff_channel(self, action, rho):
-        return PayoffDistribution.point_mass(self.inner.expected_payoff(action, rho))
+    def utilities(self, rho):
+        return self.inner.utilities(rho)
 
     def payoff_bounds(self):
         return self.inner.payoff_bounds()
@@ -150,7 +161,7 @@ class _ChannelOnly(AnonymousGame):
 def test_realize_meanfield_fast_path_matches_generic():
     rng = np.random.default_rng(6)
     game = ContributionGame()
-    wrapped = _ChannelOnly(game)
+    wrapped = _UtilitiesOnly(game)
     for _ in range(10):
         acts = rng.integers(20, size=9)
         fast = realize_meanfield(acts, game)

@@ -15,6 +15,8 @@ from anonlearn import (
     contribution_utility,
     load_matrix,
     prisoners_dilemma,
+    realize_matching,
+    realize_meanfield,
     utility,
 )
 
@@ -54,15 +56,29 @@ def test_contribution_game_expected_payoffs():
     delta8 = ActionDistribution.point_mass(8, 20)
     uniform = ActionDistribution.uniform(20)
     assert game.mean_contribution(uniform) == pytest.approx(9.5)
-    assert game.expected_payoff(8, delta8) == pytest.approx(79.0)
-    assert game.expected_payoff(8, uniform) == pytest.approx(103.0)
+    assert game.utilities(delta8)[8] == pytest.approx(79.0)
+    assert game.utilities(uniform)[8] == pytest.approx(103.0)
     assert utility(8, delta8, game) == pytest.approx(79.0)
+
+
+def test_contribution_utilities_agree_with_matrix():
+    # the closed form 2*x*mean - c(x) is the partner lottery over the matrix
+    game = ContributionGame()
+    m = game.payoff_matrix()
+    rng = np.random.default_rng(4)
+    for _ in range(20):
+        rho = ActionDistribution(rng.dirichlet(np.ones(20)))
+        np.testing.assert_allclose(game.utilities(rho), m @ rho.weights, rtol=1e-12)
 
 
 def test_contribution_payoff_bounds():
     lo, hi = ContributionGame(penalty_n=20).payoff_bounds()
     assert lo == -401.0  # contribute 19 against all-zero
     assert hi == 321.0  # contribute 19 against all-19
+    # the extremes of 2*x*y - c(x) sit at y in {0, 19}
+    for penalty in (0, 20, 200):
+        ends = [contribution_utility(x, y, penalty) for x in range(20) for y in (0.0, 19.0)]
+        assert ContributionGame(penalty).payoff_bounds() == (min(ends), max(ends))
 
 
 def test_contribution_payoff_matrix():
@@ -78,7 +94,7 @@ def test_contribution_payoff_matrix():
 def test_equilibrium_is_eight_for_any_penalty(penalty):
     game = ContributionGame(penalty_n=penalty)
     delta8 = ActionDistribution.point_mass(8, 20)
-    payoffs = [game.expected_payoff(a, delta8) for a in range(20)]
+    payoffs = list(game.utilities(delta8))
     assert int(np.argmax(payoffs)) == 8
     assert sorted(payoffs)[-1] > sorted(payoffs)[-2]  # strictly unique
 
@@ -91,18 +107,18 @@ def test_contribution_lipschitz_property():
         r1 = ActionDistribution(rng.dirichlet(np.ones(20)))
         r2 = ActionDistribution(rng.dirichlet(np.ones(20)))
         gap = np.abs(r1.weights - r2.weights).sum()
-        for a in (0, 8, 19):
-            diff = abs(game.expected_payoff(a, r1) - game.expected_payoff(a, r2))
-            assert diff <= game.lipschitz * gap + 1e-9
+        diff = np.abs(game.utilities(r1) - game.utilities(r2))
+        assert (diff <= game.lipschitz * gap + 1e-9).all()
 
 
 def test_contribution_mode_validation():
-    with pytest.raises(ValueError):
-        ContributionGame(mode="tournament")
+    # how payoffs are realized belongs to the run, not the game
+    with pytest.raises(TypeError):
+        ContributionGame(mode="matching")
+    with pytest.raises(ValueError, match="penalty_n"):
+        ContributionGame(penalty_n=-1)
     with pytest.raises(DimensionError):
-        ContributionGame().expected_payoff(25, ActionDistribution.uniform(20))
-    with pytest.raises(DimensionError):
-        ContributionGame().expected_payoff(8, ActionDistribution.uniform(3))
+        ContributionGame().utilities(ActionDistribution.uniform(3))
 
 
 # ---------------------------------------------------------------------------
@@ -117,32 +133,41 @@ def test_prisoners_dilemma_values():
 
 
 def test_matching_channel_is_partner_lottery():
-    game = prisoners_dilemma("matching")
-    rho = ActionDistribution([0.5, 0.5])
-    ch = game.payoff_channel(1, rho)  # defect: 5 vs C, 1 vs D
-    np.testing.assert_array_equal(ch.values, [1.0, 5.0])
-    np.testing.assert_allclose(ch.probs, [0.5, 0.5])
-    assert ch.mean() == pytest.approx(3.0)
-    # drop zero-probability outcomes
-    ch0 = game.payoff_channel(0, ActionDistribution.point_mass(1, 2))
-    np.testing.assert_array_equal(ch0.values, [0.0])
+    # a defector matched with a cooperator earns 5, with a defector 1; the
+    # expected utility is that lottery's mean under rho
+    game = prisoners_dilemma()
+    m = game.payoff_matrix()
+    acts = np.array([1, 0, 1, 1])
+    payoffs = realize_matching(acts, m, np.random.default_rng(0))
+    assert sorted(payoffs) == [0.0, 1.0, 1.0, 5.0]
+    assert game.utilities(ActionDistribution([0.5, 0.5]))[1] == pytest.approx(3.0)
+    assert game.utilities(ActionDistribution.point_mass(1, 2))[0] == 0.0
 
 
 def test_modes_agree_on_expected_payoff():
-    rho = ActionDistribution([0.3, 0.7])
-    mf = prisoners_dilemma("meanfield")
-    mt = prisoners_dilemma("matching")
-    for a in range(2):
-        assert mf.expected_payoff(a, rho) == pytest.approx(mt.expected_payoff(a, rho))
-        assert mt.payoff_channel(a, rho).mean() == pytest.approx(
-            mt.expected_payoff(a, rho)
-        )
+    # mean-field payoffs are the utilities against the other agents, and
+    # matched payoffs average out to them
+    game = prisoners_dilemma()
+    rng = np.random.default_rng(2)
+    acts = rng.integers(2, size=400)
+    meanfield = realize_meanfield(acts, game)
+    for i in (0, 1, 2):
+        others = ActionDistribution.from_counts(np.bincount(np.delete(acts, i), minlength=2))
+        assert meanfield[i] == pytest.approx(game.utilities(others)[acts[i]])
+    matched = np.mean(
+        [realize_matching(acts, game.payoff_matrix(), rng).mean() for _ in range(200)]
+    )
+    assert matched == pytest.approx(meanfield.mean(), abs=0.05)
 
 
 def test_matching_payoff_set():
-    game = prisoners_dilemma("matching")
-    assert sorted(game.payoff_set.values) == [0.0, 1.0, 3.0, 5.0]
-    assert prisoners_dilemma("meanfield").payoff_set is None
+    # matched payoffs only ever take the matrix's own entries
+    game = prisoners_dilemma()
+    rng = np.random.default_rng(1)
+    seen = set()
+    for _ in range(20):
+        seen |= set(realize_matching(rng.integers(2, size=10), game.payoff_matrix(), rng))
+    assert seen == {0.0, 1.0, 3.0, 5.0}
 
 
 def test_climbing_game():
