@@ -1,12 +1,14 @@
 """Golden outputs: what `anonlearn run` writes for the configs in
 tests/golden/, and what `anonlearn analyze` prints, must keep their exact
-bytes; sampled Lipschitz estimates must keep their exact bits.
+bytes; sampled Lipschitz estimates must keep their exact bits; and `run` on a
+seeded table of random small configs must keep the exact bits of every
+RunTrace array.
 
 digests.json holds the sha256 of each per-run CSV, summary and aggregate.csv
-and of each analyze report, and the float.hex() of each Lipschitz estimate
-(a max of utility differences, so it moves with any bit-level change in the
-expected utilities).  Re-record it only when a change is meant to alter the
-outputs:
+and of each analyze report, the float.hex() of each Lipschitz estimate (a max
+of utility differences, so it moves with any bit-level change in the expected
+utilities), and the sha256 of the five arrays of each random config's
+RunTrace.  Re-record it only when a change is meant to alter the outputs:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -19,15 +21,18 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from anonlearn import (
     ContributionGame,
     MatrixGame,
+    RunConfig,
     climbing_game,
     estimate_lipschitz,
     load_matrix,
     prisoners_dilemma,
+    run,
 )
 from anonlearn.cli import EXIT_OK, main
 
@@ -49,6 +54,45 @@ LIPSCHITZ_GAMES = {
     "climbing": lambda: climbing_game(),
     "matrix": lambda: MatrixGame(load_matrix(GOLDEN / "golden_matrix.txt")),
 }
+
+RANDOM_CONFIGS = 32
+
+
+def random_configs(count=RANDOM_CONFIGS, seed=20240):
+    """count small RunConfigs drawn from a fixed generator: both learners, both
+    payoff modes, every game kind, churn, fixed agents with and without
+    exploration, explicit and derived mu, and trailing partial stages."""
+    rng = np.random.default_rng(seed)
+
+    def pick(options):
+        return options[int(rng.integers(len(options)))]
+
+    out = []
+    for _ in range(count):
+        game = pick(["contribution", "prisoners_dilemma", "climbing", "matrix"])
+        k = {"contribution": 20, "prisoners_dilemma": 2, "climbing": 3, "matrix": 4}[game]
+        stage_len = pick([5, 10, 20, 50])
+        out.append(RunConfig(
+            game=game,
+            penalty_n=pick([20, 200]),
+            matrix_path=str(GOLDEN / "golden_matrix.txt") if game == "matrix" else None,
+            mode=pick(["meanfield", "matching"]),
+            learner=pick(["stage", "regret"]),
+            explore=pick([0.05, 0.1, 0.2, 0.3]),
+            stage_len=stage_len,
+            mu=pick([None, None, 5.0, 80.0]),
+            delta=pick([0.05, 0.1]),
+            n=2 * int(rng.integers(1, 13)),
+            rounds=stage_len * int(rng.integers(1, 6)) + pick([0, 0, stage_len // 2, 3]),
+            churn_rate=pick([0.0, 0.1, 0.5]),
+            fixed_fraction=pick([0.0, 0.2, 0.5]),
+            fixed_base=int(rng.integers(k)),
+            fixed_explore=pick([0.0, 0.1]),
+            seed=int(rng.integers(1000)),
+            target=int(rng.integers(k)),
+            metrics_eta=pick([0.0, 0.5, 1.0, 2.0]),
+        ))
+    return out
 
 
 @contextlib.contextmanager
@@ -85,6 +129,14 @@ def _lipschitz_bits(label: str) -> dict:
     return {f"lipschitz/{label}": float(est).hex()}
 
 
+def _trace_digest(idx: int, config: RunConfig) -> dict:
+    t = run(config)
+    arrays = (t.realized_dist, t.base_dist, t.stage_rho, t.stage_distance,
+              t.stage_br_fraction)
+    return {f"random/{idx:02d}": _sha(b"".join(np.ascontiguousarray(a).tobytes()
+                                                for a in arrays))}
+
+
 def _recorded(match) -> dict:
     table = json.loads(DIGESTS.read_text())
     found = {k: v for k, v in table.items() if match(k)}
@@ -108,6 +160,12 @@ def test_golden_lipschitz_bits(label):
     assert _lipschitz_bits(label) == _recorded(lambda key: key == f"lipschitz/{label}")
 
 
+@pytest.mark.parametrize("idx", range(RANDOM_CONFIGS))
+def test_golden_random_trace_bits(idx):
+    config = random_configs()[idx]
+    assert _trace_digest(idx, config) == _recorded(lambda key: key == f"random/{idx:02d}")
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -119,5 +177,7 @@ if __name__ == "__main__":
         table.update(_analyze_digest(label))
     for label in LIPSCHITZ_GAMES:
         table.update(_lipschitz_bits(label))
+    for idx, config in enumerate(random_configs()):
+        table.update(_trace_digest(idx, config))
     DIGESTS.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
     print(f"recorded {len(table)} digests to {DIGESTS}", file=sys.stderr)
