@@ -3,9 +3,9 @@
 Finite-action games whose payoffs depend only on an agent's own action and
 the population's action distribution, plus the machinery to study how simple
 payoff-driven learners behave in them: best-reply dynamics, stage-based
-epsilon-greedy learners, payoff-only regret matching, mean-field and
-random-matching payoff realization, churn, and a deterministic experiment
-engine with a CLI.
+epsilon-greedy learners and payoff-only regret matching (array kernels over
+a whole population), mean-field and random-matching payoff realization,
+churn, and a deterministic experiment engine with a CLI.
 """
 
 from .core import (
@@ -45,20 +45,18 @@ from .games import (
     prisoners_dilemma,
 )
 from .learners import (
-    ContractError,
-    FixedAgent,
-    RegretMatcher,
-    StageLearner,
+    regret_act,
+    regret_observe,
     sample_mixed,
+    stage_end,
+    stage_tally,
 )
 from .engine import (
-    Population,
     RunConfig,
     RunTrace,
     apply_churn,
     best_reply_fraction,
     build_game,
-    build_population,
     distance_from_equilibrium,
     measure_stage_rho,
     realize_matching,
@@ -80,19 +78,14 @@ __all__ = [
     "BestReplySequence",
     "CloseWitness",
     "ConfigError",
-    "ContractError",
     "CONTRIBUTION_LEVELS",
     "ContributionGame",
     "DimensionError",
     "ExperimentSpec",
-    "FixedAgent",
     "MatrixGame",
     "MixedAction",
-    "Population",
-    "RegretMatcher",
     "RunConfig",
     "RunTrace",
-    "StageLearner",
     "abr_containment_threshold",
     "apply_churn",
     "as_strategy_vector",
@@ -101,7 +94,6 @@ __all__ = [
     "br_sequence",
     "br_step",
     "build_game",
-    "build_population",
     "builtin_matrix",
     "climbing_game",
     "close_l1_bound",
@@ -120,10 +112,14 @@ __all__ = [
     "pure_profile_distribution",
     "realize_matching",
     "realize_meanfield",
+    "regret_act",
+    "regret_observe",
     "run",
     "run_many",
     "run_stationary",
     "sample_mixed",
+    "stage_end",
+    "stage_tally",
     "sweep_seeds",
     "utility",
     "verify_close",

@@ -92,7 +92,10 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """A base run plus the sweep grid (populations x learner kinds x seeds)."""
+    """A base run plus the sweep grid (populations x learner kinds x seeds).
+
+    Every cell is built, and so validated, once, at construction.
+    """
 
     base: RunConfig
     populations: tuple[int, ...]
@@ -104,16 +107,23 @@ class ExperimentSpec:
             raise ConfigError("sweep axes must be nonempty")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError("sweep.seeds: seeds must be distinct")
+        try:
+            cells = tuple(
+                (n, kind, seed, replace(self.base, n=n, learner=kind, seed=seed))
+                for n in self.populations
+                for kind in self.learners
+                for seed in self.seeds
+            )
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+        object.__setattr__(self, "_cells", cells)
 
     def runs(self):
         """All (n, learner, seed, RunConfig) cells of the grid, in order."""
-        for n in self.populations:
-            for kind in self.learners:
-                for seed in self.seeds:
-                    yield n, kind, seed, replace(self.base, n=n, learner=kind, seed=seed)
+        return iter(self._cells)
 
     def __len__(self):
-        return len(self.populations) * len(self.learners) * len(self.seeds)
+        return len(self._cells)
 
 
 def spec_from_values(values: dict) -> ExperimentSpec:
@@ -128,13 +138,7 @@ def spec_from_values(values: dict) -> ExperimentSpec:
     pops = values["sweep.populations"] or [base.n]
     learners = values["sweep.learners"] or [base.learner]
     seeds = values["sweep.seeds"] if values["sweep.seeds"] is not None else [base.seed]
-    spec = ExperimentSpec(base, tuple(pops), tuple(learners), tuple(seeds))
-    try:
-        for _ in spec.runs():  # force construction: every cell must validate
-            pass
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    return spec
+    return ExperimentSpec(base, tuple(pops), tuple(learners), tuple(seeds))
 
 
 def load_experiment(path) -> ExperimentSpec:

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .core import ActionDistribution, AnonymousGame, DimensionError, MixedAction
+from .core import ActionDistribution, AnonymousGame, DimensionError
 from .dynamics import best_reply_set
 from .games import (
     ContributionGame,
@@ -25,10 +26,17 @@ from .games import (
     load_matrix,
     prisoners_dilemma,
 )
-from .learners import FixedAgent, RegretMatcher, StageLearner
+from .learners import regret_act, regret_observe, sample_mixed, stage_end, stage_tally
 
 GAME_KINDS = ("contribution", "prisoners_dilemma", "climbing", "matrix")
 LEARNER_KINDS = ("stage", "regret")
+# Working-memory bounds for run, whatever n is: a block's (rounds, n) actions
+# and (rounds, k) histogram hold at most CAP entries, and the agents' streams
+# are read ahead into one buffer of at most UCAP uniforms and AHEAD rounds
+# (longer chunks save next to nothing per draw, and cost memory at small n).
+CAP = 1 << 12
+UCAP = 1 << 17
+AHEAD = 128
 
 
 @dataclass(frozen=True)
@@ -43,7 +51,7 @@ class RunConfig:
     learner: str = "stage"
     explore: float = 0.05
     stage_len: int | None = None  # None -> ceil(1/explore^2)
-    mu: float | None = None  # None -> regret matcher's game-derived default
+    mu: float | None = None  # None -> the game-derived default, see resolved_mu
     delta: float = 0.05
     n: int = 100
     rounds: int = 3000
@@ -92,17 +100,28 @@ class RunConfig:
             raise ValueError(f"seed: must be nonnegative, got {self.seed}")
         if self.metrics_eta < 0:
             raise ValueError(f"metrics_eta: must be >= 0, got {self.metrics_eta}")
-        k = build_game(self.game, self.penalty_n, self.matrix_path).k
+        game = build_game(self.game, self.penalty_n, self.matrix_path)
         for key in ("target", "fixed_base"):
             a = getattr(self, key)
-            if not 0 <= a < k:
-                raise ValueError(f"{key}: action {a} out of range for {k} actions")
+            if not 0 <= a < game.k:
+                raise ValueError(f"{key}: action {a} out of range for {game.k} actions")
+        lo, hi = game.payoff_bounds()
+        object.__setattr__(self, "_payoff_spread", (game.k, hi - lo))
 
     @property
     def resolved_stage_len(self) -> int:
         if self.stage_len is not None:
             return self.stage_len
         return math.ceil(1.0 / self.explore**2)
+
+    @property
+    def resolved_mu(self) -> float:
+        """The regret matcher's damping: mu, or else 2·max(hi−lo, 1)·(k−1)
+        from the game's k actions and payoff bounds [lo, hi]."""
+        if self.mu is not None:
+            return self.mu
+        k, spread = self._payoff_spread
+        return 2.0 * max(spread, 1.0) * (k - 1)
 
     def items(self):
         """(key, value) pairs of the fully-resolved config, for echoing."""
@@ -126,47 +145,13 @@ def build_game(kind: str, penalty_n: int, matrix_path: str | None) -> AnonymousG
     return MatrixGame(load_matrix(matrix_path))
 
 
-@dataclass
-class Population:
-    """The n agents of a run, in slot order; fixed agents occupy the low slots."""
-
-    agents: list
-
-    def __post_init__(self):
-        if len(self.agents) < 2:
-            raise ValueError(f"population needs >= 2 agents, got {len(self.agents)}")
-
-    @property
-    def n(self) -> int:
-        return len(self.agents)
-
-    def bases(self) -> np.ndarray:
-        return np.array([agent.current_base() for agent in self.agents])
-
-
-def _make_learner(config: RunConfig, game: AnonymousGame, base: int):
-    if config.learner == "stage":
-        return StageLearner(game.k, base, config.explore, config.resolved_stage_len)
-    if config.mu is not None:
-        return RegretMatcher(game.k, config.mu, config.delta)
-    return RegretMatcher.for_game(game, config.delta)
-
-
-def build_population(config: RunConfig, game: AnonymousGame, agent_rngs) -> Population:
-    """Fixed agents first (floor(fixed_fraction * n) of them), then learners.
-
-    Learner bases are drawn uniformly from each agent's own stream.
-    """
-    n_fixed = int(config.fixed_fraction * config.n)
-    strategy = MixedAction(config.fixed_base, config.fixed_explore)
-    agents = []
-    for i in range(config.n):
-        if i < n_fixed:
-            agents.append(FixedAgent(game.k, strategy))
-        else:
-            base = int(agent_rngs[i].integers(game.k))
-            agents.append(_make_learner(config, game, base))
-    return Population(agents)
+def _meanfield_payoffs(acts, counts, m) -> np.ndarray:
+    """Exact expected payoffs of a (rounds, n) block of actions, each agent
+    against the other n-1 of its round; counts is the (rounds, k) histogram.
+    One m @ counts per round: a batched product can differ in the last bit."""
+    totals = np.array([m @ c for c in counts.astype(float)])
+    rounds = np.arange(acts.shape[0])[:, None]
+    return (totals[rounds, acts] - m[acts, acts]) / (acts.shape[1] - 1)
 
 
 def realize_meanfield(actions, game: AnonymousGame) -> np.ndarray:
@@ -180,15 +165,13 @@ def realize_meanfield(actions, game: AnonymousGame) -> np.ndarray:
     if n < 2:
         raise DimensionError("mean-field payoffs need at least 2 agents")
     k = game.k
-    counts = np.bincount(acts, minlength=k).astype(float)
+    counts = np.bincount(acts, minlength=k)
     matrix_of = getattr(game, "payoff_matrix", None)
     if matrix_of is not None:
-        m = matrix_of()
-        totals = m @ counts
-        return (totals[acts] - m[acts, acts]) / (n - 1)
+        return _meanfield_payoffs(acts[None], counts[None], matrix_of())[0]
     by_action = np.empty(k)
     for a in np.flatnonzero(counts):
-        others = counts.copy()
+        others = counts.astype(float)
         others[a] -= 1.0
         by_action[a] = game.utilities(ActionDistribution(others / (n - 1)))[a]
     return by_action[acts]
@@ -209,33 +192,24 @@ def realize_matching(actions, matrix, rng) -> np.ndarray:
     return payoffs
 
 
-def apply_churn(population: Population, rate: float, rng, factory=None) -> Population:
-    """Replace each learner independently with probability rate.
+def apply_churn(bases, start: int, rate: float, rng, k: int | None = None) -> np.ndarray:
+    """Replace each learner (slots start..n-1) independently with probability
+    rate, and return the replaced slots.
 
-    Replacements come from factory(rng); the default spawns stage learners
-    with a uniformly random base, copying the parameters of the first stage
-    learner found.  Fixed agents are never churned — their persistence is the
-    point of having them.  The population is mutated in place and returned.
+    Fixed agents, in the slots below start, are never churned — their
+    persistence is the point of having them.  Given k, a replaced slot gets a
+    uniform base in range(k) drawn from rng right after its coin, written into
+    bases; otherwise the caller resets the slot's state.
     """
     if not 0.0 <= rate <= 1.0:
         raise ValueError(f"churn rate must be in [0, 1], got {rate}")
-    if factory is None:
-        template = next(
-            (a for a in population.agents if isinstance(a, StageLearner)), None
-        )
-        if template is None:
-            raise ValueError("no stage learner to copy; pass an explicit factory")
-
-        def factory(r):
-            base = int(r.integers(template.k))
-            return StageLearner(template.k, base, template.explore, template.stage_len)
-
-    for i, agent in enumerate(population.agents):
-        if isinstance(agent, FixedAgent):
-            continue
+    out = []
+    for i in range(start, len(bases)):
         if rng.random() < rate:
-            population.agents[i] = factory(rng)
-    return population
+            out.append(i)
+            if k is not None:
+                bases[i] = rng.integers(k)
+    return np.array(out, dtype=np.int64)
 
 
 def distance_from_equilibrium(rho: ActionDistribution, target: int) -> float:
@@ -255,12 +229,12 @@ def measure_stage_rho(rounds_rho) -> ActionDistribution:
 
 
 def best_reply_fraction(
-    population: Population, rho: ActionDistribution, eta: float, game: AnonymousGame
+    bases, rho: ActionDistribution, eta: float, game: AnonymousGame
 ) -> float:
     """Fraction of agents whose current base is an eta-best reply to rho."""
-    abr = best_reply_set(rho, eta, game)
-    bases = population.bases()
-    return float(np.mean([b in abr for b in bases]))
+    in_abr = np.zeros(game.k, dtype=bool)
+    in_abr[list(best_reply_set(rho, eta, game))] = True
+    return float(in_abr[bases].mean())
 
 
 @dataclass
@@ -331,23 +305,54 @@ class RunTrace:
         return "\n".join(lines) + "\n"
 
 
+def _uniform_blocks(rngs, rounds: int, width: int):
+    """The next rounds uniforms of every agent, as time-major (rounds', n)
+    blocks of at most width rounds: row j holds each agent's draw for one
+    round.  Each agent's stream fills its row of a buffer of at most UCAP
+    values and AHEAD rounds a chunk at a time, which draws the same numbers
+    as one rng.random() a round."""
+    buf = np.empty((len(rngs), min(max(1, UCAP // len(rngs)), AHEAD, rounds)))
+    for c0 in range(0, rounds, buf.shape[1]):
+        c = min(buf.shape[1], rounds - c0)
+        for rng, row in zip(rngs, buf):
+            rng.random(out=row[:c])
+        for b0 in range(0, c, width):
+            yield buf[:, b0 : min(b0 + width, c)].T
+
+
 def run(config: RunConfig) -> RunTrace:
-    """Execute one run: act, realize payoffs, observe, every round; metrics and
-    churn at stage boundaries.  Deterministic given config (seed included)."""
+    """Execute one run: actions, payoffs and learner updates a block of rounds
+    at a time; metrics and churn at stage boundaries.  Deterministic given
+    config (seed included).
+
+    The population is arrays in slot order, fixed agents in the low slots:
+    bases and explore rates (n,); stage-learner tallies (learners, k), or a
+    regret matcher's proxy (learners, k, k), action probabilities
+    (learners, k) and round count.  A regret matcher's base is the action it
+    played last.
+    """
     game = build_game(config.game, config.penalty_n, config.matrix_path)
     k, n, tau = game.k, config.n, config.resolved_stage_len
-    agent_rngs = [np.random.default_rng([config.seed, 0, i]) for i in range(n)]
-    population = build_population(config, game, agent_rngs)
-    agents = population.agents
+    m = game.payoff_matrix()
+    rngs = [np.random.default_rng([config.seed, 0, i]) for i in range(n)]
     match_rng = np.random.default_rng([config.seed, 1])
     churn_rng = np.random.default_rng([config.seed, 2])
     matching = config.mode == "matching"
-    matrix = game.payoff_matrix() if matching else None
+    regret = config.learner == "regret"
 
-    churn_factory = None
-    if config.churn_rate > 0.0 and config.learner == "regret":
-        def churn_factory(r):
-            return _make_learner(config, game, 0)
+    nf = int(config.fixed_fraction * n)  # fixed agents hold slots 0..nf-1
+    bases = np.full(n, config.fixed_base, dtype=np.int64)
+    bases[nf:] = [rng.integers(k) for rng in rngs[nf:]]  # drawn even for regret
+    explore = np.full(n, config.explore)
+    explore[:nf] = config.fixed_explore
+    if regret:
+        mu = config.resolved_mu
+        proxy = np.zeros((n - nf, k, k))
+        probs = np.full((n - nf, k), 1.0 / k)
+        t = np.zeros(n - nf, dtype=np.int64)
+    else:
+        sums = np.zeros((n - nf, k))
+        counts = np.zeros((n - nf, k))
 
     stages = config.rounds // tau
     realized_hist = np.empty((config.rounds, k))
@@ -355,71 +360,104 @@ def run(config: RunConfig) -> RunTrace:
     stage_rho = np.empty((stages, k))
     stage_distance = np.empty(stages)
     stage_br = np.empty(stages)
+    width = 1 if regret else max(1, CAP // (n + k))
 
-    # Bases move only at stage boundaries for stage/fixed agents; regret
-    # matchers re-anchor on every realized action, so their base row is the
-    # realized row.
-    rolling_bases = config.learner == "regret"
-    base_row = np.bincount(population.bases(), minlength=k) / n
-
-    for t in range(config.rounds):
-        acts = np.fromiter(
-            (agent.act(rng) for agent, rng in zip(agents, agent_rngs)),
-            dtype=np.int64,
-            count=n,
-        )
-        if matching:
-            payoffs = realize_matching(acts, matrix, match_rng)
-        else:
-            payoffs = realize_meanfield(acts, game)
-        for agent, a, p in zip(agents, acts, payoffs):
-            agent.observe(a, p)
-        realized_hist[t] = np.bincount(acts, minlength=k) / n
-        boundary = (t + 1) % tau == 0
-        # row t shows the bases in force during round t; the end_stage that
-        # fires inside the boundary observes only applies from round t+1
-        base_hist[t] = realized_hist[t] if rolling_bases else base_row
-        if boundary:
-            s = (t + 1) // tau - 1
-            if s < stages:
-                rho = measure_stage_rho(realized_hist[t + 1 - tau : t + 1])
-                stage_rho[s] = rho.weights
-                stage_distance[s] = distance_from_equilibrium(rho, config.target)
-                stage_br[s] = best_reply_fraction(population, rho, config.metrics_eta, game)
-            if config.churn_rate > 0.0:
-                apply_churn(population, config.churn_rate, churn_rng, churn_factory)
-            base_row = np.bincount(population.bases(), minlength=k) / n
+    for s, s0 in enumerate(range(0, config.rounds, tau)):
+        s1 = min(s0 + tau, config.rounds)
+        base_hist[s0:s1] = np.bincount(bases, minlength=k) / n
+        r = s0
+        for u in _uniform_blocks(rngs, s1 - s0, width):
+            if regret:
+                acts = np.empty(u.shape, dtype=np.int64)
+                acts[:, :nf] = sample_mixed(bases[:nf], explore[:nf], k, u[:, :nf])
+                acts[0, nf:] = regret_act(probs, u[0, nf:])
+            else:
+                acts = sample_mixed(bases, explore, k, u)
+            b = acts.shape[0]
+            hist = np.bincount((acts + k * np.arange(b)[:, None]).ravel(), minlength=b * k)
+            hist = hist.reshape(b, k)
+            np.divide(hist, n, out=realized_hist[r : r + b])
+            if matching:
+                payoffs = np.array([realize_matching(a, m, match_rng) for a in acts])
+            else:
+                payoffs = _meanfield_payoffs(acts, hist, m)
+            if regret:
+                regret_observe(proxy, probs, t, bases[nf:], acts[0, nf:], payoffs[0, nf:],
+                               mu, config.delta)
+            else:
+                stage_tally(sums, counts, acts[:, nf:], payoffs[:, nf:])
+            r += b
+        if s == stages:  # trailing partial stage: no stage end, no metrics
+            break
+        if not regret:
+            stage_end(bases[nf:], sums, counts)
+        rho = measure_stage_rho(realized_hist[s0:s1])
+        stage_rho[s] = rho.weights
+        stage_distance[s] = distance_from_equilibrium(rho, config.target)
+        stage_br[s] = best_reply_fraction(bases, rho, config.metrics_eta, game)
+        if config.churn_rate > 0.0:
+            rows = apply_churn(bases, nf, config.churn_rate, churn_rng,
+                               None if regret else k) - nf
+            if regret:
+                proxy[rows] = 0.0
+                probs[rows] = 1.0 / k
+                t[rows] = 0
 
     return RunTrace(
         config=config,
         k=k,
         realized_dist=realized_hist,
-        base_dist=base_hist,
+        # a regret matcher re-anchors on every action, so its base row is
+        # the realized row
+        base_dist=realized_hist.copy() if regret else base_hist,
         stage_rho=stage_rho,
         stage_distance=stage_distance,
         stage_br_fraction=stage_br,
     )
 
 
-def run_stationary(game: AnonymousGame, rho: ActionDistribution, learners, rounds: int, seed: int):
-    """Drive each learner independently against a frozen rho for `rounds` rounds.
+def run_stationary(game: AnonymousGame, rho: ActionDistribution, bases, explore: float,
+                   stage_len: int, rounds: int, seed: int) -> np.ndarray:
+    """Drive one stage learner per entry of bases against a frozen rho for
+    `rounds` rounds, and return their final bases.
 
     The mean-field oracle hands back exact expected payoffs, so the only noise
     is the learners' own exploration.  Learner i draws from
-    default_rng([seed, 0, i]).  Mutates the learners; returns them.
+    default_rng([seed, 0, i]).
     """
+    bases = np.array(bases, dtype=np.int64)
+    if not 0.0 < explore < 1.0:
+        raise ValueError(f"explore must be in (0, 1), got {explore}")
+    if stage_len < 1:
+        raise ValueError(f"stage_len must be >= 1, got {stage_len}")
+    if bases.size == 0 or bases.min() < 0 or bases.max() >= game.k:
+        raise ValueError(f"bases must be one or more actions in range({game.k})")
     payoffs = game.utilities(rho)
-    for i, learner in enumerate(learners):
-        rng = np.random.default_rng([seed, 0, i])
-        for _ in range(rounds):
-            a = learner.act(rng)
-            learner.observe(a, payoffs[a])
-    return learners
+    n = bases.size
+    rngs = [np.random.default_rng([seed, 0, i]) for i in range(n)]
+    sums = np.zeros((n, game.k))
+    counts = np.zeros((n, game.k))
+    width = max(1, CAP // (n + game.k))
+    for s0 in range(0, rounds, stage_len):
+        for u in _uniform_blocks(rngs, min(stage_len, rounds - s0), width):
+            acts = sample_mixed(bases, explore, game.k, u)
+            stage_tally(sums, counts, acts, payoffs[acts])
+        if s0 + stage_len <= rounds:
+            stage_end(bases, sums, counts)
+    return bases
 
 
 def _run_indexed(args):
     idx, config = args
     return idx, run(config)
+
+
+def pool_size(threads: int, cells: int, cpus: int) -> int:
+    """Worker processes for cells runs at a requested thread count: no more
+    than there are cells or CPUs to run them; 1 means in-process."""
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+    return max(1, min(threads, cells, cpus))
 
 
 def run_many(configs, threads: int = 1) -> list[RunTrace]:
@@ -428,12 +466,11 @@ def run_many(configs, threads: int = 1) -> list[RunTrace]:
     Results are identical for any thread count — each run is internally
     sequential and fully seeded.
     """
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
-    if threads == 1 or len(configs) <= 1:
+    workers = pool_size(threads, len(configs), os.cpu_count() or 1)
+    if workers == 1:
         return [run(c) for c in configs]
     out: list = [None] * len(configs)
-    with ProcessPoolExecutor(max_workers=threads) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         for idx, trace in pool.map(_run_indexed, list(enumerate(configs))):
             out[idx] = trace
     return out

@@ -1,184 +1,84 @@
-"""Agent state machines: stage learners, a payoff-only regret matcher, and
-fixed-strategy agents.
+"""Learning rules as array kernels: one row per agent, updated in place.
 
-All learners share a two-phase protocol per round: act(rng) -> action, then
-observe(action, payoff).  They see nothing but their own actions and payoffs.
+A stage learner keeps a mixed action a_eps fixed for a stage, tallies the
+payoffs of what it played, and at the stage end moves its base to the action
+with the best stage average.  A payoff-only regret matcher (Hart and
+Mas-Colell's reinforcement procedure) re-weights its next action by estimated
+regrets every round.  A fixed agent plays one mixed action forever and is
+just sample_mixed.  Learners see nothing but their own actions and payoffs;
+every random draw arrives as a uniform, so the caller owns the streams.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import AnonymousGame, MixedAction
+
+def sample_mixed(bases, explore, k: int, u) -> np.ndarray:
+    """The a_eps law, elementwise: base where u < 1-explore, else uniform over
+    the other k-1 actions.  bases and explore broadcast against the uniforms
+    u; one uniform per draw, even where explore is 0."""
+    u = np.asarray(u, dtype=float)
+    acts = np.broadcast_to(bases, u.shape).astype(np.int64)
+    explore = np.broadcast_to(explore, u.shape)
+    x = u >= 1.0 - explore
+    e = explore[x]
+    j = ((u[x] - (1.0 - e)) * (k - 1) / e).astype(np.int64)
+    np.minimum(j, k - 2, out=j)  # guard the u -> 1 edge
+    j += j >= acts[x]
+    acts[x] = j
+    return acts
 
 
-class ContractError(RuntimeError):
-    """act/observe/end_stage called out of order."""
+def stage_tally(sums, counts, acts, payoffs):
+    """Add (rounds, m) blocks of actions and payoffs to the (m, k) stage
+    tallies, round by round, so each sum is the one sequential additions give."""
+    idx = (acts + np.arange(sums.shape[0]) * sums.shape[1]).ravel()
+    np.add.at(sums.reshape(-1), idx, payoffs.ravel())
+    np.add.at(counts.reshape(-1), idx, 1.0)
 
 
-def sample_mixed(base: int, explore: float, k: int, rng) -> int:
-    """One draw from the a_eps law: base w.p. 1-explore, else uniform over the rest.
-
-    Consumes exactly one uniform from rng.
-    """
-    u = rng.random()
-    if u < 1.0 - explore:
-        return base
-    j = int((u - (1.0 - explore)) * (k - 1) / explore)
-    if j > k - 2:  # guard the u -> 1 edge
-        j = k - 2
-    return j if j < base else j + 1
-
-
-class StageLearner:
-    """Keeps a mixed action a_eps fixed for a stage of stage_len rounds, then
-    moves its base to the action with the highest average observed payoff.
+def stage_end(bases, sums, counts):
+    """Move each base to the action with the best stage average and reset the
+    tallies.
 
     Unexplored actions score 0 — deliberately, even though that can shadow
-    actions whose true payoffs are negative.
+    actions whose true payoffs are negative.  Ties keep the current base when
+    it is among the maximizers, else go to the lowest index.
     """
-
-    def __init__(self, k: int, base: int, explore: float, stage_len: int):
-        if not 0 < explore < 1:
-            raise ValueError(f"explore must be in (0, 1), got {explore}")
-        if stage_len < 1:
-            raise ValueError(f"stage_len must be >= 1, got {stage_len}")
-        if not 0 <= base < k:
-            raise ValueError(f"base {base} out of range for {k} actions")
-        self.k = k
-        self.base = base
-        self.explore = explore
-        self.stage_len = stage_len
-        self.round_in_stage = 0
-        self._counts = np.zeros(k)
-        self._sums = np.zeros(k)
-        self._pending = -1
-
-    def act(self, rng) -> int:
-        if self._pending >= 0:
-            raise ContractError("act called twice without observe")
-        self._pending = sample_mixed(self.base, self.explore, self.k, rng)
-        return self._pending
-
-    def observe(self, action: int, payoff: float):
-        if action != self._pending:
-            raise ContractError(f"observe({action}) does not match pending act {self._pending}")
-        self._pending = -1
-        self._counts[action] += 1.0
-        self._sums[action] += payoff
-        self.round_in_stage += 1
-        if self.round_in_stage == self.stage_len:
-            self.end_stage()
-
-    def current_base(self) -> int:
-        return self.base
-
-    def average_values(self) -> np.ndarray:
-        """Per-action average payoff this stage; exactly 0 where unexplored."""
-        out = np.zeros(self.k)
-        seen = self._counts > 0.0
-        out[seen] = self._sums[seen] / self._counts[seen]
-        return out
-
-    def end_stage(self):
-        """Adopt the base with the best stage average.
-
-        Ties keep the current base when it is among the maximizers, else go to
-        the lowest index.  Normally triggered by the stage_len-th observe;
-        calling it mid-stage is a contract violation.
-        """
-        if self.round_in_stage != self.stage_len:
-            raise ContractError(
-                f"end_stage at round {self.round_in_stage} of {self.stage_len}"
-            )
-        values = self.average_values()
-        best = values.max()
-        if values[self.base] < best:
-            self.base = int(np.argmax(values))
-        self._counts[:] = 0.0
-        self._sums[:] = 0.0
-        self.round_in_stage = 0
+    values = np.divide(sums, counts, out=sums, where=counts > 0.0)
+    move = values[np.arange(bases.size), bases] < values.max(axis=1)
+    bases[move] = values.argmax(axis=1)[move]
+    sums.fill(0.0)
+    counts.fill(0.0)
 
 
-class RegretMatcher:
-    """Payoff-only regret matching.
+def regret_act(probs, u) -> np.ndarray:
+    """One action per row of the (m, k) action probabilities, by inversion of
+    its uniform."""
+    acts = (np.cumsum(probs, axis=1) <= np.asarray(u)[:, None]).sum(axis=1)
+    return np.minimum(acts, probs.shape[1] - 1)
 
-    The learner tracks, for each pair (j, k), an importance-weighted estimate
-    of the payoff it would have accumulated had it played k in the rounds it
-    chose j.  Next-round switch probabilities are proportional to positive
-    regret, damped by mu, capped at 1/(k-1), and mixed with a delta-uniform
-    exploration floor; the previous action absorbs the residual.
+
+def regret_observe(proxy, probs, t, prev, acts, payoffs, mu: float, delta: float):
+    """One round of payoff-only regret matching for m agents, in place.
+
+    proxy[i, j, a] is agent i's importance-weighted estimate of the payoff it
+    would have accumulated had it played a in the rounds it chose j.  Next
+    round's switch probabilities are proportional to positive regret, damped
+    by mu, capped at 1/(k-1), and mixed with a delta-uniform exploration
+    floor; the action just played absorbs the residual.
     """
-
-    def __init__(self, k: int, mu: float, delta: float = 0.05):
-        if mu <= 0:
-            raise ValueError(f"mu must be positive, got {mu}")
-        if not 0 < delta < 1:
-            raise ValueError(f"delta must be in (0, 1), got {delta}")
-        self.k = k
-        self.mu = mu
-        self.delta = delta
-        self.t = 0
-        self.prev_action = -1
-        self._proxy = np.zeros((k, k))  # [j, a]: weighted payoff sums
-        self._probs = np.full(k, 1.0 / k)
-        self._pending = -1
-
-    @classmethod
-    def for_game(cls, game: AnonymousGame, delta: float = 0.05) -> "RegretMatcher":
-        lo, hi = game.payoff_bounds()
-        return cls(game.k, mu=2.0 * max(hi - lo, 1.0) * (game.k - 1), delta=delta)
-
-    def current_base(self) -> int:
-        """The action the matcher is currently anchored on (last played)."""
-        return max(self.prev_action, 0)
-
-    def action_probabilities(self) -> np.ndarray:
-        """The distribution act() will sample this round."""
-        return self._probs.copy()
-
-    def _refresh_probs(self):
-        j = self.prev_action
-        regret = (self._proxy[j] - self._proxy[j, j]) / self.t
-        np.maximum(regret, 0.0, out=regret)
-        q = (1.0 - self.delta) * np.minimum(regret / self.mu, 1.0 / (self.k - 1))
-        q += self.delta / self.k
-        q[j] = 0.0
-        q[j] = 1.0 - q.sum()
-        self._probs = q
-
-    def act(self, rng) -> int:
-        if self._pending >= 0:
-            raise ContractError("act called twice without observe")
-        u = rng.random()
-        self._pending = int(np.searchsorted(np.cumsum(self._probs), u, side="right"))
-        if self._pending >= self.k:
-            self._pending = self.k - 1
-        return self._pending
-
-    def observe(self, action: int, payoff: float):
-        if action != self._pending:
-            raise ContractError(f"observe({action}) does not match pending act {self._pending}")
-        self._pending = -1
-        self.t += 1
-        self._proxy[:, action] += (self._probs / self._probs[action]) * payoff
-        self.prev_action = action
-        self._refresh_probs()
-
-
-class FixedAgent:
-    """Plays one constant mixed strategy forever and learns nothing."""
-
-    def __init__(self, k: int, strategy: MixedAction):
-        strategy.vector(k)  # validates base against k
-        self.k = k
-        self.strategy = strategy
-
-    def act(self, rng) -> int:
-        return sample_mixed(self.strategy.base, self.strategy.explore, self.k, rng)
-
-    def observe(self, action: int, payoff: float):
-        pass
-
-    def current_base(self) -> int:
-        return self.strategy.base
+    rows = np.arange(acts.size)
+    k = probs.shape[1]
+    t += 1
+    proxy[rows, :, acts] += (probs / probs[rows, acts][:, None]) * payoffs[:, None]
+    prev[:] = acts
+    own = proxy[rows, acts]
+    regret = (own - own[rows, acts][:, None]) / t[:, None]
+    np.maximum(regret, 0.0, out=regret)
+    q = (1.0 - delta) * np.minimum(regret / mu, 1.0 / (k - 1))
+    q += delta / k
+    q[rows, acts] = 0.0
+    q[rows, acts] = 1.0 - q.sum(axis=1)
+    probs[:] = q

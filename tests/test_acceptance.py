@@ -14,7 +14,6 @@ from anonlearn import (
     MatrixGame,
     MixedAction,
     RunConfig,
-    StageLearner,
     best_reply_set,
     br_sequence,
     close_l1_bound,
@@ -122,9 +121,9 @@ def test_criterion_4_stationary_stage_learning(acceptance_report):
     game = ContributionGame()
     rho = MixedAction(8, 0.05).distribution(20)
     abr = best_reply_set(rho, 1.0, game)
-    learners = [StageLearner(20, base=8, explore=0.05, stage_len=250) for _ in range(1000)]
-    run_stationary(game, rho, learners, rounds=250, seed=41)
-    hits = sum(l.current_base() in abr for l in learners)
+    bases = run_stationary(game, rho, [8] * 1000, explore=0.05, stage_len=250, rounds=250,
+                           seed=41)
+    hits = sum(b in abr for b in bases)
     ok = hits >= 950
     acceptance_report(
         f"criterion 4 (stationary best-reply learning): {'PASS' if ok else 'FAIL'} "

@@ -1,11 +1,12 @@
 """Command-line interface: exit codes, file layout, output formats."""
 
 import csv
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from anonlearn import ConfigError, load_experiment
+from anonlearn import ConfigError, engine, load_experiment
 from anonlearn.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
 
 TINY = """\
@@ -64,6 +65,18 @@ def test_run_seed_flag_forces_single_run(tiny_cfg, tmp_path):
     assert main(["run", "--config", str(tiny_cfg), "--out", str(out), "--seed", "5"]) == EXIT_OK
     assert (out / "run_n4_stage_seed5.csv").is_file()
     assert not (out / "run_n4_stage_seed0.csv").exists()
+
+
+def test_run_builds_each_cell_once(tmp_path, monkeypatch):
+    # a matrix grid reads its file whenever a game is built: once for the
+    # base config, once per cell at load, and once in each cell's run
+    calls = []
+    real = engine.build_game
+    monkeypatch.setattr(engine, "build_game", lambda *args: calls.append(args) or real(*args))
+    monkeypatch.chdir(Path(__file__).parent / "golden")
+    out = tmp_path / "out"
+    assert main(["run", "--config", "matrix.cfg", "--out", str(out)]) == EXIT_OK
+    assert len(calls) == 5  # two cells, stage and regret
 
 
 def test_run_is_reproducible_across_threads(tiny_cfg, tmp_path):

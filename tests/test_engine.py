@@ -10,16 +10,11 @@ from anonlearn import (
     AnonymousGame,
     ContributionGame,
     DimensionError,
-    FixedAgent,
     MixedAction,
-    Population,
-    RegretMatcher,
     RunConfig,
-    StageLearner,
     apply_churn,
     best_reply_set,
     build_game,
-    build_population,
     distance_from_equilibrium,
     measure_stage_rho,
     prisoners_dilemma,
@@ -30,6 +25,7 @@ from anonlearn import (
     run_stationary,
     sweep_seeds,
 )
+from anonlearn.engine import pool_size
 
 
 # ---------------------------------------------------------------------------
@@ -92,20 +88,17 @@ def test_build_game_kinds(tmp_path):
 
 
 def test_build_population_layout():
-    cfg = RunConfig(n=8, fixed_fraction=0.25, fixed_base=8, fixed_explore=0.1)
-    game = build_game(cfg.game, cfg.penalty_n, cfg.matrix_path)
-    rngs = [np.random.default_rng([0, 0, i]) for i in range(8)]
-    pop = build_population(cfg, game, rngs)
-    assert pop.n == 8
-    assert all(isinstance(a, FixedAgent) for a in pop.agents[:2])
-    assert all(isinstance(a, StageLearner) for a in pop.agents[2:])
-    assert pop.agents[0].strategy == MixedAction(8, 0.1)
-    assert set(pop.bases()[:2]) == {8}
+    # fixed agents take the low floor(fixed_fraction * n) slots; each learner
+    # draws its first base from its own stream default_rng([seed, 0, i])
+    cfg = RunConfig(n=8, rounds=100, explore=0.1, fixed_fraction=0.25, fixed_base=8,
+                    fixed_explore=0.1, seed=4)
+    bases = [8, 8] + [np.random.default_rng([4, 0, i]).integers(20) for i in range(2, 8)]
+    np.testing.assert_array_equal(run(cfg).base_dist[0], np.bincount(bases, minlength=20) / 8)
 
 
 def test_build_population_range_checks(tmp_path):
     # action indices are checked against the game when the config is built,
-    # so a bad one never reaches build_population or a worker
+    # so a bad one never reaches run or a worker
     with pytest.raises(ValueError, match="target: action 5 out of range for 2 actions"):
         RunConfig(game="prisoners_dilemma", target=5)
     with pytest.raises(ValueError, match="fixed_base: action 3 out of range for 3 actions"):
@@ -210,57 +203,48 @@ def test_matching_mean_approaches_meanfield():
 # churn
 
 
-def _stage_population(n, k=20):
-    agents = [StageLearner(k, base=8, explore=0.05, stage_len=400) for _ in range(n)]
-    return Population(agents)
-
-
 def test_apply_churn_rate_zero_and_one():
-    pop = _stage_population(10)
-    before = list(pop.agents)
-    apply_churn(pop, 0.0, np.random.default_rng(0))
-    assert pop.agents == before
-    apply_churn(pop, 1.0, np.random.default_rng(0))
-    assert all(a is not b for a, b in zip(pop.agents, before))
+    bases = np.full(10, 8)
+    assert apply_churn(bases, 0, 0.0, np.random.default_rng(0), k=20).size == 0
+    assert (bases == 8).all()
+    np.testing.assert_array_equal(
+        apply_churn(bases, 0, 1.0, np.random.default_rng(0), k=20), np.arange(10))
 
 
 def test_apply_churn_spares_fixed_agents():
-    agents = [FixedAgent(20, MixedAction(8))] + [
-        StageLearner(20, 8, 0.05, 400) for _ in range(9)
-    ]
-    pop = Population(agents)
-    fixed = pop.agents[0]
-    apply_churn(pop, 1.0, np.random.default_rng(0))
-    assert pop.agents[0] is fixed
+    bases = np.full(10, 8)
+    replaced = apply_churn(bases, 1, 1.0, np.random.default_rng(0), k=20)
+    np.testing.assert_array_equal(replaced, np.arange(1, 10))
+    assert bases[0] == 8
 
 
 def test_apply_churn_binomial_count():
-    pop = _stage_population(2000)
-    before = list(pop.agents)
-    apply_churn(pop, 0.3, np.random.default_rng(5))
-    replaced = sum(a is not b for a, b in zip(pop.agents, before))
-    assert abs(replaced - 600) < 3 * np.sqrt(2000 * 0.3 * 0.7)
+    replaced = apply_churn(np.full(2000, 8), 0, 0.3, np.random.default_rng(5), k=20)
+    assert abs(replaced.size - 600) < 3 * np.sqrt(2000 * 0.3 * 0.7)
 
 
 def test_apply_churn_replacements_copy_template():
-    pop = _stage_population(6)
-    apply_churn(pop, 1.0, np.random.default_rng(2))
-    for agent in pop.agents:
-        assert isinstance(agent, StageLearner)
-        assert agent.explore == 0.05 and agent.stage_len == 400
-
-
-def test_apply_churn_needs_factory_without_template():
-    pop = Population([RegretMatcher(k=2, mu=10.0) for _ in range(4)])
-    with pytest.raises(ValueError, match="factory"):
-        apply_churn(pop, 0.5, np.random.default_rng(0))
-    apply_churn(pop, 1.0, np.random.default_rng(0), factory=lambda r: RegretMatcher(k=2, mu=10.0))
-    assert all(isinstance(a, RegretMatcher) for a in pop.agents)
+    # each replaced slot draws its new base right after its coin
+    bases = np.full(6, 8)
+    apply_churn(bases, 0, 1.0, np.random.default_rng(2), k=20)
+    ref = np.random.default_rng(2)
+    expected = []
+    for _ in range(6):
+        assert ref.random() < 1.0
+        expected.append(ref.integers(20))
+    np.testing.assert_array_equal(bases, expected)
+    # without k (regret matchers) only the coins are drawn; bases stay put
+    rng, ref = np.random.default_rng(2), np.random.default_rng(2)
+    bases = np.full(6, 8)
+    replaced = apply_churn(bases, 0, 0.5, rng)
+    np.testing.assert_array_equal(replaced, np.flatnonzero(ref.random(6) < 0.5))
+    assert 0 < replaced.size < 6 and (bases == 8).all()
+    assert rng.random() == ref.random()
 
 
 def test_apply_churn_validates_rate():
     with pytest.raises(ValueError):
-        apply_churn(_stage_population(4), 1.5, np.random.default_rng(0))
+        apply_churn(np.full(4, 8), 0, 1.5, np.random.default_rng(0), k=20)
 
 
 # ---------------------------------------------------------------------------
@@ -401,6 +385,17 @@ def test_run_many_validates_threads():
         run_many([RunConfig(n=10, rounds=400, explore=0.1)], threads=0)
 
 
+def test_pool_size_clamps_to_cells_and_cpus():
+    assert pool_size(8, 30, 2) == 2  # never more workers than CPUs
+    assert pool_size(8, 3, 64) == 3  # nor than cells
+    assert pool_size(2, 2, 2) == 2
+    assert pool_size(8, 1, 2) == 1  # in-process
+    assert pool_size(1, 30, 64) == 1
+    assert pool_size(4, 0, 2) == 1
+    with pytest.raises(ValueError):
+        pool_size(0, 3, 2)
+
+
 # ---------------------------------------------------------------------------
 # stationary-environment runs
 
@@ -410,19 +405,17 @@ def test_run_stationary_exact_payoffs_move_bases_to_best_reply():
     rho = MixedAction(8, 0.05).distribution(20)
     abr = best_reply_set(rho, 1.0, game)
     rng = np.random.default_rng(0)
-    learners = [
-        StageLearner(20, base=int(rng.integers(20)), explore=0.05, stage_len=400)
-        for _ in range(50)
-    ]
-    run_stationary(game, rho, learners, rounds=1200, seed=21)
-    hits = sum(l.current_base() in abr for l in learners)
+    bases = [int(rng.integers(20)) for _ in range(50)]
+    final = run_stationary(game, rho, bases, 0.05, 400, rounds=1200, seed=21)
+    hits = sum(b in abr for b in final)
     assert hits >= 47  # three stages of exact payoffs pull ~everyone in
 
 
 def test_run_stationary_is_per_learner_deterministic():
     game = prisoners_dilemma()
     rho = ActionDistribution.uniform(2)
-    mk = lambda: [StageLearner(2, 0, 0.2, 25) for _ in range(3)]
-    a = run_stationary(game, rho, mk(), rounds=100, seed=5)
-    b = run_stationary(game, rho, mk(), rounds=100, seed=5)
-    assert [x.current_base() for x in a] == [y.current_base() for y in b]
+    a = run_stationary(game, rho, [0, 0, 0], 0.2, 25, rounds=100, seed=5)
+    b = run_stationary(game, rho, [0, 0, 0], 0.2, 25, rounds=100, seed=5)
+    np.testing.assert_array_equal(a, b)
+    # learner i's path depends on its own stream only
+    assert run_stationary(game, rho, [0], 0.2, 25, rounds=100, seed=5)[0] == a[0]

@@ -1,28 +1,32 @@
-"""Stage learners, regret matchers, fixed agents."""
+"""Learning-rule kernels: the a_eps draw, stage learners, regret matchers and
+fixed agents, driven one agent (or a few) at a time against scalar
+references."""
 
 import numpy as np
 import pytest
 
 from anonlearn import (
-    ContractError,
+    ActionDistribution,
     ContributionGame,
-    FixedAgent,
-    MixedAction,
-    RegretMatcher,
-    StageLearner,
-    prisoners_dilemma,
+    RunConfig,
+    regret_act,
+    regret_observe,
+    run,
+    run_stationary,
     sample_mixed,
+    stage_end,
+    stage_tally,
 )
 
 
-class ScriptedRng:
-    """Feeds act() a fixed sequence of uniforms."""
-
-    def __init__(self, values):
-        self.values = list(values)
-
-    def random(self):
-        return self.values.pop(0)
+def scalar_sample_mixed(base, explore, k, u):
+    """The a_eps draw for one agent, as a straight transcription."""
+    if u < 1.0 - explore:
+        return base
+    j = int((u - (1.0 - explore)) * (k - 1) / explore)
+    if j > k - 2:
+        j = k - 2
+    return j if j < base else j + 1
 
 
 # ---------------------------------------------------------------------------
@@ -30,9 +34,8 @@ class ScriptedRng:
 
 
 def test_sample_mixed_frequencies():
-    rng = np.random.default_rng(42)
     n = 20000
-    draws = np.array([sample_mixed(2, 0.2, 5, rng) for _ in range(n)])
+    draws = sample_mixed(2, 0.2, 5, np.random.default_rng(42).random(n))
     freq = np.bincount(draws, minlength=5) / n
     assert abs(freq[2] - 0.8) < 3 * np.sqrt(0.8 * 0.2 / n)
     for a in (0, 1, 3, 4):
@@ -40,157 +43,174 @@ def test_sample_mixed_frequencies():
 
 
 def test_sample_mixed_zero_explore_still_draws():
-    # explore=0 always returns base but must consume one uniform so that
+    # explore=0 always returns base, but still takes one uniform per draw, so
     # populations with mixed agent kinds stay reproducible.
-    r1 = np.random.default_rng(7)
-    r2 = np.random.default_rng(7)
-    assert sample_mixed(3, 0.0, 5, r1) == 3
-    r2.random()
-    assert r1.random() == r2.random()
+    u = np.random.default_rng(7).random(1000)
+    draws = sample_mixed(3, 0.0, 5, u)
+    assert draws.shape == u.shape
+    assert (draws == 3).all()
+    assert sample_mixed(3, 0.0, 5, 1.0 - 1e-16) == 3
 
 
 def test_sample_mixed_edge_of_unit_interval():
     # u -> 1 lands on the last non-base action, never out of range
-    rng = ScriptedRng([1.0 - 1e-16])
-    assert sample_mixed(0, 0.5, 2, rng) == 1
-    rng = ScriptedRng([1.0 - 1e-16])
-    assert sample_mixed(4, 0.5, 5, rng) == 3
+    assert sample_mixed(0, 0.5, 2, 1.0 - 1e-16) == 1
+    assert sample_mixed(4, 0.5, 5, 1.0 - 1e-16) == 3
 
 
 def test_sample_mixed_never_base_in_explore_branch():
-    rng = np.random.default_rng(0)
-    draws = [sample_mixed(1, 0.9999, 4, rng) for _ in range(2000)]
-    explored = {a for a in draws if a != 1}
+    draws = sample_mixed(1, 0.9999, 4, np.random.default_rng(0).random(2000))
+    explored = {int(a) for a in draws if a != 1}
     assert explored == {0, 2, 3}
+
+
+def test_sample_mixed_matches_scalar_reference():
+    # per-agent bases and explore rates broadcast over a (rounds, agents) block
+    rng = np.random.default_rng(5)
+    k = 6
+    bases = rng.integers(k, size=40)
+    explore = rng.choice([0.0, 0.05, 0.3, 0.99], size=40)
+    u = rng.random((25, 40))
+    u[0, :5] = 1.0 - 1e-16
+    draws = sample_mixed(bases, explore, k, u)
+    expected = [[scalar_sample_mixed(b, e, k, x) for b, e, x in zip(bases, explore, row)]
+                for row in u]
+    np.testing.assert_array_equal(draws, expected)
 
 
 # ---------------------------------------------------------------------------
 # stage learner
 
 
+def one_stage(table, base, explore, stage_len, rng):
+    """One stage learner (n = 1) playing a stage against a payoff table, one
+    uniform from rng per round; returns its new base and emptied tallies."""
+    k = len(table)
+    bases, sums, counts = np.array([base]), np.zeros((1, k)), np.zeros((1, k))
+    acts = sample_mixed(bases, explore, k, rng.random((stage_len, 1)))
+    stage_tally(sums, counts, acts, np.asarray(table)[acts])
+    stage_end(bases, sums, counts)
+    return int(bases[0]), sums, counts
+
+
 def test_stage_learner_validation():
-    with pytest.raises(ValueError):
-        StageLearner(k=3, base=0, explore=0.0, stage_len=10)
-    with pytest.raises(ValueError):
-        StageLearner(k=3, base=0, explore=1.0, stage_len=10)
-    with pytest.raises(ValueError):
-        StageLearner(k=3, base=3, explore=0.1, stage_len=10)
-    with pytest.raises(ValueError):
-        StageLearner(k=3, base=0, explore=0.1, stage_len=0)
-
-
-def test_stage_learner_act_observe_contract():
-    l = StageLearner(k=3, base=0, explore=0.5, stage_len=10)
-    rng = np.random.default_rng(1)
-    with pytest.raises(ContractError):
-        l.observe(0, 1.0)  # nothing pending
-    a = l.act(rng)
-    with pytest.raises(ContractError):
-        l.act(rng)  # must observe first
-    with pytest.raises(ContractError):
-        l.observe(a + 1 if a + 1 < 3 else a - 1, 1.0)
-    l.observe(a, 1.0)
-    with pytest.raises(ContractError):
-        l.end_stage()  # mid-stage
+    # stage learners are set up by a RunConfig or by the caller of
+    # run_stationary, and both reject out-of-range values
+    for kwargs in (dict(explore=0.0), dict(explore=1.0), dict(stage_len=0)):
+        with pytest.raises(ValueError):
+            RunConfig(**kwargs)
+    game, rho = ContributionGame(), ActionDistribution.uniform(20)
+    for bases, explore, stage_len in (([20], 0.1, 10), ([0], 0.0, 10), ([0], 1.0, 10),
+                                      ([0], 0.1, 0), ([-1], 0.1, 10), ([], 0.1, 10)):
+        with pytest.raises(ValueError):
+            run_stationary(game, rho, bases, explore, stage_len, rounds=10, seed=0)
 
 
 def test_stage_learner_moves_to_best_average():
-    table = [1.0, 7.0, 3.0]
-    l = StageLearner(k=3, base=0, explore=0.5, stage_len=120)
-    rng = np.random.default_rng(0)
-    for _ in range(120):
-        a = l.act(rng)
-        l.observe(a, table[a])
-    assert l.current_base() == 1
+    base, sums, counts = one_stage([1.0, 7.0, 3.0], 0, 0.5, 120, np.random.default_rng(0))
+    assert base == 1
     # tallies reset for the next stage
-    np.testing.assert_array_equal(l.average_values(), np.zeros(3))
-    assert l.round_in_stage == 0
+    assert not sums.any() and not counts.any()
 
 
 def test_stage_learner_keeps_base_on_tie():
-    l = StageLearner(k=3, base=2, explore=0.5, stage_len=120)
-    rng = np.random.default_rng(0)
-    for _ in range(120):
-        a = l.act(rng)
-        l.observe(a, 5.0)
-    assert l.current_base() == 2
+    base, _, _ = one_stage([5.0, 5.0, 5.0], 2, 0.5, 120, np.random.default_rng(0))
+    assert base == 2
 
 
 def test_stage_learner_average_values_mid_stage():
-    l = StageLearner(k=3, base=0, explore=0.3, stage_len=100)
     rng = np.random.default_rng(3)
-    a = l.act(rng)
-    l.observe(a, 4.0)
-    b = l.act(rng)
-    l.observe(b, 4.0 if b == a else -2.0)
-    vals = l.average_values()
+    sums, counts = np.zeros((1, 3)), np.zeros((1, 3))
+    a, b = (int(x) for x in sample_mixed(0, 0.3, 3, rng.random(2)))
+    stage_tally(sums, counts, np.array([[a], [b]]), np.array([[4.0], [4.0 if b == a else -2.0]]))
+    vals = np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)[0]
     assert vals[a] == 4.0
     if b != a:
         assert vals[b] == -2.0
     for c in set(range(3)) - {a, b}:
-        assert vals[c] == 0.0
+        assert vals[c] == 0.0 and counts[0, c] == 0.0
+
+
+def test_stage_tally_adds_in_time_order():
+    # sums must carry the bits of one sequential addition per round
+    rng = np.random.default_rng(11)
+    m, k, rounds = 7, 3, 40
+    acts = rng.integers(k, size=(rounds, m))
+    payoffs = rng.normal(scale=3.0, size=(rounds, m)) * 10.0 ** rng.integers(-8, 8, size=(rounds, m))
+    sums, counts = np.zeros((m, k)), np.zeros((m, k))
+    stage_tally(sums, counts, acts[:17], payoffs[:17])
+    stage_tally(sums, counts, acts[17:], payoffs[17:])
+    ref_sums, ref_counts = np.zeros((m, k)), np.zeros((m, k))
+    for t in range(rounds):
+        for i in range(m):
+            ref_sums[i, acts[t, i]] += payoffs[t, i]
+            ref_counts[i, acts[t, i]] += 1.0
+    np.testing.assert_array_equal(sums, ref_sums)
+    np.testing.assert_array_equal(counts, ref_counts)
 
 
 def test_stage_learner_unexplored_zero_shadows_negative_base():
     # With everything scoring below zero and no exploration, the learner
     # walks to the first unexplored action: absent samples count as 0.
-    table = [-5.0, -1.0, -2.0]
-    l = StageLearner(k=3, base=0, explore=0.001, stage_len=50)
     rng = np.random.default_rng(0)  # this seed never explores in 50 rounds
-    for _ in range(50):
-        a = l.act(rng)
-        assert a == 0
-        l.observe(a, table[a])
-    assert l.current_base() == 1
+    assert (sample_mixed(0, 0.001, 3, np.random.default_rng(0).random(50)) == 0).all()
+    base, _, _ = one_stage([-5.0, -1.0, -2.0], 0, 0.001, 50, rng)
+    assert base == 1
 
 
 # ---------------------------------------------------------------------------
 # regret matcher
 
 
+def matchers(m, k):
+    """Fresh state for m regret matchers: proxy, probabilities, rounds, last action."""
+    return (np.zeros((m, k, k)), np.full((m, k), 1.0 / k), np.zeros(m, dtype=np.int64),
+            np.full(m, -1, dtype=np.int64))
+
+
 def test_regret_matcher_validation():
-    with pytest.raises(ValueError):
-        RegretMatcher(k=3, mu=0.0)
-    with pytest.raises(ValueError):
-        RegretMatcher(k=3, mu=1.0, delta=0.0)
-    with pytest.raises(ValueError):
-        RegretMatcher(k=3, mu=1.0, delta=1.0)
+    with pytest.raises(ValueError, match="mu"):
+        RunConfig(learner="regret", mu=0.0)
+    with pytest.raises(ValueError, match="delta"):
+        RunConfig(learner="regret", delta=0.0)
+    with pytest.raises(ValueError, match="delta"):
+        RunConfig(learner="regret", delta=1.0)
 
 
 def test_regret_matcher_first_round_uniform():
-    m = RegretMatcher(k=4, mu=10.0, delta=0.1)
-    np.testing.assert_allclose(m.action_probabilities(), np.full(4, 0.25))
-    assert m.current_base() == 0  # anchored nowhere yet
+    _, probs, _, _ = matchers(1, 4)
+    u = (np.arange(400) + 0.5) / 400
+    acts = [int(regret_act(probs, [x])[0]) for x in u]
+    np.testing.assert_array_equal(np.bincount(acts, minlength=4), [100] * 4)
 
 
 def test_regret_matcher_repeat_probability_after_gain():
     # One round, positive payoff: no positive regret, so the played action
     # repeats with probability 1 - delta + delta/k and the rest split delta.
     k, delta = 3, 0.1
-    m = RegretMatcher(k=k, mu=100.0, delta=delta)
-    rng = np.random.default_rng(2)
-    a = m.act(rng)
-    m.observe(a, 6.0)
-    probs = m.action_probabilities()
-    assert probs[a] == pytest.approx(1.0 - delta + delta / k)
+    proxy, probs, t, prev = matchers(1, k)
+    a = regret_act(probs, np.random.default_rng(2).random(1))
+    regret_observe(proxy, probs, t, prev, a, np.array([6.0]), 100.0, delta)
+    a = int(a[0])
+    assert prev[0] == a and t[0] == 1
+    assert probs[0, a] == pytest.approx(1.0 - delta + delta / k)
     for b in range(k):
         if b != a:
-            assert probs[b] == pytest.approx(delta / k)
+            assert probs[0, b] == pytest.approx(delta / k)
 
 
 def test_regret_matcher_switch_probability_after_loss():
     # One round, payoff -P: every other action carries regret P/t = P.
     k, delta, mu, P = 3, 0.1, 100.0, 8.0
-    m = RegretMatcher(k=k, mu=mu, delta=delta)
-    rng = np.random.default_rng(2)
-    a = m.act(rng)
-    m.observe(a, -P)
-    probs = m.action_probabilities()
+    proxy, probs, t, prev = matchers(1, k)
+    a = regret_act(probs, np.random.default_rng(2).random(1))
+    regret_observe(proxy, probs, t, prev, a, np.array([-P]), mu, delta)
+    a = int(a[0])
     expected_other = (1.0 - delta) * min(P / mu, 1.0 / (k - 1)) + delta / k
     for b in range(k):
         if b != a:
-            assert probs[b] == pytest.approx(expected_other)
-    assert probs[a] == pytest.approx(1.0 - 2 * expected_other)
+            assert probs[0, b] == pytest.approx(expected_other)
+    assert probs[0, a] == pytest.approx(1.0 - 2 * expected_other)
 
 
 class ReferenceMatcher:
@@ -203,6 +223,9 @@ class ReferenceMatcher:
         self.proxy = np.zeros((k, k))
         self.probs = np.full(k, 1.0 / k)
         self.prev = None
+
+    def act(self, u):
+        return min(int(np.searchsorted(np.cumsum(self.probs), u, side="right")), self.k - 1)
 
     def feed(self, action, payoff):
         self.t += 1
@@ -220,51 +243,47 @@ class ReferenceMatcher:
 
 
 def test_regret_matcher_lockstep_with_reference():
-    k, mu, delta = 4, 50.0, 0.07
-    m = RegretMatcher(k=k, mu=mu, delta=delta)
-    ref = ReferenceMatcher(k, mu, delta)
+    # three matchers at once, each against its own scalar reference
+    m, k, mu, delta = 3, 4, 50.0, 0.07
+    proxy, probs, t, prev = matchers(m, k)
+    refs = [ReferenceMatcher(k, mu, delta) for _ in range(m)]
     rng = np.random.default_rng(9)
     for _ in range(300):
-        a = m.act(rng)
-        payoff = float(rng.normal(scale=5.0))
-        m.observe(a, payoff)
-        ref.feed(a, payoff)
-        np.testing.assert_allclose(m.action_probabilities(), ref.probs, atol=1e-12)
-    assert m.current_base() == ref.prev
+        u = rng.random(m)
+        acts = regret_act(probs, u)
+        assert list(acts) == [ref.act(x) for ref, x in zip(refs, u)]
+        payoffs = rng.normal(scale=5.0, size=m)
+        regret_observe(proxy, probs, t, prev, acts, payoffs, mu, delta)
+        for i, ref in enumerate(refs):
+            ref.feed(int(acts[i]), float(payoffs[i]))
+            np.testing.assert_allclose(probs[i], ref.probs, atol=1e-12)
+    assert list(prev) == [ref.prev for ref in refs]
 
 
 def test_regret_matcher_probability_floor():
-    m = RegretMatcher(k=5, mu=20.0, delta=0.05)
+    proxy, probs, t, prev = matchers(1, 5)
     rng = np.random.default_rng(4)
     for _ in range(300):
-        a = m.act(rng)
-        m.observe(a, float(rng.normal(scale=30.0)))
-        probs = m.action_probabilities()
+        a = regret_act(probs, rng.random(1))
+        regret_observe(proxy, probs, t, prev, a, rng.normal(scale=30.0, size=1), 20.0, 0.05)
         assert probs.min() >= 0.05 / 5 - 1e-12
         assert probs.sum() == pytest.approx(1.0)
 
 
 def test_regret_matcher_act_edge_clamp():
-    m = RegretMatcher(k=3, mu=10.0, delta=0.1)
-    assert m.act(ScriptedRng([1.0 - 1e-16])) == 2
-
-
-def test_regret_matcher_contract():
-    m = RegretMatcher(k=3, mu=10.0, delta=0.1)
-    rng = np.random.default_rng(0)
-    with pytest.raises(ContractError):
-        m.observe(0, 1.0)
-    a = m.act(rng)
-    with pytest.raises(ContractError):
-        m.act(rng)
-    m.observe(a, 1.0)
+    _, probs, _, _ = matchers(1, 3)
+    assert regret_act(probs, [1.0 - 1e-16])[0] == 2
+    probs[0] = [0.1, 0.45, 0.45 - 1e-9]  # sums just short of 1
+    assert regret_act(probs, [1.0 - 1e-16])[0] == 2
 
 
 def test_regret_matcher_for_game():
-    pd = RegretMatcher.for_game(prisoners_dilemma())
-    assert pd.mu == 2.0 * 5.0 * 1  # payoff range 5, one alternative
-    contrib = RegretMatcher.for_game(ContributionGame())
-    assert contrib.mu == 2.0 * (321.0 + 401.0) * 19
+    pd = RunConfig(game="prisoners_dilemma", target=1, learner="regret")
+    assert pd.resolved_mu == 2.0 * 5.0 * 1  # payoff range 5, one alternative
+    assert RunConfig(learner="regret").resolved_mu == 2.0 * (321.0 + 401.0) * 19
+    assert RunConfig(learner="regret", mu=7.5).resolved_mu == 7.5
+    # summaries echo the configured mu, not the resolved one
+    assert "resolved_mu" not in dict(pd.items())
 
 
 # ---------------------------------------------------------------------------
@@ -272,16 +291,14 @@ def test_regret_matcher_for_game():
 
 
 def test_fixed_agent():
-    agent = FixedAgent(3, MixedAction(1, 0.3))
-    rng = np.random.default_rng(12)
-    n = 30000
-    draws = np.array([agent.act(rng) for _ in range(n)])
-    freq = np.bincount(draws, minlength=3) / n
-    np.testing.assert_allclose(freq, [0.15, 0.7, 0.15], atol=0.01)
-    agent.observe(1, 99.0)  # no-op, never raises
-    assert agent.current_base() == 1
+    # a population of fixed agents plays its mixed action and never moves
+    cfg = RunConfig(game="climbing", target=0, n=10, rounds=3000, explore=0.1,
+                    fixed_fraction=1.0, fixed_base=1, fixed_explore=0.3)
+    trace = run(cfg)
+    np.testing.assert_allclose(trace.realized_dist.mean(axis=0), [0.15, 0.7, 0.15], atol=0.01)
+    assert (trace.base_dist == [0.0, 1.0, 0.0]).all()
 
 
 def test_fixed_agent_validates_base():
-    with pytest.raises(Exception):
-        FixedAgent(2, MixedAction(5, 0.1))
+    with pytest.raises(ValueError, match="fixed_base"):
+        RunConfig(game="prisoners_dilemma", target=0, fixed_fraction=0.5, fixed_base=5)
