@@ -47,7 +47,7 @@ print("prisoner's dilemma, matching lottery matrix[a] weighted by rho = (0.5, 0.
 for a, u in enumerate(pd.utilities(half)):
     row = pd.payoff_matrix()[a]
     pairs = ", ".join(f"{v:.0f} w.p. {p:.2f}" for v, p in zip(row, half.weights))
-    print(f"  {pd.action_set.label(a)}: {pairs}  (mean {u:.1f})")
+    print(f"  {pd.labels[a]}: {pairs}  (mean {u:.1f})")
 
 climb = climbing_game()
 print(f"climbing game matrix:\n{climb.payoff_matrix()}")

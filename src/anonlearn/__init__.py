@@ -11,7 +11,6 @@ churn, and a deterministic experiment engine with a CLI.
 from .core import (
     NORM_TOL,
     ActionDistribution,
-    ActionSet,
     AnonymousGame,
     DimensionError,
     MixedAction,
@@ -64,16 +63,14 @@ from .engine import (
     run,
     run_many,
     run_stationary,
-    sweep_seeds,
 )
-from .config import ConfigError, ExperimentSpec, load_experiment, parse_config_text
+from .config import ConfigError, load_experiment, parse_config_text
 
 __version__ = "0.1.0"
 
 __all__ = [
     "NORM_TOL",
     "ActionDistribution",
-    "ActionSet",
     "AnonymousGame",
     "BestReplySequence",
     "CloseWitness",
@@ -81,7 +78,6 @@ __all__ = [
     "CONTRIBUTION_LEVELS",
     "ContributionGame",
     "DimensionError",
-    "ExperimentSpec",
     "MatrixGame",
     "MixedAction",
     "RunConfig",
@@ -120,7 +116,6 @@ __all__ = [
     "sample_mixed",
     "stage_end",
     "stage_tally",
-    "sweep_seeds",
     "utility",
     "verify_close",
 ]

@@ -1,25 +1,26 @@
 """Experiment runner CLI: single runs, sweeps, and quick analyses.
 
 Exit codes: 0 ok, 2 config error, 3 IO error.  Output files are written to a
-temp name and renamed, so a crash never leaves a half-written CSV behind.
+temp name and renamed, so a crash never leaves a half-written CSV behind, and
+each cell of a grid writes its own files as it finishes.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import os
 import sys
 import tempfile
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, ExperimentSpec, load_experiment
+from .config import ConfigError, load_experiment
 from .core import ActionDistribution, estimate_lipschitz
-from .dynamics import best_reply_set, br_sequence, is_eta_nash
-from .engine import GAME_KINDS, build_game, run_many
+from .dynamics import BR_RULES, best_reply_set, br_sequence, is_eta_nash
+from .engine import GAME_KINDS, RunConfig, build_game, pool_map, run
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -39,24 +40,34 @@ def _atomic_write(path: Path, write_to):
         raise
 
 
-def _run_name(n: int, kind: str, seed: int) -> str:
-    return f"run_n{n}_{kind}_seed{seed}"
+def _run_cell(job) -> tuple[np.ndarray, np.ndarray]:
+    """Run one cell of a grid and write its CSV and summary into the output
+    directory; return the stage metrics the aggregate needs."""
+    cfg, outdir = job
+    trace = run(cfg)
+    name = f"run_n{cfg.n}_{cfg.learner}_seed{cfg.seed}"
+    _atomic_write(outdir / f"{name}.csv", trace.to_csv)
+    summary = trace.summary_text()
+    _atomic_write(
+        outdir / f"{name}.summary.txt",
+        lambda tmp: Path(tmp).write_text(summary, encoding="utf-8"),
+    )
+    return trace.stage_distance, trace.stage_br_fraction
 
 
-def _write_aggregate(path: Path, cells, traces):
+def _write_aggregate(path: Path, cells, metrics):
     """Mean distance / best-reply fraction per stage, averaged over seeds."""
     groups: dict = {}
-    for (n, kind, _seed, _cfg), trace in zip(cells, traces):
-        groups.setdefault((n, kind), []).append(trace)
+    for cfg, m in zip(cells, metrics):
+        groups.setdefault((cfg.n, cfg.learner), (cfg.resolved_stage_len, []))[1].append(m)
 
     def writer(tmp):
         with open(tmp, "w", newline="", encoding="utf-8") as fh:
             w = csv.writer(fh)
             w.writerow(["n", "learner", "stage", "end_round", "mean_distance", "mean_br_fraction"])
-            for (n, kind), ts in sorted(groups.items()):
-                tau = ts[0].config.resolved_stage_len
-                dist = np.mean([t.stage_distance for t in ts], axis=0)
-                brf = np.mean([t.stage_br_fraction for t in ts], axis=0)
+            for (n, kind), (tau, ms) in sorted(groups.items()):
+                dist = np.mean([d for d, _ in ms], axis=0)
+                brf = np.mean([b for _, b in ms], axis=0)
                 for s in range(dist.size):
                     w.writerow(
                         [n, kind, s, (s + 1) * tau, repr(float(dist[s])), repr(float(brf[s]))]
@@ -65,44 +76,29 @@ def _write_aggregate(path: Path, cells, traces):
     _atomic_write(path, writer)
 
 
-def _execute_spec(spec: ExperimentSpec, out: str, threads: int) -> int:
-    cells = list(spec.runs())
-    traces = run_many([cfg for _, _, _, cfg in cells], threads=threads)
+def _execute(cells, out: str, threads: int) -> int:
+    """Run every cell, each writing its own files as it finishes (so a failed
+    cell leaves the finished ones in place), then write aggregate.csv."""
     outdir = Path(out)
     outdir.mkdir(parents=True, exist_ok=True)
-    for (n, kind, seed, _cfg), trace in zip(cells, traces):
-        name = _run_name(n, kind, seed)
-        _atomic_write(outdir / f"{name}.csv", trace.to_csv)
-        summary = trace.summary_text()
-        _atomic_write(
-            outdir / f"{name}.summary.txt",
-            lambda tmp, text=summary: Path(tmp).write_text(text, encoding="utf-8"),
-        )
-    _write_aggregate(outdir / "aggregate.csv", cells, traces)
-    print(f"wrote {len(traces)} run(s) and aggregate.csv to {outdir}")
+    metrics = pool_map(_run_cell, [(cfg, outdir) for cfg in cells], threads)
+    _write_aggregate(outdir / "aggregate.csv", cells, metrics)
+    print(f"wrote {len(cells)} run(s) and aggregate.csv to {outdir}")
     return EXIT_OK
 
 
 def cmd_run(args) -> int:
-    spec = load_experiment(args.config)
-    if args.seed is not None:
-        spec = ExperimentSpec(
-            replace(spec.base, seed=args.seed),
-            spec.populations,
-            spec.learners,
-            (args.seed,),
-        )
-    return _execute_spec(spec, args.out, args.threads)
+    return _execute(load_experiment(args.config, args.seed), args.out, args.threads)
 
 
 def cmd_sweep(args) -> int:
-    spec = load_experiment(args.config)
-    if len(spec) < 2:
+    cells = load_experiment(args.config)
+    if len(cells) < 2:
         raise ConfigError(
             "sweep: config defines no sweep grid (set sweep.populations, "
             "sweep.seeds, or sweep.learners)"
         )
-    return _execute_spec(spec, args.out, args.threads)
+    return _execute(cells, args.out, args.threads)
 
 
 def _parse_rho(text: str, k: int) -> ActionDistribution:
@@ -122,7 +118,7 @@ def cmd_analyze(args) -> int:
     game = build_game(args.game, args.penalty_n, args.matrix)
     if args.mode == "lipschitz":
         declared = game.lipschitz
-        est = estimate_lipschitz(game, samples=args.samples, rng_seed=args.seed or 0)
+        est = estimate_lipschitz(game, samples=args.samples, rng_seed=args.seed)
         print(f"declared K: {'unknown' if declared is None else repr(float(declared))}")
         print(f"sampled lower bound ({args.samples} pairs): {est!r}")
         return EXIT_OK
@@ -184,6 +180,11 @@ def cmd_gnuplot(args) -> int:
     return EXIT_OK
 
 
+def _default(fn, param: str):
+    """fn's own default for param, so that a flag does not restate it."""
+    return inspect.signature(fn).parameters[param].default
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="anonlearn",
@@ -204,16 +205,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_an = sub.add_parser("analyze", help="best-reply sequences, eta-Nash, Lipschitz")
-    p_an.add_argument("--game", default="contribution", choices=GAME_KINDS)
+    p_an.add_argument("--game", default=RunConfig.game, choices=GAME_KINDS)
     p_an.add_argument("--matrix", default=None, help="matrix file for --game matrix")
-    p_an.add_argument("--penalty-n", type=int, default=20, dest="penalty_n")
+    p_an.add_argument("--penalty-n", type=int, default=RunConfig.penalty_n, dest="penalty_n")
     p_an.add_argument("--mode", default="brs", choices=("brs", "nash", "lipschitz"))
     p_an.add_argument("--eta", type=float, default=0.0)
     p_an.add_argument("--rho", default=None, help="comma/space-separated weights")
-    p_an.add_argument("--rule", default="pointmass", choices=("pointmass", "uniform"))
-    p_an.add_argument("--max-steps", type=int, default=100, dest="max_steps")
-    p_an.add_argument("--samples", type=int, default=200, help="pairs for lipschitz mode")
-    p_an.add_argument("--seed", type=int, default=None)
+    p_an.add_argument("--rule", default=_default(br_sequence, "rule"), choices=BR_RULES)
+    p_an.add_argument("--max-steps", type=int, default=_default(br_sequence, "max_steps"),
+                      dest="max_steps")
+    p_an.add_argument("--samples", type=int, default=_default(estimate_lipschitz, "samples"),
+                      help="pairs for lipschitz mode")
+    p_an.add_argument("--seed", type=int, default=_default(estimate_lipschitz, "rng_seed"))
     p_an.set_defaults(func=cmd_analyze)
 
     p_gp = sub.add_parser("gnuplot", help="pivot an aggregate.csv for gnuplot")

@@ -3,7 +3,7 @@ defaults for every key, unknown keys rejected."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import fields, replace
 
 from .engine import RunConfig
 
@@ -90,60 +90,34 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
     return values
 
 
-@dataclass(frozen=True)
-class ExperimentSpec:
-    """A base run plus the sweep grid (populations x learner kinds x seeds).
-
-    Every cell is built, and so validated, once, at construction.
-    """
-
-    base: RunConfig
-    populations: tuple[int, ...]
-    learners: tuple[str, ...]
-    seeds: tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.populations or not self.learners or not self.seeds:
-            raise ConfigError("sweep axes must be nonempty")
-        if len(set(self.seeds)) != len(self.seeds):
-            raise ConfigError("sweep.seeds: seeds must be distinct")
-        try:
-            cells = tuple(
-                (n, kind, seed, replace(self.base, n=n, learner=kind, seed=seed))
-                for n in self.populations
-                for kind in self.learners
-                for seed in self.seeds
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-        object.__setattr__(self, "_cells", cells)
-
-    def runs(self):
-        """All (n, learner, seed, RunConfig) cells of the grid, in order."""
-        return iter(self._cells)
-
-    def __len__(self):
-        return len(self._cells)
-
-
-def spec_from_values(values: dict) -> ExperimentSpec:
-    kwargs = {}
-    for key, (_, field) in CONFIG_KEYS.items():
-        if field is not None:
-            kwargs[field] = values[key]
+def cells_from_values(values: dict, seed: int | None = None) -> list[RunConfig]:
+    """The grid parsed config values describe, populations x learner kinds x
+    seeds, every cell built (and so validated) once.  A given seed replaces
+    the seed axis before any cell is built."""
+    seeds = values["sweep.seeds"]
+    if seeds is not None and not seeds:
+        raise ConfigError("sweep.seeds: must be nonempty")
+    if seeds is not None and len(set(seeds)) != len(seeds):
+        raise ConfigError("sweep.seeds: seeds must be distinct")
+    kwargs = {field: values[key] for key, (_, field) in CONFIG_KEYS.items() if field}
+    if seed is not None:
+        kwargs["seed"] = seed
+        seeds = None
     try:
         base = RunConfig(**kwargs)
+        return [
+            replace(base, n=n, learner=kind, seed=s)
+            for n in values["sweep.populations"] or [base.n]
+            for kind in values["sweep.learners"] or [base.learner]
+            for s in seeds or [base.seed]
+        ]
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    pops = values["sweep.populations"] or [base.n]
-    learners = values["sweep.learners"] or [base.learner]
-    seeds = values["sweep.seeds"] if values["sweep.seeds"] is not None else [base.seed]
-    return ExperimentSpec(base, tuple(pops), tuple(learners), tuple(seeds))
 
 
-def load_experiment(path) -> ExperimentSpec:
-    """Parse a config file into an ExperimentSpec; every cell is validated."""
+def load_experiment(path, seed: int | None = None) -> list[RunConfig]:
+    """Parse a config file into its grid of runs; every cell is validated.
+    seed, if given, makes the grid that one master seed's cells."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    values = parse_config_text(text, source=str(path))
-    return spec_from_values(values)
+    return cells_from_values(parse_config_text(text, source=str(path)), seed)

@@ -22,23 +22,6 @@ class DimensionError(ValueError):
     """Action or payoff vectors disagree in size."""
 
 
-@dataclass(frozen=True)
-class ActionSet:
-    """Finite set of actions, indexed 0..size-1."""
-
-    size: int
-    labels: tuple[str, ...] | None = None
-
-    def __post_init__(self):
-        if self.size < 2:
-            raise ValueError(f"action set needs size >= 2, got {self.size}")
-        if self.labels is not None and len(self.labels) != self.size:
-            raise ValueError("labels length must equal action set size")
-
-    def label(self, a: int) -> str:
-        return self.labels[a] if self.labels else str(a)
-
-
 class ActionDistribution:
     """Point of the simplex over actions.
 
@@ -132,19 +115,15 @@ class MixedAction:
 class AnonymousGame(abc.ABC):
     """Payoff model of a large anonymous game.
 
-    Subclasses fix the action set and implement `utilities`, the expected
-    payoff u(a, rho) of every action a against population distribution rho,
-    which must be deterministic in rho.  `lipschitz` documents a bound on how
-    fast expected payoffs move in rho (L1 norm); None means callers should
-    fall back to `estimate_lipschitz`.
+    Subclasses set `k`, the number of actions (indexed 0..k-1), and implement
+    `utilities`, the expected payoff u(a, rho) of every action a against
+    population distribution rho, which must be deterministic in rho.
+    `lipschitz` documents a bound on how fast expected payoffs move in rho
+    (L1 norm); None means callers should fall back to `estimate_lipschitz`.
     """
 
-    action_set: ActionSet
+    k: int
     lipschitz: float | None = None
-
-    @property
-    def k(self) -> int:
-        return self.action_set.size
 
     @abc.abstractmethod
     def utilities(self, rho: ActionDistribution) -> np.ndarray:

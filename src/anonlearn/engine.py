@@ -13,13 +13,14 @@ import csv
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .core import ActionDistribution, AnonymousGame, DimensionError
 from .dynamics import best_reply_set
 from .games import (
+    PENALTY_N,
     ContributionGame,
     MatrixGame,
     climbing_game,
@@ -45,7 +46,7 @@ class RunConfig:
     the game itself (so game=matrix reads its matrix file then)."""
 
     game: str = "contribution"
-    penalty_n: int = 20
+    penalty_n: int = PENALTY_N
     matrix_path: str | None = None
     mode: str = "meanfield"
     learner: str = "stage"
@@ -447,11 +448,6 @@ def run_stationary(game: AnonymousGame, rho: ActionDistribution, bases, explore:
     return bases
 
 
-def _run_indexed(args):
-    idx, config = args
-    return idx, run(config)
-
-
 def pool_size(threads: int, cells: int, cpus: int) -> int:
     """Worker processes for cells runs at a requested thread count: no more
     than there are cells or CPUs to run them; 1 means in-process."""
@@ -460,25 +456,21 @@ def pool_size(threads: int, cells: int, cpus: int) -> int:
     return max(1, min(threads, cells, cpus))
 
 
+def pool_map(fn, items, threads: int) -> list:
+    """[fn(x) for x in items], across pool_size worker processes; fn must be
+    picklable, and so must its arguments and results."""
+    items = list(items)
+    workers = pool_size(threads, len(items), os.cpu_count() or 1)
+    if workers == 1:
+        return [fn(x) for x in items]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))
+
+
 def run_many(configs, threads: int = 1) -> list[RunTrace]:
     """Run several configs, optionally across processes; order preserved.
 
     Results are identical for any thread count — each run is internally
     sequential and fully seeded.
     """
-    workers = pool_size(threads, len(configs), os.cpu_count() or 1)
-    if workers == 1:
-        return [run(c) for c in configs]
-    out: list = [None] * len(configs)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for idx, trace in pool.map(_run_indexed, list(enumerate(configs))):
-            out[idx] = trace
-    return out
-
-
-def sweep_seeds(config: RunConfig, seeds, threads: int = 1) -> list[RunTrace]:
-    """The same config at several master seeds."""
-    seeds = list(seeds)
-    if len(set(seeds)) != len(seeds):
-        raise ValueError("seeds must be distinct")
-    return run_many([replace(config, seed=s) for s in seeds], threads)
+    return pool_map(run, configs, threads)

@@ -6,12 +6,14 @@ import importlib.resources
 
 import numpy as np
 
-from .core import ActionDistribution, ActionSet, AnonymousGame, DimensionError
+from .core import ActionDistribution, AnonymousGame, DimensionError
 
 CONTRIBUTION_LEVELS = 20
+# The contribution game's default over-contribution penalty scale.
+PENALTY_N = 20
 
 
-def contribution_cost(x: int, penalty_n: int = 20) -> float:
+def contribution_cost(x: int, penalty_n: int = PENALTY_N) -> float:
     """Cost of contributing at level x.
 
     Zero at 0, one at 1, (x-1)^2 through level 8, then x^2 plus a flat
@@ -30,7 +32,7 @@ def contribution_cost(x: int, penalty_n: int = 20) -> float:
     return float(x * x + 2 * penalty_n)
 
 
-def contribution_utility(x: int, y: float, penalty_n: int = 20) -> float:
+def contribution_utility(x: int, y: float, penalty_n: int = PENALTY_N) -> float:
     """Utility 2*x*y - c(x) of contributing x when the others' level is y."""
     if y < 0:
         raise ValueError(f"mean contribution y must be nonnegative, got {y}")
@@ -50,12 +52,17 @@ class MatrixGame(AnonymousGame):
         m = np.asarray(matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionError(f"payoff matrix must be square, got shape {m.shape}")
+        if m.shape[0] < 2:
+            raise ValueError(f"a game needs >= 2 actions, got {m.shape[0]}")
         if not np.isfinite(m).all():
             raise ValueError("payoff matrix entries must be finite")
+        if labels is not None and len(labels) != m.shape[0]:
+            raise ValueError("labels length must equal the number of actions")
         m = m.copy()
         m.setflags(write=False)
         self.matrix = m
-        self.action_set = ActionSet(m.shape[0], tuple(labels) if labels else None)
+        self.k = m.shape[0]
+        self.labels = None if labels is None else tuple(labels)
         self.lipschitz = float(np.abs(m).max())
 
     def utilities(self, rho: ActionDistribution) -> np.ndarray:
@@ -79,7 +86,7 @@ class ContributionGame(MatrixGame):
     p[x][x'] = 2*x*x' - c(x).
     """
 
-    def __init__(self, penalty_n: int = 20):
+    def __init__(self, penalty_n: int = PENALTY_N):
         self.penalty_n = penalty_n
         self._levels = np.arange(CONTRIBUTION_LEVELS, dtype=float)
         self._costs = np.array(

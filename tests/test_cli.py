@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from anonlearn import ConfigError, engine, load_experiment
+from anonlearn import ConfigError, cli, engine, load_experiment
 from anonlearn.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
 
 TINY = """\
@@ -77,6 +77,34 @@ def test_run_builds_each_cell_once(tmp_path, monkeypatch):
     out = tmp_path / "out"
     assert main(["run", "--config", "matrix.cfg", "--out", str(out)]) == EXIT_OK
     assert len(calls) == 5  # two cells, stage and regret
+
+
+def test_run_seed_builds_only_its_own_cells(tiny_cfg, tmp_path, monkeypatch):
+    # the base config, the one seed-5 cell, and its run; not the file's seeds
+    calls = []
+    real = engine.build_game
+    monkeypatch.setattr(engine, "build_game", lambda *args: calls.append(args) or real(*args))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(tiny_cfg), "--out", str(out), "--seed", "5"]) == EXIT_OK
+    assert len(calls) == 3
+
+
+def test_failed_cell_keeps_finished_cells(tiny_cfg, tmp_path, monkeypatch):
+    real = cli.run
+
+    def second_fails(cfg):
+        if cfg.seed == 1:
+            raise RuntimeError("cell failed")
+        return real(cfg)
+
+    monkeypatch.setattr(cli, "run", second_fails)
+    out = tmp_path / "out"
+    with pytest.raises(RuntimeError, match="cell failed"):
+        main(["run", "--config", str(tiny_cfg), "--out", str(out)])
+    assert (out / "run_n4_stage_seed0.csv").is_file()
+    assert (out / "run_n4_stage_seed0.summary.txt").is_file()
+    assert not (out / "aggregate.csv").exists()
+    assert not list(out.glob("*.tmp"))
 
 
 def test_run_is_reproducible_across_threads(tiny_cfg, tmp_path):

@@ -2,8 +2,8 @@
 
 import pytest
 
-from anonlearn import ConfigError, ExperimentSpec, RunConfig, load_experiment, parse_config_text
-from anonlearn.config import CONFIG_KEYS, spec_from_values
+from anonlearn import ConfigError, load_experiment, parse_config_text
+from anonlearn.config import CONFIG_KEYS, cells_from_values
 
 
 SAMPLE = """\
@@ -60,53 +60,57 @@ def test_parse_requires_assignment():
 
 
 def test_spec_grid_enumeration():
-    spec = spec_from_values(parse_config_text(SAMPLE))
-    assert len(spec) == 6
-    cells = list(spec.runs())
-    assert [(n, s) for n, _, s, _ in cells] == [
+    cells = cells_from_values(parse_config_text(SAMPLE))
+    assert [(c.n, c.seed) for c in cells] == [
         (2, 0), (2, 1), (2, 2), (10, 0), (10, 1), (10, 2)
     ]
-    for n, kind, seed, cfg in cells:
-        assert cfg.n == n and cfg.learner == kind and cfg.seed == seed
+    for cfg in cells:
+        assert cfg.learner == "stage"
         assert cfg.explore == 0.1  # base carried through
 
 
 def test_spec_defaults_axes_to_base():
-    spec = spec_from_values(parse_config_text("sim.n = 12\nsim.seed = 7\n"))
-    assert spec.populations == (12,)
-    assert spec.learners == ("stage",)
-    assert spec.seeds == (7,)
-    assert len(spec) == 1
+    [cfg] = cells_from_values(parse_config_text("sim.n = 12\nsim.seed = 7\n"))
+    assert (cfg.n, cfg.learner, cfg.seed) == (12, "stage", 7)
+
+
+def test_spec_seed_override_replaces_seed_axis():
+    cells = cells_from_values(parse_config_text(SAMPLE), seed=5)
+    assert [(c.n, c.seed) for c in cells] == [(2, 5), (10, 5)]
 
 
 def test_spec_rejects_invalid_base():
     with pytest.raises(ConfigError, match="explore"):
-        spec_from_values(parse_config_text("learner.explore = 2.0\n"))
+        cells_from_values(parse_config_text("learner.explore = 2.0\n"))
 
 
 def test_spec_rejects_invalid_cell():
     # base is fine, but the n=3 cell is odd under matching
     text = "sim.mode = matching\nsim.n = 4\nsweep.populations = 4 3\n"
     with pytest.raises(ConfigError, match="even"):
-        spec_from_values(parse_config_text(text))
+        cells_from_values(parse_config_text(text))
 
 
 def test_spec_rejects_duplicate_seeds():
     with pytest.raises(ConfigError, match="distinct"):
-        spec_from_values(parse_config_text("sweep.seeds = 1 1\n"))
+        cells_from_values(parse_config_text("sweep.seeds = 1 1\n"))
 
 
-def test_experiment_spec_direct_validation():
-    with pytest.raises(ConfigError, match="nonempty"):
-        ExperimentSpec(RunConfig(), (), ("stage",), (0,))
+def test_experiment_spec_direct_validation(tmp_path):
+    # an empty seed axis is an error, with or without a forced seed
+    path = tmp_path / "exp.cfg"
+    path.write_text("sweep.seeds =\n")
+    for seed in (None, 5):
+        with pytest.raises(ConfigError, match="nonempty"):
+            load_experiment(path, seed)
 
 
 def test_load_experiment_roundtrip(tmp_path):
     path = tmp_path / "exp.cfg"
     path.write_text(SAMPLE)
-    spec = load_experiment(path)
-    assert spec.base.rounds == 1000
-    assert spec.populations == (2, 10)
+    cells = load_experiment(path)
+    assert [c.rounds for c in cells] == [1000] * 6
+    assert [c.n for c in cells] == [2, 2, 2, 10, 10, 10]
 
 
 def test_load_experiment_error_names_file(tmp_path):
@@ -121,6 +125,6 @@ def test_bundled_configs_parse():
 
     root = Path(__file__).resolve().parents[1]
     for name in ("fig1_average.cfg", "fig2_matching.cfg"):
-        spec = load_experiment(root / "configs" / name)
-        assert len(spec) == 30  # 3 populations x 10 seeds
-        assert spec.base.game == "contribution"
+        cells = load_experiment(root / "configs" / name)
+        assert len(cells) == 30  # 3 populations x 10 seeds
+        assert {c.game for c in cells} == {"contribution"}

@@ -5,7 +5,6 @@ import pytest
 
 from anonlearn import (
     ActionDistribution,
-    ActionSet,
     DimensionError,
     MatrixGame,
     MixedAction,
@@ -17,16 +16,6 @@ from anonlearn import (
 )
 
 PD = [[3.0, 0.0], [5.0, 1.0]]
-
-
-def test_action_set_basics():
-    acts = ActionSet(3)
-    assert acts.size == 3
-    assert acts.label(2) == "2"
-    named = ActionSet(2, labels=("C", "D"))
-    assert named.label(1) == "D"
-    with pytest.raises(ValueError):
-        ActionSet(1)
 
 
 def test_distribution_construction():

@@ -23,7 +23,6 @@ from anonlearn import (
     run,
     run_many,
     run_stationary,
-    sweep_seeds,
 )
 from anonlearn.engine import pool_size
 
@@ -142,7 +141,7 @@ class _UtilitiesOnly(AnonymousGame):
 
     def __init__(self, inner):
         self.inner = inner
-        self.action_set = inner.action_set
+        self.k = inner.k
 
     def utilities(self, rho):
         return self.inner.utilities(rho)
@@ -373,11 +372,6 @@ def test_run_many_matches_sequential_and_preserves_order():
         assert a.config.seed == b.config.seed
         np.testing.assert_array_equal(a.realized_dist, b.realized_dist)
         np.testing.assert_array_equal(a.stage_distance, b.stage_distance)
-
-
-def test_sweep_seeds_rejects_duplicates():
-    with pytest.raises(ValueError):
-        sweep_seeds(RunConfig(n=10, rounds=400, explore=0.1), [1, 1])
 
 
 def test_run_many_validates_threads():
