@@ -18,6 +18,17 @@ from anonlearn import (
 PD = [[3.0, 0.0], [5.0, 1.0]]
 
 
+def test_action_set_basics():
+    game = MatrixGame(np.eye(3))
+    assert (game.k, game.labels) == (3, None)
+    named = MatrixGame(PD, labels=["C", "D"])
+    assert (named.k, named.labels) == (2, ("C", "D"))
+    with pytest.raises(ValueError, match=">= 2 actions"):
+        MatrixGame([[1.0]])
+    with pytest.raises(ValueError, match="labels"):
+        MatrixGame(np.eye(2), labels=("C", "D", "E"))
+
+
 def test_distribution_construction():
     rho = ActionDistribution([0.25, 0.25, 0.5])
     assert rho.k == 3
