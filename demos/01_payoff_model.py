@@ -45,12 +45,12 @@ pd = prisoners_dilemma()
 half = ActionDistribution.uniform(2)
 print("prisoner's dilemma, matching lottery matrix[a] weighted by rho = (0.5, 0.5)")
 for a, u in enumerate(pd.utilities(half)):
-    row = pd.payoff_matrix()[a]
+    row = pd.matrix[a]
     pairs = ", ".join(f"{v:.0f} w.p. {p:.2f}" for v, p in zip(row, half.weights))
     print(f"  {pd.labels[a]}: {pairs}  (mean {u:.1f})")
 
 climb = climbing_game()
-print(f"climbing game matrix:\n{climb.payoff_matrix()}")
+print(f"climbing game matrix:\n{climb.matrix}")
 
 print()
 print("== Lipschitz constants (L1 norm) ==")

@@ -39,7 +39,6 @@ from .games import (
     builtin_matrix,
     climbing_game,
     contribution_cost,
-    contribution_utility,
     load_matrix,
     prisoners_dilemma,
 )
@@ -94,7 +93,6 @@ __all__ = [
     "climbing_game",
     "close_l1_bound",
     "contribution_cost",
-    "contribution_utility",
     "distance_from_equilibrium",
     "estimate_lipschitz",
     "is_eta_nash",

@@ -40,18 +40,25 @@ def _atomic_write(path: Path, write_to):
         raise
 
 
+class CellError(Exception):
+    """A grid cell raised; args are the cell's file stem and what it raised."""
+
+
 def _run_cell(job) -> tuple[np.ndarray, np.ndarray]:
     """Run one cell of a grid and write its CSV and summary into the output
     directory; return the stage metrics the aggregate needs."""
     cfg, outdir = job
-    trace = run(cfg)
     name = f"run_n{cfg.n}_{cfg.learner}_seed{cfg.seed}"
-    _atomic_write(outdir / f"{name}.csv", trace.to_csv)
-    summary = trace.summary_text()
-    _atomic_write(
-        outdir / f"{name}.summary.txt",
-        lambda tmp: Path(tmp).write_text(summary, encoding="utf-8"),
-    )
+    try:
+        trace = run(cfg)
+        _atomic_write(outdir / f"{name}.csv", trace.to_csv)
+        summary = trace.summary_text()
+        _atomic_write(
+            outdir / f"{name}.summary.txt",
+            lambda tmp: Path(tmp).write_text(summary, encoding="utf-8"),
+        )
+    except Exception as exc:
+        raise CellError(name, exc) from exc
     return trace.stage_distance, trace.stage_br_fraction
 
 
@@ -232,7 +239,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        try:
+            return args.func(args)
+        except CellError as exc:
+            name, error = exc.args
+            print(f"failed cell: {name}", file=sys.stderr)
+            raise error
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

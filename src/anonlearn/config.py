@@ -12,20 +12,8 @@ class ConfigError(ValueError):
     """Malformed config text, unknown key, or bad value."""
 
 
-def _parse_int(s: str) -> int:
-    return int(s, 10)
-
-
-def _parse_float(s: str) -> float:
-    return float(s)
-
-
-def _parse_str(s: str) -> str:
-    return s
-
-
 def _parse_int_list(s: str) -> list[int]:
-    return [int(tok, 10) for tok in s.replace(",", " ").split()]
+    return [int(tok) for tok in s.replace(",", " ").split()]
 
 
 def _parse_str_list(s: str) -> list[str]:
@@ -39,24 +27,24 @@ def _optional(parser):
 # key -> (parser, RunConfig field); sweep axes have no field.  A key's
 # default is its field's default in RunConfig; sweep axes default to None.
 CONFIG_KEYS = {
-    "game.kind": (_parse_str, "game"),
-    "game.penalty_n": (_parse_int, "penalty_n"),
-    "game.matrix_path": (_optional(_parse_str), "matrix_path"),
-    "learner.kind": (_parse_str, "learner"),
-    "learner.explore": (_parse_float, "explore"),
-    "learner.stage_len": (_optional(_parse_int), "stage_len"),
-    "learner.mu": (_optional(_parse_float), "mu"),
-    "learner.delta": (_parse_float, "delta"),
-    "sim.mode": (_parse_str, "mode"),
-    "sim.n": (_parse_int, "n"),
-    "sim.rounds": (_parse_int, "rounds"),
-    "sim.churn_rate": (_parse_float, "churn_rate"),
-    "sim.fixed_fraction": (_parse_float, "fixed_fraction"),
-    "sim.fixed_base": (_parse_int, "fixed_base"),
-    "sim.fixed_explore": (_parse_float, "fixed_explore"),
-    "sim.seed": (_parse_int, "seed"),
-    "sim.target": (_parse_int, "target"),
-    "sim.metrics_eta": (_parse_float, "metrics_eta"),
+    "game.kind": (str, "game"),
+    "game.penalty_n": (int, "penalty_n"),
+    "game.matrix_path": (_optional(str), "matrix_path"),
+    "learner.kind": (str, "learner"),
+    "learner.explore": (float, "explore"),
+    "learner.stage_len": (_optional(int), "stage_len"),
+    "learner.mu": (_optional(float), "mu"),
+    "learner.delta": (float, "delta"),
+    "sim.mode": (str, "mode"),
+    "sim.n": (int, "n"),
+    "sim.rounds": (int, "rounds"),
+    "sim.churn_rate": (float, "churn_rate"),
+    "sim.fixed_fraction": (float, "fixed_fraction"),
+    "sim.fixed_base": (int, "fixed_base"),
+    "sim.fixed_explore": (float, "fixed_explore"),
+    "sim.seed": (int, "seed"),
+    "sim.target": (int, "target"),
+    "sim.metrics_eta": (float, "metrics_eta"),
     "sweep.populations": (_parse_int_list, None),
     "sweep.seeds": (_parse_int_list, None),
     "sweep.learners": (_parse_str_list, None),

@@ -116,13 +116,19 @@ def pure_profile_distribution(actions, k: int) -> ActionDistribution:
 
 
 def mixed_profile_distribution(strategies, k: int) -> ActionDistribution:
-    """Population distribution induced by per-agent mixed strategies."""
+    """Population distribution induced by per-agent mixed strategies.
+
+    Agent (base b, explore e) puts e/(k-1) on every action and
+    1 - e*k/(k-1) more on b, so the sum is one bincount over the bases.
+    """
     if len(strategies) == 0:
         raise DimensionError("profile must be nonempty")
-    w = np.zeros(k)
-    for s in strategies:
-        w += s.vector(k)
-    return ActionDistribution(w / len(strategies))
+    bases = np.array([s.base for s in strategies])
+    explore = np.array([s.explore for s in strategies])
+    if bases.max() >= k:
+        raise DimensionError(f"base action {bases.max()} out of range for {k} actions")
+    w = np.bincount(bases, weights=1.0 - explore * k / (k - 1), minlength=k)
+    return ActionDistribution((w + explore.sum() / (k - 1)) / len(strategies))
 
 
 @dataclass(frozen=True)

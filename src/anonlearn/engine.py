@@ -43,7 +43,8 @@ AHEAD = 128
 @dataclass(frozen=True)
 class RunConfig:
     """Everything one run needs; validation happens at construction, against
-    the game itself (so game=matrix reads its matrix file then)."""
+    the game itself (so game=matrix reads its matrix file then), which the
+    config keeps outside its fields for run to play, pickled copies too."""
 
     game: str = "contribution"
     penalty_n: int = PENALTY_N
@@ -106,8 +107,7 @@ class RunConfig:
             a = getattr(self, key)
             if not 0 <= a < game.k:
                 raise ValueError(f"{key}: action {a} out of range for {game.k} actions")
-        lo, hi = game.payoff_bounds()
-        object.__setattr__(self, "_payoff_spread", (game.k, hi - lo))
+        object.__setattr__(self, "_game", game)
 
     @property
     def resolved_stage_len(self) -> int:
@@ -121,8 +121,8 @@ class RunConfig:
         from the game's k actions and payoff bounds [lo, hi]."""
         if self.mu is not None:
             return self.mu
-        k, spread = self._payoff_spread
-        return 2.0 * max(spread, 1.0) * (k - 1)
+        lo, hi = self._game.payoff_bounds()
+        return 2.0 * max(hi - lo, 1.0) * (self._game.k - 1)
 
     def items(self):
         """(key, value) pairs of the fully-resolved config, for echoing."""
@@ -131,7 +131,7 @@ class RunConfig:
         return out
 
 
-def build_game(kind: str, penalty_n: int, matrix_path: str | None) -> AnonymousGame:
+def build_game(kind: str, penalty_n: int, matrix_path: str | None) -> MatrixGame:
     """The game named by kind, one of GAME_KINDS."""
     if kind == "contribution":
         return ContributionGame(penalty_n)
@@ -155,27 +155,15 @@ def _meanfield_payoffs(acts, counts, m) -> np.ndarray:
     return (totals[rounds, acts] - m[acts, acts]) / (acts.shape[1] - 1)
 
 
-def realize_meanfield(actions, game: AnonymousGame) -> np.ndarray:
-    """Exact expected payoff for each agent against the other n-1 agents.
-
-    Games exposing payoff_matrix() get a closed-form path; otherwise the
-    utilities are evaluated once per distinct action played.
-    """
+def realize_meanfield(actions, matrix) -> np.ndarray:
+    """Exact expected payoff for each agent against the other n-1 agents:
+    the mean of matrix[a_i][a_j] over j != i."""
     acts = np.asarray(actions, dtype=int)
-    n = acts.size
-    if n < 2:
+    if acts.size < 2:
         raise DimensionError("mean-field payoffs need at least 2 agents")
-    k = game.k
-    counts = np.bincount(acts, minlength=k)
-    matrix_of = getattr(game, "payoff_matrix", None)
-    if matrix_of is not None:
-        return _meanfield_payoffs(acts[None], counts[None], matrix_of())[0]
-    by_action = np.empty(k)
-    for a in np.flatnonzero(counts):
-        others = counts.astype(float)
-        others[a] -= 1.0
-        by_action[a] = game.utilities(ActionDistribution(others / (n - 1)))[a]
-    return by_action[acts]
+    m = np.asarray(matrix, dtype=float)
+    counts = np.bincount(acts, minlength=m.shape[0])
+    return _meanfield_payoffs(acts[None], counts[None], m)[0]
 
 
 def realize_matching(actions, matrix, rng) -> np.ndarray:
@@ -243,12 +231,15 @@ class RunTrace:
     """Everything a run produced; one row per round, one metric set per stage."""
 
     config: RunConfig
-    k: int
     realized_dist: np.ndarray  # (rounds, k)
     base_dist: np.ndarray  # (rounds, k)
     stage_rho: np.ndarray  # (stages, k)
     stage_distance: np.ndarray  # (stages,)
     stage_br_fraction: np.ndarray  # (stages,)
+
+    @property
+    def k(self) -> int:
+        return self.realized_dist.shape[1]
 
     @property
     def rounds(self) -> int:
@@ -332,9 +323,9 @@ def run(config: RunConfig) -> RunTrace:
     (learners, k) and round count.  A regret matcher's base is the action it
     played last.
     """
-    game = build_game(config.game, config.penalty_n, config.matrix_path)
+    game = config._game
     k, n, tau = game.k, config.n, config.resolved_stage_len
-    m = game.payoff_matrix()
+    m = game.matrix
     rngs = [np.random.default_rng([config.seed, 0, i]) for i in range(n)]
     match_rng = np.random.default_rng([config.seed, 1])
     churn_rng = np.random.default_rng([config.seed, 2])
@@ -406,7 +397,6 @@ def run(config: RunConfig) -> RunTrace:
 
     return RunTrace(
         config=config,
-        k=k,
         realized_dist=realized_hist,
         # a regret matcher re-anchors on every action, so its base row is
         # the realized row

@@ -32,13 +32,6 @@ def contribution_cost(x: int, penalty_n: int = PENALTY_N) -> float:
     return float(x * x + 2 * penalty_n)
 
 
-def contribution_utility(x: int, y: float, penalty_n: int = PENALTY_N) -> float:
-    """Utility 2*x*y - c(x) of contributing x when the others' level is y."""
-    if y < 0:
-        raise ValueError(f"mean contribution y must be nonnegative, got {y}")
-    return 2.0 * x * y - contribution_cost(x, penalty_n)
-
-
 class MatrixGame(AnonymousGame):
     """Anonymous game induced by a two-player payoff matrix.
 
@@ -73,9 +66,6 @@ class MatrixGame(AnonymousGame):
 
     def payoff_bounds(self) -> tuple[float, float]:
         return float(self.matrix.min()), float(self.matrix.max())
-
-    def payoff_matrix(self) -> np.ndarray:
-        return self.matrix
 
 
 class ContributionGame(MatrixGame):

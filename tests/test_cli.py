@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, file layout, output formats."""
 
 import csv
+import multiprocessing
 from pathlib import Path
 
 import numpy as np
@@ -69,42 +70,64 @@ def test_run_seed_flag_forces_single_run(tiny_cfg, tmp_path):
 
 def test_run_builds_each_cell_once(tmp_path, monkeypatch):
     # a matrix grid reads its file whenever a game is built: once for the
-    # base config, once per cell at load, and once in each cell's run
+    # base config and once per cell at load; each cell's run plays its
+    # config's game
     calls = []
     real = engine.build_game
     monkeypatch.setattr(engine, "build_game", lambda *args: calls.append(args) or real(*args))
     monkeypatch.chdir(Path(__file__).parent / "golden")
     out = tmp_path / "out"
     assert main(["run", "--config", "matrix.cfg", "--out", str(out)]) == EXIT_OK
-    assert len(calls) == 5  # two cells, stage and regret
+    assert len(calls) == 3  # two cells, stage and regret
 
 
 def test_run_seed_builds_only_its_own_cells(tiny_cfg, tmp_path, monkeypatch):
-    # the base config, the one seed-5 cell, and its run; not the file's seeds
+    # the base config and the one seed-5 cell; not the file's seeds, nor run
     calls = []
     real = engine.build_game
     monkeypatch.setattr(engine, "build_game", lambda *args: calls.append(args) or real(*args))
     out = tmp_path / "out"
     assert main(["run", "--config", str(tiny_cfg), "--out", str(out), "--seed", "5"]) == EXIT_OK
-    assert len(calls) == 3
+    assert len(calls) == 2
 
 
-def test_failed_cell_keeps_finished_cells(tiny_cfg, tmp_path, monkeypatch):
+def _fail_seed_one(monkeypatch, error):
     real = cli.run
 
     def second_fails(cfg):
         if cfg.seed == 1:
-            raise RuntimeError("cell failed")
+            raise error("cell failed")
         return real(cfg)
 
     monkeypatch.setattr(cli, "run", second_fails)
+
+
+def test_failed_cell_keeps_finished_cells(tiny_cfg, tmp_path, monkeypatch, capsys):
+    _fail_seed_one(monkeypatch, RuntimeError)
     out = tmp_path / "out"
     with pytest.raises(RuntimeError, match="cell failed"):
         main(["run", "--config", str(tiny_cfg), "--out", str(out)])
+    assert "failed cell: run_n4_stage_seed1" in capsys.readouterr().err
     assert (out / "run_n4_stage_seed0.csv").is_file()
     assert (out / "run_n4_stage_seed0.summary.txt").is_file()
     assert not (out / "aggregate.csv").exists()
     assert not list(out.glob("*.tmp"))
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("error,code", [(ValueError, EXIT_CONFIG), (OSError, EXIT_IO)])
+def test_failed_cell_is_named(tiny_cfg, tmp_path, monkeypatch, capsys, threads, error, code):
+    # a cell's error keeps its exit code, in-process and from a pool worker
+    if threads > 1 and multiprocessing.get_start_method() != "fork":
+        pytest.skip("pool workers see the patched run only when forked")
+    _fail_seed_one(monkeypatch, error)
+    out = tmp_path / "out"
+    argv = ["run", "--config", str(tiny_cfg), "--out", str(out), "--threads", str(threads)]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert "failed cell: run_n4_stage_seed1\n" in err and "cell failed" in err
+    assert (out / "run_n4_stage_seed0.csv").is_file()
+    assert not (out / "aggregate.csv").exists()
 
 
 def test_run_is_reproducible_across_threads(tiny_cfg, tmp_path):
@@ -267,13 +290,20 @@ def test_gnuplot_missing_aggregate_exits_3(tmp_path):
 
 
 def test_module_entry_point():
+    import os
     import subprocess
     import sys
 
+    import anonlearn
+
+    # the child imports the package this suite imported, installed or not
+    src = str(Path(anonlearn.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "anonlearn", "analyze", "--mode", "lipschitz", "--samples", "10"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == EXIT_OK
     assert "declared K" in proc.stdout

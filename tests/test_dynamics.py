@@ -145,6 +145,22 @@ def test_mixed_profile_distribution():
     profile = [MixedAction(0, 0.05)] * 3 + [MixedAction(1, 0.05)]
     rho = mixed_profile_distribution(profile, 2)
     np.testing.assert_allclose(rho.weights, [0.725, 0.275])
+    with pytest.raises(DimensionError):
+        mixed_profile_distribution([], 2)
+    with pytest.raises(DimensionError):
+        mixed_profile_distribution([MixedAction(0, 0.1), MixedAction(3, 0.1)], 3)
+
+
+def test_mixed_profile_distribution_matches_per_agent_sum():
+    # the closed form against the sum of each agent's mixed-action vector
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        n, k = int(rng.integers(1, 60)), int(rng.integers(2, 25))
+        profile = [MixedAction(int(rng.integers(k)), float(rng.choice([0.0, rng.uniform()])))
+                   for _ in range(n)]
+        want = sum(s.vector(k) for s in profile) / n
+        np.testing.assert_allclose(mixed_profile_distribution(profile, k).weights, want,
+                                   rtol=0, atol=1e-14)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,13 @@
 """Simulation engine: configs, payoff realization, churn, full runs."""
 
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
 
 from anonlearn import (
     ActionDistribution,
-    AnonymousGame,
     ContributionGame,
     DimensionError,
     MixedAction,
@@ -16,8 +16,10 @@ from anonlearn import (
     best_reply_set,
     build_game,
     distance_from_equilibrium,
+    engine,
     measure_stage_rho,
     prisoners_dilemma,
+    pure_profile_distribution,
     realize_matching,
     realize_meanfield,
     run,
@@ -83,7 +85,7 @@ def test_build_game_kinds(tmp_path):
     path = tmp_path / "m.txt"
     path.write_text("0 1\n1 0\n")
     game = build_game("matrix", 20, str(path))
-    np.testing.assert_array_equal(game.payoff_matrix(), [[0, 1], [1, 0]])
+    np.testing.assert_array_equal(game.matrix, [[0, 1], [1, 0]])
 
 
 def test_build_population_layout():
@@ -119,45 +121,34 @@ def test_realize_meanfield_contribution_example():
     # three agents at (8, 8, 0): the pair of 8s each face mean 4, the
     # free rider faces mean 8 but contributes nothing
     game = ContributionGame()
-    payoffs = realize_meanfield([8, 8, 0], game)
+    payoffs = realize_meanfield([8, 8, 0], game.matrix)
     np.testing.assert_allclose(payoffs, [15.0, 15.0, 0.0])
 
 
 def test_realize_meanfield_pd_example():
-    payoffs = realize_meanfield([0, 1], prisoners_dilemma())
+    payoffs = realize_meanfield([0, 1], prisoners_dilemma().matrix)
     np.testing.assert_array_equal(payoffs, [0.0, 5.0])
 
 
 def test_realize_meanfield_excludes_self():
     game = prisoners_dilemma()
     # four cooperators: each faces three cooperators, not itself
-    np.testing.assert_allclose(realize_meanfield([0, 0, 0, 0], game), [3.0] * 4)
+    np.testing.assert_allclose(realize_meanfield([0, 0, 0, 0], game.matrix), [3.0] * 4)
     with pytest.raises(DimensionError):
-        realize_meanfield([0], game)
-
-
-class _UtilitiesOnly(AnonymousGame):
-    """Wraps a matrix game but hides payoff_matrix to force the generic path."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.k = inner.k
-
-    def utilities(self, rho):
-        return self.inner.utilities(rho)
-
-    def payoff_bounds(self):
-        return self.inner.payoff_bounds()
+        realize_meanfield([0], game.matrix)
 
 
 def test_realize_meanfield_fast_path_matches_generic():
+    # each agent is paid its action's utility against the other n-1 agents
     rng = np.random.default_rng(6)
     game = ContributionGame()
-    wrapped = _UtilitiesOnly(game)
     for _ in range(10):
         acts = rng.integers(20, size=9)
-        fast = realize_meanfield(acts, game)
-        slow = realize_meanfield(acts, wrapped)
+        fast = realize_meanfield(acts, game.matrix)
+        slow = [
+            game.utilities(pure_profile_distribution(np.delete(acts, i), 20))[a]
+            for i, a in enumerate(acts)
+        ]
         np.testing.assert_allclose(fast, slow, atol=1e-9)
 
 
@@ -190,10 +181,10 @@ def test_matching_mean_approaches_meanfield():
     # with many agents, one matched round's average payoff sits close to the
     # mean-field average for the same action profile
     game = prisoners_dilemma()
-    m = game.payoff_matrix()
+    m = game.matrix
     rng = np.random.default_rng(8)
     acts = rng.integers(2, size=10000)
-    exact = realize_meanfield(acts, game).mean()
+    exact = realize_meanfield(acts, m).mean()
     sampled = realize_matching(acts, m, rng).mean()
     assert abs(sampled - exact) < 0.1
 
@@ -293,6 +284,24 @@ def test_run_deterministic(small_run):
     np.testing.assert_array_equal(small_run.stage_distance, again.stage_distance)
     other = run(RunConfig(n=20, rounds=800, explore=0.1, seed=4))
     assert (small_run.realized_dist != other.realized_dist).any()
+
+
+def test_run_plays_the_configs_game(monkeypatch):
+    # the config keeps the game it validated against; run, and run on a
+    # pickled copy (what a pool worker gets), build no other
+    cfg = RunConfig(game="climbing", target=0, learner="regret", n=6, rounds=300,
+                    explore=0.1, seed=2)
+    copy = pickle.loads(pickle.dumps(cfg))
+    assert copy == cfg and repr(copy) == repr(cfg) and copy.items() == cfg.items()
+    calls = []
+    real = engine.build_game
+    monkeypatch.setattr(engine, "build_game", lambda *args: calls.append(args) or real(*args))
+    a, b = run(cfg), run(copy)
+    assert calls == []
+    assert a.k == b.k == 3
+    for f in ("realized_dist", "base_dist", "stage_rho", "stage_distance",
+              "stage_br_fraction"):
+        np.testing.assert_array_equal(getattr(a, f), getattr(b, f))
 
 
 def test_run_base_rows_piecewise_constant(small_run):

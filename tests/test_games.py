@@ -12,7 +12,6 @@ from anonlearn import (
     builtin_matrix,
     climbing_game,
     contribution_cost,
-    contribution_utility,
     load_matrix,
     prisoners_dilemma,
     realize_matching,
@@ -43,11 +42,16 @@ def test_contribution_cost_penalty_scaling():
         contribution_cost(-1)
 
 
+def _contribution_utility(x, y, penalty_n=20):
+    """Utility of contributing x when every other agent contributes y."""
+    return ContributionGame(penalty_n).utilities(ActionDistribution.point_mass(y, 20))[x]
+
+
 def test_contribution_utility_values():
-    assert contribution_utility(8, 8.0) == 79.0
-    assert contribution_utility(5, 5.0) == 34.0
-    assert contribution_utility(9, 8.0) == pytest.approx(144.0 - 121.0)
-    assert contribution_utility(0, 17.0) == 0.0
+    assert _contribution_utility(8, 8) == 79.0
+    assert _contribution_utility(5, 5) == 34.0
+    assert _contribution_utility(9, 8) == pytest.approx(144.0 - 121.0)
+    assert _contribution_utility(0, 17) == 0.0
 
 
 def test_contribution_game_expected_payoffs():
@@ -64,7 +68,7 @@ def test_contribution_game_expected_payoffs():
 def test_contribution_utilities_agree_with_matrix():
     # the closed form 2*x*mean - c(x) is the partner lottery over the matrix
     game = ContributionGame()
-    m = game.payoff_matrix()
+    m = game.matrix
     rng = np.random.default_rng(4)
     for _ in range(20):
         rho = ActionDistribution(rng.dirichlet(np.ones(20)))
@@ -77,12 +81,12 @@ def test_contribution_payoff_bounds():
     assert hi == 321.0  # contribute 19 against all-19
     # the extremes of 2*x*y - c(x) sit at y in {0, 19}
     for penalty in (0, 20, 200):
-        ends = [contribution_utility(x, y, penalty) for x in range(20) for y in (0.0, 19.0)]
+        ends = [_contribution_utility(x, y, penalty) for x in range(20) for y in (0, 19)]
         assert ContributionGame(penalty).payoff_bounds() == (min(ends), max(ends))
 
 
 def test_contribution_payoff_matrix():
-    m = ContributionGame(penalty_n=20).payoff_matrix()
+    m = ContributionGame(penalty_n=20).matrix
     assert m.shape == (20, 20)
     assert m[8, 8] == 79.0
     assert m[0, 13] == 0.0
@@ -127,7 +131,7 @@ def test_contribution_mode_validation():
 
 def test_prisoners_dilemma_values():
     game = prisoners_dilemma()
-    np.testing.assert_array_equal(game.payoff_matrix(), [[3, 0], [5, 1]])
+    np.testing.assert_array_equal(game.matrix, [[3, 0], [5, 1]])
     assert game.labels == ("C", "D")
     assert game.lipschitz == 5.0
 
@@ -136,7 +140,7 @@ def test_matching_channel_is_partner_lottery():
     # a defector matched with a cooperator earns 5, with a defector 1; the
     # expected utility is that lottery's mean under rho
     game = prisoners_dilemma()
-    m = game.payoff_matrix()
+    m = game.matrix
     acts = np.array([1, 0, 1, 1])
     payoffs = realize_matching(acts, m, np.random.default_rng(0))
     assert sorted(payoffs) == [0.0, 1.0, 1.0, 5.0]
@@ -150,12 +154,12 @@ def test_modes_agree_on_expected_payoff():
     game = prisoners_dilemma()
     rng = np.random.default_rng(2)
     acts = rng.integers(2, size=400)
-    meanfield = realize_meanfield(acts, game)
+    meanfield = realize_meanfield(acts, game.matrix)
     for i in (0, 1, 2):
         others = ActionDistribution.from_counts(np.bincount(np.delete(acts, i), minlength=2))
         assert meanfield[i] == pytest.approx(game.utilities(others)[acts[i]])
     matched = np.mean(
-        [realize_matching(acts, game.payoff_matrix(), rng).mean() for _ in range(200)]
+        [realize_matching(acts, game.matrix, rng).mean() for _ in range(200)]
     )
     assert matched == pytest.approx(meanfield.mean(), abs=0.05)
 
@@ -166,13 +170,13 @@ def test_matching_payoff_set():
     rng = np.random.default_rng(1)
     seen = set()
     for _ in range(20):
-        seen |= set(realize_matching(rng.integers(2, size=10), game.payoff_matrix(), rng))
+        seen |= set(realize_matching(rng.integers(2, size=10), game.matrix, rng))
     assert seen == {0.0, 1.0, 3.0, 5.0}
 
 
 def test_climbing_game():
     game = climbing_game()
-    m = game.payoff_matrix()
+    m = game.matrix
     assert m.shape == (3, 3)
     assert m[0, 0] == 11.0 and m[0, 1] == -30.0
     # joint action (0,0) is the payoff-dominant point
