@@ -9,7 +9,6 @@ default_rng([seed, 2]).
 
 from __future__ import annotations
 
-import csv
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -34,10 +33,12 @@ LEARNER_KINDS = ("stage", "regret")
 # Working-memory bounds for run, whatever n is: a block's (rounds, n) actions
 # and (rounds, k) histogram hold at most CAP entries, and the agents' streams
 # are read ahead into one buffer of at most UCAP uniforms and AHEAD rounds
-# (longer chunks save next to nothing per draw, and cost memory at small n).
+# (longer chunks save next to nothing per draw, and cost memory at small n);
+# RunTrace.to_csv formats and writes CSV_ROWS rows at a time.
 CAP = 1 << 12
 UCAP = 1 << 17
 AHEAD = 128
+CSV_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -167,18 +168,20 @@ def realize_meanfield(actions, matrix) -> np.ndarray:
 
 
 def realize_matching(actions, matrix, rng) -> np.ndarray:
-    """Uniform random perfect matching; payoff matrix[a_i][a_partner]."""
-    acts = np.asarray(actions, dtype=int)
-    n = acts.size
+    """Uniform random perfect matching; payoff matrix[a_i][a_partner].  A
+    (rounds, n) block draws one rng.permutation(n) per row, in row order."""
+    block = np.atleast_2d(np.asarray(actions, dtype=int))
+    n = block.shape[1]
     if n % 2:
         raise ValueError(f"matching needs an even number of agents, got {n}")
     m = np.asarray(matrix, dtype=float)
-    perm = rng.permutation(n)
-    left, right = perm[0::2], perm[1::2]
-    payoffs = np.empty(n)
-    payoffs[left] = m[acts[left], acts[right]]
-    payoffs[right] = m[acts[right], acts[left]]
-    return payoffs
+    rows = np.arange(block.shape[0])[:, None]
+    perm = np.array([rng.permutation(n) for _ in rows]).reshape(block.shape)
+    left, right = perm[:, 0::2], perm[:, 1::2]
+    payoffs = np.empty(block.shape)
+    payoffs[rows, left] = m[block[rows, left], block[rows, right]]
+    payoffs[rows, right] = m[block[rows, right], block[rows, left]]
+    return payoffs.reshape(np.shape(actions))
 
 
 def apply_churn(bases, start: int, rate: float, rng, k: int | None = None) -> np.ndarray:
@@ -226,6 +229,18 @@ def best_reply_fraction(
     return float(in_abr[bases].mean())
 
 
+def _repr_cells(rows, n: int, table) -> np.ndarray:
+    """repr(float(v)) of each entry of rows: table[c] = repr(c / n) where an
+    entry is exactly c / n (the bits, so not -0.0), else repr itself."""
+    rows = np.asarray(rows, dtype=float)
+    c = np.rint(rows * n)
+    if ((c >= 0) & (c <= n)).all():
+        c = c.astype(np.intp)
+        if ((c / n).view(np.int64) == rows.view(np.int64)).all():
+            return table[c]
+    return np.array([[repr(v) for v in row] for row in rows.tolist()], dtype=object)
+
+
 @dataclass
 class RunTrace:
     """Everything a run produced; one row per round, one metric set per stage."""
@@ -263,29 +278,21 @@ class RunTrace:
 
     def to_csv(self, path):
         """One row per round: round, stage, that stage's end metrics, then the
-        round's realized and base distributions."""
-        tau = self.config.resolved_stage_len
-        header = (
-            ["round", "stage", "distance", "br_fraction"]
-            + [f"rho_{a}" for a in range(self.k)]
-            + [f"base_{a}" for a in range(self.k)]
-        )
+        round's realized and base distributions.  The bytes csv.writer would
+        write, CSV_ROWS rows at a time."""
+        tau, n = self.config.resolved_stage_len, self.config.n
+        table = np.array([repr(c / n) for c in range(n + 1)], dtype=object)
+        metrics = [f"{d!r},{b!r}" for d, b in zip(self.stage_distance.tolist(),
+                   self.stage_br_fraction.tolist())] + [","]  # last: a partial stage
+        header = ["round", "stage", "distance", "br_fraction"] + [
+            f"{p}_{a}" for p in ("rho", "base") for a in range(self.k)]
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for t in range(self.rounds):
-                s = t // tau
-                if s < self.stages:
-                    metrics = [repr(float(self.stage_distance[s])),
-                               repr(float(self.stage_br_fraction[s]))]
-                else:  # trailing partial stage
-                    metrics = ["", ""]
-                writer.writerow(
-                    [t, s]
-                    + metrics
-                    + [repr(float(v)) for v in self.realized_dist[t]]
-                    + [repr(float(v)) for v in self.base_dist[t]]
-                )
+            fh.write(",".join(header) + "\r\n")
+            for r0 in range(0, self.rounds, CSV_ROWS):
+                rows = np.hstack([_repr_cells(d[r0 : r0 + CSV_ROWS], n, table)
+                                  for d in (self.realized_dist, self.base_dist)]).tolist()
+                fh.writelines(f"{t},{t // tau},{metrics[min(t // tau, self.stages)]},"
+                              f"{','.join(row)}\r\n" for t, row in enumerate(rows, r0))
 
     def summary_text(self, threshold: float = 0.5) -> str:
         lines = [f"{key}={value}" for key, value in self.config.items()]
@@ -370,7 +377,7 @@ def run(config: RunConfig) -> RunTrace:
             hist = hist.reshape(b, k)
             np.divide(hist, n, out=realized_hist[r : r + b])
             if matching:
-                payoffs = np.array([realize_matching(a, m, match_rng) for a in acts])
+                payoffs = realize_matching(acts, m, match_rng)
             else:
                 payoffs = _meanfield_payoffs(acts, hist, m)
             if regret:

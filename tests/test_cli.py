@@ -130,6 +130,34 @@ def test_failed_cell_is_named(tiny_cfg, tmp_path, monkeypatch, capsys, threads, 
     assert not (out / "aggregate.csv").exists()
 
 
+SLOW = """\
+sim.n = 100
+sim.rounds = 6000
+learner.explore = 0.1
+sweep.seeds = 0 1 2 3 4 5 6 7 8 9 10 11
+"""
+
+
+def test_failed_cell_cancels_queued_cells(tmp_path, monkeypatch, capsys):
+    # at 2 threads as in-process, the cells queued behind a failed one do not
+    # run (pool.map's iterator cancels them as the failure reaches it); each
+    # cell takes long enough that the failure is seen early
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("pool workers see the patched run only when forked")
+    cfg = tmp_path / "slow.cfg"
+    cfg.write_text(SLOW)
+    _fail_seed_one(monkeypatch, ValueError)
+    out = tmp_path / "out"
+    argv = ["run", "--config", str(cfg), "--out", str(out), "--threads", "2"]
+    assert main(argv) == EXIT_CONFIG
+    assert "failed cell: run_n100_stage_seed1\n" in capsys.readouterr().err
+    assert (out / "run_n100_stage_seed0.csv").is_file()
+    # seed 0, what ran beside it, and at most the two cells running and the
+    # three a pool queues to its workers when the failure is seen; not all 11
+    assert len(list(out.glob("*.csv"))) <= 7
+    assert not (out / "aggregate.csv").exists()
+
+
 def test_run_is_reproducible_across_threads(tiny_cfg, tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     main(["run", "--config", str(tiny_cfg), "--out", str(out1), "--threads", "1"])

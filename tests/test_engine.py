@@ -1,6 +1,8 @@
 """Simulation engine: configs, payoff realization, churn, full runs."""
 
+import csv
 import dataclasses
+import hashlib
 import pickle
 
 import numpy as np
@@ -12,6 +14,7 @@ from anonlearn import (
     DimensionError,
     MixedAction,
     RunConfig,
+    RunTrace,
     apply_churn,
     best_reply_set,
     build_game,
@@ -27,6 +30,7 @@ from anonlearn import (
     run_stationary,
 )
 from anonlearn.engine import pool_size
+from test_golden import random_configs
 
 
 # ---------------------------------------------------------------------------
@@ -175,6 +179,25 @@ def test_realize_matching_zero_sum_conserved():
 def test_realize_matching_needs_even_population():
     with pytest.raises(ValueError, match="even"):
         realize_matching([0, 1, 0], np.eye(2), np.random.default_rng(0))
+
+
+def test_realize_matching_block_equals_stacked_rows():
+    # a (rounds, n) block draws one permutation per row, in row order: the
+    # bits and the generator state of one 1-D call per row
+    m = np.random.default_rng(1).normal(size=(5, 5))
+    acts = np.random.default_rng(2).integers(5, size=(40, 12))
+    rng_block, rng_rows = np.random.default_rng(9), np.random.default_rng(9)
+    block = realize_matching(acts, m, rng_block)
+    rows = np.array([realize_matching(a, m, rng_rows) for a in acts])
+    assert block.shape == acts.shape and block.tobytes() == rows.tobytes()
+    assert rng_block.random() == rng_rows.random()
+    one = realize_matching(acts[:1], m, np.random.default_rng(9))
+    assert one.shape == (1, 12) and one.tobytes() == rows[:1].tobytes()
+
+
+def test_realize_matching_block_needs_even_population():
+    with pytest.raises(ValueError, match="even"):
+        realize_matching(np.zeros((3, 5), dtype=int), np.eye(2), np.random.default_rng(0))
 
 
 def test_matching_mean_approaches_meanfield():
@@ -341,6 +364,65 @@ def test_run_trace_csv_partial_stage(tmp_path):
     trace.to_csv(path)
     lines = path.read_text().strip().splitlines()
     assert lines[-1].split(",")[2] == ""  # no metrics for the half stage
+
+
+def _csv_writer_reference(trace, path):
+    """RunTrace.to_csv as a csv.writer loop with one repr per float: the bytes
+    to_csv must keep."""
+    tau = trace.config.resolved_stage_len
+    header = (["round", "stage", "distance", "br_fraction"]
+              + [f"rho_{a}" for a in range(trace.k)] + [f"base_{a}" for a in range(trace.k)])
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for t in range(trace.rounds):
+            s = t // tau
+            if s < trace.stages:
+                metrics = [repr(float(trace.stage_distance[s])),
+                           repr(float(trace.stage_br_fraction[s]))]
+            else:  # trailing partial stage
+                metrics = ["", ""]
+            writer.writerow([t, s] + metrics
+                            + [repr(float(v)) for v in trace.realized_dist[t]]
+                            + [repr(float(v)) for v in trace.base_dist[t]])
+
+
+def _csv_digests(trace, tmp_path):
+    fast, slow = tmp_path / "fast.csv", tmp_path / "slow.csv"
+    trace.to_csv(fast)
+    _csv_writer_reference(trace, slow)
+    return [hashlib.sha256(p.read_bytes()).hexdigest() for p in (fast, slow)]
+
+
+# stage and regret learners, both modes, churn, trailing partial stages; and
+# one run longer than a to_csv block of engine.CSV_ROWS rows
+@pytest.mark.parametrize("cfg", random_configs() + [RunConfig(n=20, rounds=800, explore=0.1)])
+def test_run_trace_csv_matches_csv_writer(cfg, tmp_path):
+    fast, slow = _csv_digests(run(cfg), tmp_path)
+    assert fast == slow
+
+
+def test_run_trace_csv_falls_back_off_the_count_grid(tmp_path):
+    # rows that are not all count/n: every realized block but the first holds
+    # entries off the grid (thirds, nan, inf, noise), and the first base block
+    # a -0.0 (equal to 0/n, but not its repr), so those take the repr path
+    rng = np.random.default_rng(4)
+    n, k, rounds = 4, 3, 1300
+    on_grid = rng.integers(n + 1, size=(rounds, k)) / n
+    off_grid = on_grid.copy()
+    on_grid[100, 0] = -0.0
+    off_grid[600:] += rng.normal(scale=1e-3, size=(rounds - 600, k))
+    off_grid[520] = [1 / 3, -0.0, 0.25]
+    off_grid[530] = [np.nan, np.inf, 0.5]
+    off_grid[1299] = [-0.0, 0.0, 1.0]
+    trace = RunTrace(
+        config=RunConfig(n=n, rounds=rounds, explore=0.1, stage_len=300),
+        realized_dist=off_grid, base_dist=on_grid,
+        stage_rho=np.full((4, k), 1 / k), stage_distance=rng.random(4) * 3,
+        stage_br_fraction=rng.random(4))
+    fast, slow = _csv_digests(trace, tmp_path)
+    assert fast == slow
+    assert b"\r\n1299,4,,,-0.0,0.0,1.0," in (tmp_path / "fast.csv").read_bytes()
 
 
 def test_run_summary_text(small_run):
