@@ -4,7 +4,8 @@ and deterministic seeding.
 Seeding layout: agent i draws from default_rng([seed, 0, i]) for its whole
 lifetime (so changing n never reshuffles other agents' draws), the matching
 shuffle from default_rng([seed, 1]), and churn coins/bases from
-default_rng([seed, 2]).
+default_rng([seed, 2]).  streams.AgentStreams computes the n agents' streams
+at once, following numpy's PCG64 and SeedSequence (pinned by its tests).
 """
 
 from __future__ import annotations
@@ -27,17 +28,15 @@ from .games import (
     prisoners_dilemma,
 )
 from .learners import regret_act, regret_observe, sample_mixed, stage_end, stage_tally
+from .streams import AgentStreams
 
 GAME_KINDS = ("contribution", "prisoners_dilemma", "climbing", "matrix")
 LEARNER_KINDS = ("stage", "regret")
 # Working-memory bounds for run, whatever n is: a block's (rounds, n) actions
-# and (rounds, k) histogram hold at most CAP entries, and the agents' streams
-# are read ahead into one buffer of at most UCAP uniforms and AHEAD rounds
-# (longer chunks save next to nothing per draw, and cost memory at small n);
-# RunTrace.to_csv formats and writes CSV_ROWS rows at a time.
+# and (rounds, k) histogram hold at most CAP entries (the agents' streams are
+# bounded by streams.UCAP and AHEAD); RunTrace.to_csv formats and writes
+# CSV_ROWS rows at a time.
 CAP = 1 << 12
-UCAP = 1 << 17
-AHEAD = 128
 CSV_ROWS = 512
 
 
@@ -169,14 +168,15 @@ def realize_meanfield(actions, matrix) -> np.ndarray:
 
 def realize_matching(actions, matrix, rng) -> np.ndarray:
     """Uniform random perfect matching; payoff matrix[a_i][a_partner].  A
-    (rounds, n) block draws one rng.permutation(n) per row, in row order."""
+    (rounds, n) block draws the permutations that rng.permutation(n) would
+    draw one per row, in row order, in one rng.permuted call."""
     block = np.atleast_2d(np.asarray(actions, dtype=int))
     n = block.shape[1]
     if n % 2:
         raise ValueError(f"matching needs an even number of agents, got {n}")
     m = np.asarray(matrix, dtype=float)
     rows = np.arange(block.shape[0])[:, None]
-    perm = np.array([rng.permutation(n) for _ in rows]).reshape(block.shape)
+    perm = rng.permuted(np.tile(np.arange(n), (block.shape[0], 1)), axis=1)
     left, right = perm[:, 0::2], perm[:, 1::2]
     payoffs = np.empty(block.shape)
     payoffs[rows, left] = m[block[rows, left], block[rows, right]]
@@ -304,21 +304,6 @@ class RunTrace:
         return "\n".join(lines) + "\n"
 
 
-def _uniform_blocks(rngs, rounds: int, width: int):
-    """The next rounds uniforms of every agent, as time-major (rounds', n)
-    blocks of at most width rounds: row j holds each agent's draw for one
-    round.  Each agent's stream fills its row of a buffer of at most UCAP
-    values and AHEAD rounds a chunk at a time, which draws the same numbers
-    as one rng.random() a round."""
-    buf = np.empty((len(rngs), min(max(1, UCAP // len(rngs)), AHEAD, rounds)))
-    for c0 in range(0, rounds, buf.shape[1]):
-        c = min(buf.shape[1], rounds - c0)
-        for rng, row in zip(rngs, buf):
-            rng.random(out=row[:c])
-        for b0 in range(0, c, width):
-            yield buf[:, b0 : min(b0 + width, c)].T
-
-
 def run(config: RunConfig) -> RunTrace:
     """Execute one run: actions, payoffs and learner updates a block of rounds
     at a time; metrics and churn at stage boundaries.  Deterministic given
@@ -333,7 +318,7 @@ def run(config: RunConfig) -> RunTrace:
     game = config._game
     k, n, tau = game.k, config.n, config.resolved_stage_len
     m = game.matrix
-    rngs = [np.random.default_rng([config.seed, 0, i]) for i in range(n)]
+    streams = AgentStreams(config.seed, n)
     match_rng = np.random.default_rng([config.seed, 1])
     churn_rng = np.random.default_rng([config.seed, 2])
     matching = config.mode == "matching"
@@ -341,7 +326,7 @@ def run(config: RunConfig) -> RunTrace:
 
     nf = int(config.fixed_fraction * n)  # fixed agents hold slots 0..nf-1
     bases = np.full(n, config.fixed_base, dtype=np.int64)
-    bases[nf:] = [rng.integers(k) for rng in rngs[nf:]]  # drawn even for regret
+    bases[nf:] = streams.integers(k, nf)  # drawn even for regret
     explore = np.full(n, config.explore)
     explore[:nf] = config.fixed_explore
     if regret:
@@ -364,8 +349,8 @@ def run(config: RunConfig) -> RunTrace:
     for s, s0 in enumerate(range(0, config.rounds, tau)):
         s1 = min(s0 + tau, config.rounds)
         base_hist[s0:s1] = np.bincount(bases, minlength=k) / n
-        r = s0
-        for u in _uniform_blocks(rngs, s1 - s0, width):
+        for r in range(s0, s1, width):
+            u = streams.take(min(width, s1 - r))
             if regret:
                 acts = np.empty(u.shape, dtype=np.int64)
                 acts[:, :nf] = sample_mixed(bases[:nf], explore[:nf], k, u[:, :nf])
@@ -385,7 +370,6 @@ def run(config: RunConfig) -> RunTrace:
                                mu, config.delta)
             else:
                 stage_tally(sums, counts, acts[:, nf:], payoffs[:, nf:])
-            r += b
         if s == stages:  # trailing partial stage: no stage end, no metrics
             break
         if not regret:
@@ -432,12 +416,14 @@ def run_stationary(game: AnonymousGame, rho: ActionDistribution, bases, explore:
         raise ValueError(f"bases must be one or more actions in range({game.k})")
     payoffs = game.utilities(rho)
     n = bases.size
-    rngs = [np.random.default_rng([seed, 0, i]) for i in range(n)]
+    streams = AgentStreams(seed, n)
     sums = np.zeros((n, game.k))
     counts = np.zeros((n, game.k))
     width = max(1, CAP // (n + game.k))
     for s0 in range(0, rounds, stage_len):
-        for u in _uniform_blocks(rngs, min(stage_len, rounds - s0), width):
+        s1 = min(s0 + stage_len, rounds)
+        for r in range(s0, s1, width):
+            u = streams.take(min(width, s1 - r))
             acts = sample_mixed(bases, explore, game.k, u)
             stage_tally(sums, counts, acts, payoffs[acts])
         if s0 + stage_len <= rounds:

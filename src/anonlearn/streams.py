@@ -1,0 +1,134 @@
+"""The agents' random streams: agent i draws exactly what
+np.random.default_rng([seed, 0, i]) draws, bit for bit.  numpy's PCG64 (a
+128-bit LCG with the XSL-RR output) and its SeedSequence seeding are integer
+arithmetic, so all n streams are computed at once on uint32 and uint64 arrays
+instead of n Generators; a 128-bit value is a (hi, lo) pair of uint64 arrays."""
+
+from __future__ import annotations
+
+import operator
+
+import numpy as np
+
+# Working memory: the streams advance L = min(AHEAD, max(1, UCAP // n)) rounds
+# of all n agents at a time, at most UCAP stream positions unless n is larger
+# (longer lanes save next to nothing per draw, and cost memory).
+UCAP = 1 << 13
+AHEAD = 128
+
+
+def _seed_state(seed: int, n: int) -> list:
+    """SeedSequence([seed, 0, i]).generate_state(4, np.uint64) for i in
+    range(n), as four (n,) arrays.  An int enters as its little-endian uint32
+    words; the first four fill the pool, later ones are mixed in after."""
+    words = [seed >> s & 0xFFFFFFFF for s in range(0, max(seed.bit_length(), 1), 32)]
+    entropy = [np.array([w], np.uint32) for w in words + [0]] + [np.arange(n, dtype=np.uint32)]
+    const = [0x43B0D7E5, 0x931E8875]  # hashmix's running constant and its multiplier
+
+    def hashmix(value):
+        value = value ^ const[0]
+        const[0] = const[0] * const[1] & 0xFFFFFFFF
+        value = value * const[0]
+        return value ^ value >> 16
+
+    pool = [hashmix(w) for w in (entropy + [np.zeros(1, np.uint32)] * 4)[:4]]
+    for src, dst in [(s, d) for s in range(4) for d in range(4) if s != d] + [
+            (4 + w, d) for w in range(4, len(entropy)) for d in range(4)]:
+        x = 0xCA01F9DD * pool[dst] - 0x4973F715 * hashmix((pool + entropy)[src])
+        pool[dst] = x ^ x >> 16
+    const[:] = [0x8B51F9DD, 0x58F38DED]
+    out = [hashmix(pool[i % 4]).astype(np.uint64) for i in range(8)]
+    return [out[2 * j] | out[2 * j + 1] << 32 for j in range(4)]
+
+
+def _mul_add(ah, al, bh, bl, ch=0, cl=0, out=None):
+    """a·b + c mod 2**128, broadcast, into out if given (out may be a, b or
+    c).  The low words' 64x64 -> 128-bit product is taken on 32-bit halves."""
+    a0, a1, b0, b1 = al & 0xFFFFFFFF, al >> 32, bl & 0xFFFFFFFF, bl >> 32
+    t = (a0 * b0 >> 32) + a1 * b0
+    w = (t & 0xFFFFFFFF) + a0 * b1
+    t = (t >> 32) + (w >> 32) + a1 * b1 + al * bh + ah * bl
+    lo = al * bl
+    h, l = (np.empty_like(t), np.empty_like(t)) if out is None else out
+    np.add(t, ch, out=h)
+    np.add(lo, cl, out=l)
+    h += l < lo
+    return h, l
+
+
+def _output(h, l):
+    """PCG64's XSL-RR output of each state: hi ^ lo rotated right by hi >> 58."""
+    x, r = h ^ l, h >> 58
+    return x >> r | x << (64 - r & 63)
+
+
+class AgentStreams:
+    """The streams of agents 0..n-1 under one run seed, time-major: column i
+    of take(rounds) is agent i's next rounds random() values.  The next L
+    states of every agent ("lanes") are kept, and a refill advances them all
+    L steps at once: s -> M**L·s + (M**(L-1) + ... + 1)·inc, M being PCG64's
+    multiplier."""
+
+    def __init__(self, seed: int, n: int):
+        if operator.index(seed) < 0:
+            raise ValueError(f"seed: must be nonnegative, got {seed}")
+        mult = 0x2360ED051FC65DA44385DF649FCCF645
+        powers, sums, mask = [mult], [1], (1 << 128) - 1  # M**j, M**(j-1) + ... + 1
+        for _ in range(min(AHEAD, max(1, UCAP // n)) - 1):  # j = 1..L
+            powers.append(powers[-1] * mult & mask)
+            sums.append(sums[-1] * mult + 1 & mask)
+        words = [np.frombuffer(b"".join(v.to_bytes(16, "little") for v in t), "<u8")
+                 for t in (powers, sums)]  # each value's little-endian (lo, hi) words
+        self._powers, self._sums = ((w[1::2, None], w[0::2, None]) for w in words)
+        v0, v1, v2, v3 = _seed_state(operator.index(seed), n)
+        self._inc = (v2 << 1 | v3 >> 63, v3 << 1 | 1)
+        # numpy's seeding: the state is inc + v0·2**64 + v1, stepped once
+        h, l = self._inc[0] + v0, self._inc[1] + v1
+        h += l < v1
+        self._state = _mul_add(self._powers[0][0], self._powers[1][0], h, l, *self._inc, (h, l))
+        self.n, self._lanes, self._u, self._pos = n, None, np.empty((0, n)), 0
+
+    def integers(self, k: int, start: int) -> np.ndarray:
+        """Generator.integers(k) for each of agents start..n-1, before any
+        take: Lemire's method on the low 32 bits of the next output, retried
+        on the upper half (which PCG64 buffers) and then on a fresh output.
+        take starts at the next output, as random() does after integers."""
+        if not 2 <= k < 1 << 32 or self._lanes is not None:
+            raise ValueError(f"integers: need 2 <= k < 2**32 before any take, got k={k}")
+        (h, l), (ih, il) = self._state, self._inc
+        out = np.empty(self.n - start, dtype=np.int64)
+        todo, half = np.arange(start, self.n), None
+        while todo.size:
+            if half is None:
+                h[todo], l[todo] = s = _mul_add(self._powers[0][0], self._powers[1][0],
+                                                h[todo], l[todo], ih[todo], il[todo])
+                x = _output(*s)
+                word, half = x & 0xFFFFFFFF, x >> 32
+            else:
+                word, half = half, None
+            m = word * np.uint64(k)
+            done = (m & 0xFFFFFFFF) >= ((1 << 32) - k) % k
+            out[todo[done] - start] = m[done] >> 32
+            todo = todo[~done]
+            half = None if half is None else half[~done]
+        return out
+
+    def take(self, rounds: int) -> np.ndarray:
+        """The next rounds uniforms of every agent, as a new (rounds, n) array."""
+        out, r = np.empty((rounds, self.n)), 0
+        while r < rounds:
+            if self._pos == len(self._u):  # refill
+                if self._lanes is None:  # lane j: M**j·s + (M**(j-1) + ... + 1)·inc
+                    lanes = _mul_add(*self._powers, *self._state)
+                    self._lanes = _mul_add(*self._sums, *self._inc, *lanes, lanes)
+                    self._step = _mul_add(self._sums[0][-1], self._sums[1][-1], *self._inc)
+                    self._u = np.empty(lanes[0].shape)
+                else:
+                    _mul_add(self._powers[0][-1], self._powers[1][-1], *self._lanes,
+                             *self._step, self._lanes)
+                np.multiply(_output(*self._lanes) >> 11, 2.0**-53, out=self._u)
+                self._pos = 0
+            c = min(rounds - r, len(self._u) - self._pos)
+            out[r : r + c] = self._u[self._pos : self._pos + c]
+            r, self._pos = r + c, self._pos + c
+        return out

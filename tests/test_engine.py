@@ -195,6 +195,22 @@ def test_realize_matching_block_equals_stacked_rows():
     assert one.shape == (1, 12) and one.tobytes() == rows[:1].tobytes()
 
 
+@pytest.mark.parametrize("n", [2, 100, 1000])
+def test_realize_matching_block_draws_per_row_permutations(n):
+    # the block's pairs are those of one rng.permutation(n) per row, in row
+    # order, and the generator ends in the same state
+    rounds = 30
+    partner_payoff = np.tile(np.arange(float(n)), (n, 1))  # payoff = partner's action
+    rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+    got = realize_matching(np.tile(np.arange(n), (rounds, 1)), partner_payoff, rng)
+    want = np.empty((rounds, n))
+    for row in want:
+        perm = ref.permutation(n)
+        row[perm[0::2]], row[perm[1::2]] = perm[1::2], perm[0::2]
+    assert got.tobytes() == want.tobytes()
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
 def test_realize_matching_block_needs_even_population():
     with pytest.raises(ValueError, match="even"):
         realize_matching(np.zeros((3, 5), dtype=int), np.eye(2), np.random.default_rng(0))

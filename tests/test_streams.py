@@ -1,0 +1,64 @@
+"""AgentStreams against numpy itself: agent i's draws must be, bit for bit,
+what np.random.default_rng([seed, 0, i]) draws."""
+
+import numpy as np
+import pytest
+
+from anonlearn.streams import AHEAD, UCAP, AgentStreams
+
+SEEDS = [0, 7, 2**32 + 1, 2**70]  # one, one, two and three entropy words
+TAKES = [1, 13, 200, 1, 13]
+
+
+def _reference(seed, n, k=None, start=0):
+    """Per-agent Generators: bases of agents start..n-1 (if k), then one
+    (rounds, n) block per entry of TAKES."""
+    rngs = [np.random.default_rng([seed, 0, i]) for i in range(n)]
+    bases = [int(rng.integers(k)) for rng in rngs[start:]] if k else None
+    return bases, [np.array([rng.random(c) for rng in rngs]).T for c in TAKES]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("n,lanes", [(2, AHEAD), (100, 81), (20000, 1)])
+def test_take_matches_default_rng(seed, n, lanes):
+    # lane widths AHEAD, one in between and 1; the takes cross refills
+    assert min(AHEAD, max(1, UCAP // n)) == lanes
+    streams = AgentStreams(seed, n)
+    for want in _reference(seed, n)[1]:
+        got = streams.take(len(want))
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 2**70])
+@pytest.mark.parametrize("k", [21, 2**31 + 1])
+def test_integers_then_take_matches_default_rng(seed, k):
+    n, start = 300, 30  # agents below start draw no base, as fixed agents
+    bases, blocks = _reference(seed, n, k, start)
+    streams = AgentStreams(seed, n)
+    got = streams.integers(k, start)
+    assert got.dtype == np.int64 and got.tolist() == bases
+    for want in blocks:
+        assert streams.take(len(want)).tobytes() == want.tobytes()
+    if k > 2**31:
+        # about half the first words are rejected: some agents settle on the
+        # low half of their first output, some on its buffered upper half,
+        # some on a later output
+        after = [np.random.default_rng([seed, 0, i]) for i in range(start, n)]
+        one_output = [np.random.default_rng([seed, 0, i]) for i in range(start, n)]
+        for rng, ref in zip(after, one_output):
+            rng.integers(k)
+            ref.bit_generator.advance(1)
+        assert {rng.bit_generator.state["has_uint32"] for rng in after} == {0, 1}
+        assert any(rng.bit_generator.state["state"] != ref.bit_generator.state["state"]
+                   for rng, ref in zip(after, one_output))
+
+
+def test_rejects_negative_seed_k_out_of_range_and_late_integers():
+    with pytest.raises(ValueError, match="seed"):
+        AgentStreams(-1, 4)
+    with pytest.raises(ValueError, match="k=1"):
+        AgentStreams(0, 4).integers(1, 0)
+    streams = AgentStreams(0, 4)
+    streams.take(1)
+    with pytest.raises(ValueError, match="before any take"):
+        streams.integers(5, 0)
