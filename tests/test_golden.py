@@ -1,14 +1,14 @@
 """Golden outputs: what `anonlearn run` writes for the configs in
 tests/golden/, and what `anonlearn analyze` prints, must keep their exact
-bytes; sampled Lipschitz estimates must keep their exact bits; and `run` on a
+bytes; sampled Lipschitz estimates must keep their exact bits; `run` on a
 seeded table of random small configs must keep the exact bits of every
-RunTrace array.
+RunTrace array; and `run_stationary` must return the same bases.
 
 digests.json holds the sha256 of each per-run CSV, summary and aggregate.csv
 and of each analyze report, the float.hex() of each Lipschitz estimate (a max
 of utility differences, so it moves with any bit-level change in the expected
-utilities), and the sha256 of the five arrays of each random config's
-RunTrace.  Re-record it only when a change is meant to alter the outputs:
+utilities), the sha256 of the five arrays of each random config's
+RunTrace, and the sha256 of the bases `run_stationary` returns.  Re-record it only when a change is meant to alter the outputs:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -25,14 +25,17 @@ import numpy as np
 import pytest
 
 from anonlearn import (
+    ActionDistribution,
     ContributionGame,
     MatrixGame,
+    MixedAction,
     RunConfig,
     climbing_game,
     estimate_lipschitz,
     load_matrix,
     prisoners_dilemma,
     run,
+    run_stationary,
 )
 from anonlearn.cli import EXIT_OK, main
 
@@ -46,6 +49,9 @@ ANALYZE = {
     "brs_contribution": ["--penalty-n", "200", "--mode", "brs", "--eta", "1.0",
                          "--rule", "uniform"],
     "brs_matrix": MATRIX + ["--mode", "brs", "--rho", "0.1,0.2,0.3,0.4", "--eta", "0.05"],
+    "lipschitz_contribution": ["--mode", "lipschitz", "--samples", "100", "--seed", "7"],
+    "lipschitz_climbing": ["--game", "climbing", "--mode", "lipschitz", "--samples", "100",
+                           "--seed", "7"],
 }
 LIPSCHITZ_GAMES = {
     "contribution": lambda: ContributionGame(),
@@ -53,6 +59,19 @@ LIPSCHITZ_GAMES = {
     "prisoners_dilemma": lambda: prisoners_dilemma(),
     "climbing": lambda: climbing_game(),
     "matrix": lambda: MatrixGame(load_matrix(GOLDEN / "golden_matrix.txt")),
+}
+# run_stationary cases: n = 3 reads 128 rounds ahead per refill of the agent
+# streams, n = 1000 reads 8, and n = 5000 one round at a time.
+STATIONARY = {
+    "n3": lambda: run_stationary(ContributionGame(), MixedAction(8, 0.05).distribution(20),
+                                 [0, 8, 19], explore=0.5, stage_len=2, rounds=301, seed=7),
+    "n1000": lambda: run_stationary(climbing_game(), ActionDistribution([0.5, 0.2, 0.3]),
+                                    np.arange(1000) % 3, explore=0.3, stage_len=4,
+                                    rounds=10, seed=41),
+    "n5000": lambda: run_stationary(
+        MatrixGame(load_matrix(GOLDEN / "golden_matrix.txt")),
+        ActionDistribution([0.1, 0.2, 0.3, 0.4]), np.arange(5000) % 4, explore=0.3,
+        stage_len=4, rounds=10, seed=2**32 + 5),
 }
 
 RANDOM_CONFIGS = 32
@@ -129,6 +148,11 @@ def _lipschitz_bits(label: str) -> dict:
     return {f"lipschitz/{label}": float(est).hex()}
 
 
+def _stationary_digest(label: str) -> dict:
+    bases = np.asarray(STATIONARY[label](), dtype=np.int64)
+    return {f"stationary/{label}": _sha(bases.tobytes())}
+
+
 def _trace_digest(idx: int, config: RunConfig) -> dict:
     t = run(config)
     arrays = (t.realized_dist, t.base_dist, t.stage_rho, t.stage_distance,
@@ -160,6 +184,11 @@ def test_golden_lipschitz_bits(label):
     assert _lipschitz_bits(label) == _recorded(lambda key: key == f"lipschitz/{label}")
 
 
+@pytest.mark.parametrize("label", sorted(STATIONARY))
+def test_golden_stationary_bases(label):
+    assert _stationary_digest(label) == _recorded(lambda key: key == f"stationary/{label}")
+
+
 @pytest.mark.parametrize("idx", range(RANDOM_CONFIGS))
 def test_golden_random_trace_bits(idx):
     config = random_configs()[idx]
@@ -177,6 +206,8 @@ if __name__ == "__main__":
         table.update(_analyze_digest(label))
     for label in LIPSCHITZ_GAMES:
         table.update(_lipschitz_bits(label))
+    for label in STATIONARY:
+        table.update(_stationary_digest(label))
     for idx, config in enumerate(random_configs()):
         table.update(_trace_digest(idx, config))
     DIGESTS.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
