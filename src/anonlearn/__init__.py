@@ -11,8 +11,8 @@ churn, and a deterministic experiment engine with a CLI.
 from .core import (
     NORM_TOL,
     ActionDistribution,
-    AnonymousGame,
     DimensionError,
+    MatrixGame,
     MixedAction,
     as_strategy_vector,
     estimate_lipschitz,
@@ -35,7 +35,6 @@ from .dynamics import (
 from .games import (
     CONTRIBUTION_LEVELS,
     ContributionGame,
-    MatrixGame,
     builtin_matrix,
     climbing_game,
     contribution_cost,
@@ -55,8 +54,6 @@ from .engine import (
     apply_churn,
     best_reply_fraction,
     build_game,
-    distance_from_equilibrium,
-    measure_stage_rho,
     realize_matching,
     realize_meanfield,
     run,
@@ -70,7 +67,6 @@ __version__ = "0.1.0"
 __all__ = [
     "NORM_TOL",
     "ActionDistribution",
-    "AnonymousGame",
     "BestReplySequence",
     "CloseWitness",
     "ConfigError",
@@ -93,13 +89,11 @@ __all__ = [
     "climbing_game",
     "close_l1_bound",
     "contribution_cost",
-    "distance_from_equilibrium",
     "estimate_lipschitz",
     "is_eta_nash",
     "l1_distance",
     "load_experiment",
     "load_matrix",
-    "measure_stage_rho",
     "mixed_profile_distribution",
     "parse_config_text",
     "prisoners_dilemma",

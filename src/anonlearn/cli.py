@@ -124,9 +124,8 @@ def _parse_rho(text: str, k: int) -> ActionDistribution:
 def cmd_analyze(args) -> int:
     game = build_game(args.game, args.penalty_n, args.matrix)
     if args.mode == "lipschitz":
-        declared = game.lipschitz
         est = estimate_lipschitz(game, samples=args.samples, rng_seed=args.seed)
-        print(f"declared K: {'unknown' if declared is None else repr(float(declared))}")
+        print(f"declared K: {game.lipschitz!r}")
         print(f"sampled lower bound ({args.samples} pairs): {est!r}")
         return EXIT_OK
     if args.mode == "nash":

@@ -3,12 +3,12 @@
 An anonymous game is described by a finite action set and the expected
 utility u(a, rho) of each action a against the population's action
 distribution rho.  Everything an agent's payoff depends on is the fraction of
-the population on each action, never agent identities.
+the population on each action, never agent identities.  Every game here is a
+MatrixGame: a two-player payoff matrix played against the population.
 """
 
 from __future__ import annotations
 
-import abc
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,30 +112,48 @@ class MixedAction:
         return ActionDistribution(self.vector(k))
 
 
-class AnonymousGame(abc.ABC):
-    """Payoff model of a large anonymous game.
+class MatrixGame:
+    """Anonymous game induced by a two-player payoff matrix.
 
-    Subclasses set `k`, the number of actions (indexed 0..k-1), and implement
-    `utilities`, the expected payoff u(a, rho) of every action a against
-    population distribution rho, which must be deterministic in rho.
-    `lipschitz` documents a bound on how fast expected payoffs move in rho
-    (L1 norm); None means callers should fall back to `estimate_lipschitz`.
+    matrix[a][a'] is the payoff to an agent playing a whose opponent plays a'.
+    The expected utility of a against rho is the mean of that partner lottery,
+    sum over a' of matrix[a][a'] * rho[a'].  Whether a run realizes it exactly
+    (mean field) or by sampling a partner (matching) is the simulator's choice.
+    `lipschitz` is a bound K on how fast expected payoffs move in rho (L1
+    norm); max|matrix| unless a subclass declares a tighter one.
     """
 
-    k: int
-    lipschitz: float | None = None
-
-    @abc.abstractmethod
-    def utilities(self, rho: ActionDistribution) -> np.ndarray:
-        """Expected payoff of each action against `rho`, shape (k,)."""
-
-    @abc.abstractmethod
-    def payoff_bounds(self) -> tuple[float, float]:
-        """(min, max) payoff a single round can ever realize."""
+    def __init__(self, matrix, labels=None):
+        m = np.asarray(matrix, dtype=float)
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise DimensionError(f"payoff matrix must be square, got shape {m.shape}")
+        if m.shape[0] < 2:
+            raise ValueError(f"a game needs >= 2 actions, got {m.shape[0]}")
+        if not np.isfinite(m).all():
+            raise ValueError("payoff matrix entries must be finite")
+        if labels is not None and len(labels) != m.shape[0]:
+            raise ValueError("labels length must equal the number of actions")
+        m = m.copy()
+        m.setflags(write=False)
+        self.matrix = m
+        self.k = m.shape[0]
+        self.labels = None if labels is None else tuple(labels)
+        self.lipschitz = float(np.abs(m).max())
 
     def _check_rho(self, rho: ActionDistribution):
         if rho.k != self.k:
             raise DimensionError(f"distribution over {rho.k} actions, game has {self.k}")
+
+    def utilities(self, rho: ActionDistribution) -> np.ndarray:
+        """Expected payoff of each action against `rho`, shape (k,)."""
+        self._check_rho(rho)
+        # vecdot sums each row exactly as the row dot product matrix[a] @ rho
+        # does; matrix @ rho can differ in the last bit and flip near-ties.
+        return np.vecdot(self.matrix, rho.weights)
+
+    def payoff_bounds(self) -> tuple[float, float]:
+        """(min, max) payoff a single round can ever realize."""
+        return float(self.matrix.min()), float(self.matrix.max())
 
 
 def as_strategy_vector(s, k: int) -> np.ndarray:
@@ -155,12 +173,11 @@ def as_strategy_vector(s, k: int) -> np.ndarray:
     return ActionDistribution(s).weights
 
 
-def utility(s, rho: ActionDistribution, game: AnonymousGame) -> float:
+def utility(s, rho: ActionDistribution, game: MatrixGame) -> float:
     """Expected utility of strategy s against population distribution rho.
 
     Exact expectation over the strategy's mixing; nothing is sampled.
     """
-    game._check_rho(rho)
     return float(as_strategy_vector(s, game.k) @ game.utilities(rho))
 
 
@@ -171,7 +188,7 @@ def l1_distance(rho1: ActionDistribution, rho2: ActionDistribution) -> float:
     return float(np.abs(rho1.weights - rho2.weights).sum())
 
 
-def estimate_lipschitz(game: AnonymousGame, samples: int = 200, rng_seed: int = 0) -> float:
+def estimate_lipschitz(game: MatrixGame, samples: int = 200, rng_seed: int = 0) -> float:
     """Sampled lower bound on the game's Lipschitz constant.
 
     Draws `samples` independent pairs of distributions uniformly from the

@@ -3,15 +3,14 @@
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
     ActionDistribution,
-    AnonymousGame,
     DimensionError,
+    MatrixGame,
     MixedAction,
     NORM_TOL,
     l1_distance,
@@ -20,7 +19,7 @@ from .core import (
 BR_RULES = ("pointmass", "uniform")
 
 
-def best_reply_set(rho: ActionDistribution, eta: float, game: AnonymousGame) -> set[int]:
+def best_reply_set(rho: ActionDistribution, eta: float, game: MatrixGame) -> set[int]:
     """Actions whose utility against rho is within eta of the best.
 
     Comparison is raw double arithmetic: eta is the intended slack, no extra
@@ -28,14 +27,13 @@ def best_reply_set(rho: ActionDistribution, eta: float, game: AnonymousGame) -> 
     """
     if eta < 0:
         raise ValueError(f"eta must be >= 0, got {eta}")
-    game._check_rho(rho)
     u = game.utilities(rho)
     best = u.max()
     return {int(a) for a in np.flatnonzero(u + eta >= best)}
 
 
 def br_step(
-    rho: ActionDistribution, eta: float, game: AnonymousGame, rule: str = "pointmass"
+    rho: ActionDistribution, eta: float, game: MatrixGame, rule: str = "pointmass"
 ) -> ActionDistribution:
     """One step of the best-reply map: a distribution supported on ABR_eta(rho).
 
@@ -59,34 +57,23 @@ class BestReplySequence:
     steps: list[ActionDistribution]
     converged: bool
     fixed_point_index: int | None
-    eta: float
-    rule: str
 
     def __len__(self):
         return len(self.steps)
-
-    def to_csv(self, path):
-        k = self.steps[0].k
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["step"] + [f"rho_{a}" for a in range(k)])
-            for t, rho in enumerate(self.steps):
-                writer.writerow([t] + [repr(float(w)) for w in rho.weights])
 
 
 def br_sequence(
     rho0: ActionDistribution,
     eta: float,
-    game: AnonymousGame,
+    game: MatrixGame,
     max_steps: int = 100,
     rule: str = "pointmass",
-    tol: float = 0.0,
 ) -> BestReplySequence:
     """Iterate br_step from rho0 until a fixed point or max_steps.
 
     The step map is deterministic, so convergence is declared on the first
-    exact repeat (L1 within tol; default exact).  Non-convergence is data,
-    not an error: the truncated trajectory comes back with converged=False.
+    exact repeat.  Non-convergence is data, not an error: the truncated
+    trajectory comes back with converged=False.
     """
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
@@ -94,12 +81,12 @@ def br_sequence(
     for _ in range(max_steps):
         nxt = br_step(steps[-1], eta, game, rule)
         steps.append(nxt)
-        if l1_distance(nxt, steps[-2]) <= tol:
-            return BestReplySequence(steps, True, len(steps) - 2, eta, rule)
-    return BestReplySequence(steps, False, None, eta, rule)
+        if nxt == steps[-2]:
+            return BestReplySequence(steps, True, len(steps) - 2)
+    return BestReplySequence(steps, False, None)
 
 
-def is_eta_nash(rho: ActionDistribution, eta: float, game: AnonymousGame) -> bool:
+def is_eta_nash(rho: ActionDistribution, eta: float, game: MatrixGame) -> bool:
     """True iff every action rho plays is an eta-best reply to rho itself."""
     abr = best_reply_set(rho, eta, game)
     return all(int(a) in abr for a in rho.support())

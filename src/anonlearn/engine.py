@@ -17,12 +17,11 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import ActionDistribution, AnonymousGame, DimensionError
+from .core import ActionDistribution, DimensionError, MatrixGame
 from .dynamics import best_reply_set
 from .games import (
     PENALTY_N,
     ContributionGame,
-    MatrixGame,
     climbing_game,
     load_matrix,
     prisoners_dilemma,
@@ -204,24 +203,8 @@ def apply_churn(bases, start: int, rate: float, rng, k: int | None = None) -> np
     return np.array(out, dtype=np.int64)
 
 
-def distance_from_equilibrium(rho: ActionDistribution, target: int) -> float:
-    """Mean |a - target| under rho."""
-    if not 0 <= target < rho.k:
-        raise DimensionError(f"target {target} out of range for {rho.k} actions")
-    gaps = np.abs(np.arange(rho.k) - target)
-    return float(rho.weights @ gaps)
-
-
-def measure_stage_rho(rounds_rho) -> ActionDistribution:
-    """Pool a stage's per-round action frequencies into one distribution."""
-    rows = np.asarray(rounds_rho, dtype=float)
-    if rows.ndim != 2 or rows.shape[0] == 0:
-        raise DimensionError("need a (rounds, k) block of per-round frequencies")
-    return ActionDistribution(rows.mean(axis=0))
-
-
 def best_reply_fraction(
-    bases, rho: ActionDistribution, eta: float, game: AnonymousGame
+    bases, rho: ActionDistribution, eta: float, game: MatrixGame
 ) -> float:
     """Fraction of agents whose current base is an eta-best reply to rho."""
     in_abr = np.zeros(game.k, dtype=bool)
@@ -294,7 +277,8 @@ class RunTrace:
                 fh.writelines(f"{t},{t // tau},{metrics[min(t // tau, self.stages)]},"
                               f"{','.join(row)}\r\n" for t, row in enumerate(rows, r0))
 
-    def summary_text(self, threshold: float = 0.5) -> str:
+    def summary_text(self) -> str:
+        threshold = 0.5
         lines = [f"{key}={value}" for key, value in self.config.items()]
         lines.append(f"stages={self.stages}")
         lines.append(f"final_distance={self.final_distance!r}")
@@ -374,9 +358,9 @@ def run(config: RunConfig) -> RunTrace:
             break
         if not regret:
             stage_end(bases[nf:], sums, counts)
-        rho = measure_stage_rho(realized_hist[s0:s1])
+        rho = ActionDistribution(realized_hist[s0:s1].mean(axis=0))
         stage_rho[s] = rho.weights
-        stage_distance[s] = distance_from_equilibrium(rho, config.target)
+        stage_distance[s] = rho.weights @ np.abs(np.arange(k) - config.target)
         stage_br[s] = best_reply_fraction(bases, rho, config.metrics_eta, game)
         if config.churn_rate > 0.0:
             rows = apply_churn(bases, nf, config.churn_rate, churn_rng,
@@ -398,7 +382,7 @@ def run(config: RunConfig) -> RunTrace:
     )
 
 
-def run_stationary(game: AnonymousGame, rho: ActionDistribution, bases, explore: float,
+def run_stationary(game: MatrixGame, rho: ActionDistribution, bases, explore: float,
                    stage_len: int, rounds: int, seed: int) -> np.ndarray:
     """Drive one stage learner per entry of bases against a frozen rho for
     `rounds` rounds, and return their final bases.

@@ -1,4 +1,5 @@
-"""Concrete game library: the 20-action contribution game and matrix games."""
+"""Game library: the 20-action contribution game, matrix files and the
+bundled matrix games."""
 
 from __future__ import annotations
 
@@ -6,7 +7,7 @@ import importlib.resources
 
 import numpy as np
 
-from .core import ActionDistribution, AnonymousGame, DimensionError
+from .core import ActionDistribution, MatrixGame
 
 CONTRIBUTION_LEVELS = 20
 # The contribution game's default over-contribution penalty scale.
@@ -30,42 +31,6 @@ def contribution_cost(x: int, penalty_n: int = PENALTY_N) -> float:
     if x <= 8:
         return float((x - 1) ** 2)
     return float(x * x + 2 * penalty_n)
-
-
-class MatrixGame(AnonymousGame):
-    """Anonymous game induced by a two-player payoff matrix.
-
-    matrix[a][a'] is the payoff to an agent playing a whose opponent plays a'.
-    The expected utility of a against rho is the mean of that partner lottery,
-    sum over a' of matrix[a][a'] * rho[a'].  Whether a run realizes it exactly
-    (mean field) or by sampling a partner (matching) is the simulator's choice.
-    """
-
-    def __init__(self, matrix, labels=None):
-        m = np.asarray(matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise DimensionError(f"payoff matrix must be square, got shape {m.shape}")
-        if m.shape[0] < 2:
-            raise ValueError(f"a game needs >= 2 actions, got {m.shape[0]}")
-        if not np.isfinite(m).all():
-            raise ValueError("payoff matrix entries must be finite")
-        if labels is not None and len(labels) != m.shape[0]:
-            raise ValueError("labels length must equal the number of actions")
-        m = m.copy()
-        m.setflags(write=False)
-        self.matrix = m
-        self.k = m.shape[0]
-        self.labels = None if labels is None else tuple(labels)
-        self.lipschitz = float(np.abs(m).max())
-
-    def utilities(self, rho: ActionDistribution) -> np.ndarray:
-        self._check_rho(rho)
-        # vecdot sums each row exactly as the row dot product matrix[a] @ rho
-        # does; matrix @ rho can differ in the last bit and flip near-ties.
-        return np.vecdot(self.matrix, rho.weights)
-
-    def payoff_bounds(self) -> tuple[float, float]:
-        return float(self.matrix.min()), float(self.matrix.max())
 
 
 class ContributionGame(MatrixGame):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import anonlearn
 from anonlearn import (
     ActionDistribution,
     DimensionError,
@@ -16,6 +17,12 @@ from anonlearn import (
 )
 
 PD = [[3.0, 0.0], [5.0, 1.0]]
+
+
+def test_public_names_resolve():
+    namespace = {}
+    exec("from anonlearn import *", namespace)
+    assert [name for name in anonlearn.__all__ if name not in namespace] == []
 
 
 def test_action_set_basics():

@@ -104,9 +104,10 @@ def test_br_sequence_contribution_converges_fast():
 
 
 def test_br_sequence_prisoners_dilemma():
-    seq = br_sequence(ActionDistribution.point_mass(0, 2), 0.0, prisoners_dilemma())
-    assert seq.converged
-    assert seq.steps[-1] == ActionDistribution.point_mass(1, 2)
+    for rho0 in (ActionDistribution.point_mass(0, 2), ActionDistribution.uniform(2)):
+        seq = br_sequence(rho0, 0.0, prisoners_dilemma())
+        assert seq.converged
+        assert seq.steps[-1] == ActionDistribution.point_mass(1, 2)  # ends at all-defect
 
 
 def test_br_sequence_cycle_detected_as_nonconvergence():
@@ -115,17 +116,6 @@ def test_br_sequence_cycle_detected_as_nonconvergence():
     assert not seq.converged
     assert seq.fixed_point_index is None
     assert len(seq) == 21  # initial point plus max_steps iterates
-
-
-def test_br_sequence_csv(tmp_path):
-    seq = br_sequence(ActionDistribution.uniform(2), 0.0, prisoners_dilemma())
-    path = tmp_path / "seq.csv"
-    seq.to_csv(path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "step,rho_0,rho_1"
-    assert len(lines) == len(seq) + 1
-    last = lines[-1].split(",")
-    assert float(last[2]) == 1.0  # ends at all-defect
 
 
 # ---------------------------------------------------------------------------

@@ -18,9 +18,7 @@ from anonlearn import (
     apply_churn,
     best_reply_set,
     build_game,
-    distance_from_equilibrium,
     engine,
-    measure_stage_rho,
     prisoners_dilemma,
     pure_profile_distribution,
     realize_matching,
@@ -277,26 +275,6 @@ def test_apply_churn_validates_rate():
 
 
 # ---------------------------------------------------------------------------
-# metrics
-
-
-def test_distance_from_equilibrium():
-    assert distance_from_equilibrium(ActionDistribution.point_mass(8, 20), 8) == 0.0
-    assert distance_from_equilibrium(ActionDistribution.uniform(20), 8) == pytest.approx(5.1)
-    rho = ActionDistribution.from_counts([0] * 7 + [1, 0, 1] + [0] * 10)
-    assert distance_from_equilibrium(rho, 8) == pytest.approx(1.0)
-    with pytest.raises(DimensionError):
-        distance_from_equilibrium(ActionDistribution.uniform(20), 25)
-
-
-def test_measure_stage_rho():
-    rows = [[1.0, 0.0], [0.0, 1.0], [0.5, 0.5], [0.5, 0.5]]
-    assert measure_stage_rho(rows) == ActionDistribution([0.5, 0.5])
-    with pytest.raises(DimensionError):
-        measure_stage_rho(np.zeros((0, 2)))
-
-
-# ---------------------------------------------------------------------------
 # full runs
 
 
@@ -442,9 +420,11 @@ def test_run_trace_csv_falls_back_off_the_count_grid(tmp_path):
 
 
 def test_run_summary_text(small_run):
-    text = small_run.summary_text(threshold=2.0)
+    text = small_run.summary_text()
     assert "final_distance=" in text
-    assert f"rounds_to_threshold={small_run.rounds_to_threshold(2.0)}" in text
+    assert "threshold=0.5\n" in text
+    reached = small_run.rounds_to_threshold(0.5)
+    assert f"rounds_to_threshold={'' if reached is None else reached}\n" in text
     assert "resolved_stage_len=100" in text
 
 
