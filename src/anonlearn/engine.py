@@ -148,10 +148,13 @@ def build_game(kind: str, penalty_n: int, matrix_path: str | None) -> MatrixGame
 def _meanfield_payoffs(acts, counts, m) -> np.ndarray:
     """Exact expected payoffs of a (rounds, n) block of actions, each agent
     against the other n-1 of its round; counts is the (rounds, k) histogram.
-    One m @ counts per round: a batched product can differ in the last bit."""
-    totals = np.array([m @ c for c in counts.astype(float)])
-    rounds = np.arange(acts.shape[0])[:, None]
-    return (totals[rounds, acts] - m[acts, acts]) / (acts.shape[1] - 1)
+    One value per (round, action), (m @ counts[r] - m[a, a]) / (n - 1), then
+    gathered per agent.  The stacked np.matmul(m, counts[..., None]) runs one
+    gemv per round, the bits of m @ counts[r]; a gemm (counts @ m.T) or
+    np.vecdot can differ in the last bit."""
+    totals = np.matmul(m, counts.astype(float)[..., None])[..., 0]
+    table = (totals - np.diagonal(m)) / (acts.shape[1] - 1)
+    return table[np.arange(acts.shape[0])[:, None], acts]
 
 
 def realize_meanfield(actions, matrix) -> np.ndarray:
@@ -337,7 +340,8 @@ def run(config: RunConfig) -> RunTrace:
             u = streams.take(min(width, s1 - r))
             if regret:
                 acts = np.empty(u.shape, dtype=np.int64)
-                acts[:, :nf] = sample_mixed(bases[:nf], explore[:nf], k, u[:, :nf])
+                if nf:
+                    acts[:, :nf] = sample_mixed(bases[:nf], explore[:nf], k, u[:, :nf])
                 acts[0, nf:] = regret_act(probs, u[0, nf:])
             else:
                 acts = sample_mixed(bases, explore, k, u)

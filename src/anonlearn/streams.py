@@ -12,7 +12,9 @@ import numpy as np
 
 # Working memory: the streams advance L = min(AHEAD, max(1, UCAP // n)) rounds
 # of all n agents at a time, at most UCAP stream positions unless n is larger
-# (longer lanes save next to nothing per draw, and cost memory).
+# (longer lanes save next to nothing per draw, and cost memory).  That is six
+# (L, n) arrays of 8-byte words: the lanes' two words, three scratch arrays
+# for the refill arithmetic and the uniforms.
 UCAP = 1 << 13
 AHEAD = 128
 
@@ -41,25 +43,43 @@ def _seed_state(seed: int, n: int) -> list:
     return [out[2 * j] | out[2 * j + 1] << 32 for j in range(4)]
 
 
-def _mul_add(ah, al, bh, bl, ch=0, cl=0, out=None):
-    """a·b + c mod 2**128, broadcast, into out if given (out may be a, b or
-    c).  The low words' 64x64 -> 128-bit product is taken on 32-bit halves."""
-    a0, a1, b0, b1 = al & 0xFFFFFFFF, al >> 32, bl & 0xFFFFFFFF, bl >> 32
-    t = (a0 * b0 >> 32) + a1 * b0
-    w = (t & 0xFFFFFFFF) + a0 * b1
-    t = (t >> 32) + (w >> 32) + a1 * b1 + al * bh + ah * bl
-    lo = al * bl
-    h, l = (np.empty_like(t), np.empty_like(t)) if out is None else out
-    np.add(t, ch, out=h)
-    np.add(lo, cl, out=l)
-    h += l < lo
-    return h, l
+def _mul_add(a, b, c, out, tmp):
+    """out = a·b + c mod 2**128, where a, b, c and out are (hi, lo) pairs of
+    uint64 arrays broadcast to out's shape, a is small (a constant) and tmp is
+    three scratch arrays of that shape.  out may be b or c; nothing else may
+    overlap it or tmp.  The low words' 64x64 -> 128-bit product is taken on
+    32-bit halves, and no array as large as out is allocated."""
+    (ah, al), (bh, bl), (ch, cl), (h, l), (x, y, z) = a, b, c, out, tmp
+    a0, a1 = al & 0xFFFFFFFF, al >> 32
+    np.multiply(bh, al, out=z)  # z: the high word's terms
+    z += np.multiply(bl, ah, out=x)
+    z += ch  # b's and c's high words are not read after this, so h is free
+    np.bitwise_and(bl, 0xFFFFFFFF, out=x)  # b0
+    np.right_shift(np.multiply(x, a0, out=y), 32, out=y)
+    y += np.multiply(x, a1, out=x)  # t = (a0·b0 >> 32) + a1·b0
+    np.right_shift(bl, 32, out=x)  # b1
+    z += np.multiply(x, a1, out=h)
+    z += np.right_shift(y, 32, out=h)
+    y &= 0xFFFFFFFF
+    y += np.multiply(x, a0, out=x)  # w = (t & 0xFFFFFFFF) + a0·b1
+    z += np.right_shift(y, 32, out=y)
+    np.multiply(bl, al, out=x)  # the low word before the carry
+    np.add(x, cl, out=l)
+    np.add(z, np.less(l, x, out=y), out=h)
+    return out
 
 
-def _output(h, l):
-    """PCG64's XSL-RR output of each state: hi ^ lo rotated right by hi >> 58."""
-    x, r = h ^ l, h >> 58
-    return x >> r | x << (64 - r & 63)
+def _output(h, l, out, tmp):
+    """PCG64's XSL-RR output of each state, into out: hi ^ lo rotated right by
+    hi >> 58.  tmp is two scratch arrays of out's shape."""
+    r, s = tmp
+    np.bitwise_xor(h, l, out=out)
+    np.right_shift(h, 58, out=r)
+    np.bitwise_and(np.negative(r, out=s), 63, out=s)
+    np.left_shift(out, s, out=s)
+    np.right_shift(out, r, out=out)
+    out |= s
+    return out
 
 
 class AgentStreams:
@@ -77,15 +97,17 @@ class AgentStreams:
         for _ in range(min(AHEAD, max(1, UCAP // n)) - 1):  # j = 1..L
             powers.append(powers[-1] * mult & mask)
             sums.append(sums[-1] * mult + 1 & mask)
-        words = [np.frombuffer(b"".join(v.to_bytes(16, "little") for v in t), "<u8")
-                 for t in (powers, sums)]  # each value's little-endian (lo, hi) words
-        self._powers, self._sums = ((w[1::2, None], w[0::2, None]) for w in words)
+        # (hi, lo) words of shape (L, 1), from each value's little-endian bytes
+        self._powers, self._sums = (
+            np.frombuffer(b"".join(v.to_bytes(16, "little") for v in t), "<u8")
+            .reshape(-1, 2)[:, ::-1].T[..., None] for t in (powers, sums))
         v0, v1, v2, v3 = _seed_state(operator.index(seed), n)
         self._inc = (v2 << 1 | v3 >> 63, v3 << 1 | 1)
         # numpy's seeding: the state is inc + v0·2**64 + v1, stepped once
         h, l = self._inc[0] + v0, self._inc[1] + v1
         h += l < v1
-        self._state = _mul_add(self._powers[0][0], self._powers[1][0], h, l, *self._inc, (h, l))
+        self._state = _mul_add(self._powers[:, 0], (h, l), self._inc, (h, l),
+                               np.empty((3, n), np.uint64))
         self.n, self._lanes, self._u, self._pos = n, None, np.empty((0, n)), 0
 
     def integers(self, k: int, start: int) -> np.ndarray:
@@ -100,9 +122,9 @@ class AgentStreams:
         todo, half = np.arange(start, self.n), None
         while todo.size:
             if half is None:
-                h[todo], l[todo] = s = _mul_add(self._powers[0][0], self._powers[1][0],
-                                                h[todo], l[todo], ih[todo], il[todo])
-                x = _output(*s)
+                s, tmp = (h[todo], l[todo]), np.empty((3, todo.size), np.uint64)
+                h[todo], l[todo] = _mul_add(self._powers[:, 0], s, (ih[todo], il[todo]), s, tmp)
+                x = _output(*s, tmp[0], tmp[1:])
                 word, half = x & 0xFFFFFFFF, x >> 32
             else:
                 word, half = half, None
@@ -119,14 +141,19 @@ class AgentStreams:
         while r < rounds:
             if self._pos == len(self._u):  # refill
                 if self._lanes is None:  # lane j: M**j·s + (M**(j-1) + ... + 1)·inc
-                    lanes = _mul_add(*self._powers, *self._state)
-                    self._lanes = _mul_add(*self._sums, *self._inc, *lanes, lanes)
-                    self._step = _mul_add(self._sums[0][-1], self._sums[1][-1], *self._inc)
-                    self._u = np.empty(lanes[0].shape)
+                    shape = (self._powers.shape[1], self.n)
+                    self._tmp = np.empty((3, *shape), np.uint64)
+                    lanes = _mul_add(self._powers, self._state, (0, 0),
+                                     np.empty((2, *shape), np.uint64), self._tmp)
+                    self._lanes = _mul_add(self._sums, self._inc, lanes, lanes, self._tmp)
+                    self._step = _mul_add(self._sums[:, -1], self._inc, (0, 0),
+                                          np.empty((2, self.n), np.uint64), self._tmp[:, 0])
+                    self._u = np.empty(shape)
                 else:
-                    _mul_add(self._powers[0][-1], self._powers[1][-1], *self._lanes,
-                             *self._step, self._lanes)
-                np.multiply(_output(*self._lanes) >> 11, 2.0**-53, out=self._u)
+                    _mul_add(self._powers[:, -1], self._lanes, self._step, self._lanes,
+                             self._tmp)
+                x = _output(*self._lanes, self._tmp[0], self._tmp[1:])
+                np.multiply(np.right_shift(x, 11, out=x), 2.0**-53, out=self._u)
                 self._pos = 0
             c = min(rounds - r, len(self._u) - self._pos)
             out[r : r + c] = self._u[self._pos : self._pos + c]

@@ -19,6 +19,7 @@ from anonlearn import (
     best_reply_set,
     build_game,
     engine,
+    load_matrix,
     prisoners_dilemma,
     pure_profile_distribution,
     realize_matching,
@@ -28,7 +29,7 @@ from anonlearn import (
     run_stationary,
 )
 from anonlearn.engine import pool_size
-from test_golden import random_configs
+from test_golden import GOLDEN, random_configs
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +153,33 @@ def test_realize_meanfield_fast_path_matches_generic():
             for i, a in enumerate(acts)
         ]
         np.testing.assert_allclose(fast, slow, atol=1e-9)
+
+
+def _per_round_payoffs(acts, counts, m):
+    """The per-round reference: one m @ c per round, then
+    (totals[r, a] - m[a, a]) / (n - 1) for each agent."""
+    totals = np.array([m @ c for c in counts.astype(float)])
+    rows = np.arange(acts.shape[0])[:, None]
+    return (totals[rows, acts] - m[acts, acts]) / (acts.shape[1] - 1)
+
+
+@pytest.mark.parametrize("k,rounds", [
+    ("golden", 1), ("golden", 300), (2, 300), (3, 1), (7, 57), (20, 300), (40, 13),
+    (64, 300), (257, 40)])
+def test_meanfield_payoffs_block_matches_per_round_gemv(k, rounds):
+    # a (rounds, n) block gives each round's bits of m @ counts[r], on
+    # matrices whose entries are not integers (a gemm could differ there)
+    rng = np.random.default_rng(rounds if k == "golden" else 1000 * k + rounds)
+    if k == "golden":
+        m = load_matrix(GOLDEN / "golden_matrix.txt")
+    else:
+        m = rng.normal(size=(k, k)) * rng.uniform(0.1, 50.0, size=(k, 1))
+    n = max(50, 3 * m.shape[0])
+    acts = rng.integers(m.shape[0], size=(rounds, n))
+    counts = np.array([np.bincount(a, minlength=m.shape[0]) for a in acts])
+    got = engine._meanfield_payoffs(acts, counts, m)
+    assert got.shape == acts.shape
+    assert got.tobytes() == _per_round_payoffs(acts, counts, m).tobytes()
 
 
 def test_realize_matching_is_a_perfect_matching():

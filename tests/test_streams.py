@@ -1,6 +1,8 @@
 """AgentStreams against numpy itself: agent i's draws must be, bit for bit,
 what np.random.default_rng([seed, 0, i]) draws."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -62,3 +64,21 @@ def test_rejects_negative_seed_k_out_of_range_and_late_integers():
     streams.take(1)
     with pytest.raises(ValueError, match="before any take"):
         streams.integers(5, 0)
+
+
+def test_warm_take_allocates_little_beyond_its_result():
+    # a refill advances the lanes in place on scratch arrays made at the
+    # first one: a warm take(1) at n = 20 000 (one-round lanes, a refill per
+    # take) allocates its (1, n) result and small ufunc buffers, not the
+    # dozens of lane-sized temporaries of the 128-bit arithmetic
+    n = 20000
+    streams = AgentStreams(3, n)
+    streams.take(1)
+    streams.take(1)
+    tracemalloc.start()
+    try:
+        streams.take(1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 8 * n
