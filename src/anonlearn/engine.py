@@ -145,16 +145,18 @@ def build_game(kind: str, penalty_n: int, matrix_path: str | None) -> MatrixGame
     return MatrixGame(load_matrix(matrix_path))
 
 
-def _meanfield_payoffs(acts, counts, m) -> np.ndarray:
+def _meanfield_payoffs(flat, counts, m) -> np.ndarray:
     """Exact expected payoffs of a (rounds, n) block of actions, each agent
-    against the other n-1 of its round; counts is the (rounds, k) histogram.
-    One value per (round, action), (m @ counts[r] - m[a, a]) / (n - 1), then
-    gathered per agent.  The stacked np.matmul(m, counts[..., None]) runs one
-    gemv per round, the bits of m @ counts[r]; a gemm (counts @ m.T) or
-    np.vecdot can differ in the last bit."""
+    against the other n-1 of its round; counts is the (rounds, k) histogram
+    and flat the actions' index into it, acts + k * arange(rounds)[:, None]
+    (run builds it once a block, for the histogram too).  One value per
+    (round, action), (m @ counts[r] - m[a, a]) / (n - 1), then gathered per
+    agent with one 1-D gather.  The stacked np.matmul(m, counts[..., None])
+    runs one gemv per round, the bits of m @ counts[r]; a gemm (counts @ m.T)
+    or np.vecdot can differ in the last bit."""
     totals = np.matmul(m, counts.astype(float)[..., None])[..., 0]
-    table = (totals - np.diagonal(m)) / (acts.shape[1] - 1)
-    return table[np.arange(acts.shape[0])[:, None], acts]
+    table = (totals - np.diagonal(m)) / (flat.shape[1] - 1)
+    return table.reshape(-1)[flat]
 
 
 def realize_meanfield(actions, matrix) -> np.ndarray:
@@ -171,18 +173,24 @@ def realize_meanfield(actions, matrix) -> np.ndarray:
 def realize_matching(actions, matrix, rng) -> np.ndarray:
     """Uniform random perfect matching; payoff matrix[a_i][a_partner].  A
     (rounds, n) block draws the permutations that rng.permutation(n) would
-    draw one per row, in row order, in one rng.permuted call."""
+    draw one per row, in row order, in one rng.permuted call; offset by n per
+    row, they index the flat block, so the pairs' actions are one 1-D
+    gather, both payoffs of each pair one lookup in the flat matrix at
+    left·k + right and right·k + left, and the scatter back one 1-D store."""
     block = np.atleast_2d(np.asarray(actions, dtype=int))
-    n = block.shape[1]
+    b, n = block.shape
     if n % 2:
         raise ValueError(f"matching needs an even number of agents, got {n}")
     m = np.asarray(matrix, dtype=float)
-    rows = np.arange(block.shape[0])[:, None]
-    perm = rng.permuted(np.tile(np.arange(n), (block.shape[0], 1)), axis=1)
-    left, right = perm[:, 0::2], perm[:, 1::2]
+    perm = rng.permuted(np.tile(np.arange(n), (b, 1)), axis=1)
+    perm += n * np.arange(b)[:, None]
+    perm = perm.reshape(-1)
+    pair = block.reshape(-1)[perm]  # left, right, left, right, ...
+    cell = pair * m.shape[0]
+    cell[0::2] += pair[1::2]
+    cell[1::2] += pair[0::2]
     payoffs = np.empty(block.shape)
-    payoffs[rows, left] = m[block[rows, left], block[rows, right]]
-    payoffs[rows, right] = m[block[rows, right], block[rows, left]]
+    payoffs.reshape(-1)[perm] = m.reshape(-1)[cell]
     return payoffs.reshape(np.shape(actions))
 
 
@@ -215,14 +223,20 @@ def best_reply_fraction(
     return float(in_abr[bases].mean())
 
 
-def _repr_cells(rows, n: int, table) -> np.ndarray:
+def _repr_cells(rows, n: int, table, known) -> np.ndarray:
     """repr(float(v)) of each entry of rows: table[c] = repr(c / n) where an
-    entry is exactly c / n (the bits, so not -0.0), else repr itself."""
+    entry is exactly c / n (the bits, so not -0.0), else repr itself.  The
+    (n + 1,) table fills on demand; known marks the counts formatted so far."""
     rows = np.asarray(rows, dtype=float)
     c = np.rint(rows * n)
     if ((c >= 0) & (c <= n)).all():
         c = c.astype(np.intp)
         if ((c / n).view(np.int64) == rows.view(np.int64)).all():
+            fresh = np.zeros(n + 1, dtype=bool)
+            fresh[c.reshape(-1)] = True
+            fresh = np.flatnonzero(fresh & ~known)
+            table[fresh] = [repr(v) for v in (fresh / n).tolist()]
+            known[fresh] = True
             return table[c]
     return np.array([[repr(v) for v in row] for row in rows.tolist()], dtype=object)
 
@@ -265,20 +279,37 @@ class RunTrace:
     def to_csv(self, path):
         """One row per round: round, stage, that stage's end metrics, then the
         round's realized and base distributions.  The bytes csv.writer would
-        write, CSV_ROWS rows at a time."""
+        write, CSV_ROWS rows at a time.  Each stage's lead is formatted once,
+        and each run of bit-identical base rows (a stage learner's change only
+        at stage ends) is joined once per block, with the same bytes."""
         tau, n = self.config.resolved_stage_len, self.config.n
-        table = np.array([repr(c / n) for c in range(n + 1)], dtype=object)
-        metrics = [f"{d!r},{b!r}" for d, b in zip(self.stage_distance.tolist(),
-                   self.stage_br_fraction.tolist())] + [","]  # last: a partial stage
+        table, known = np.empty(n + 1, dtype=object), np.zeros(n + 1, dtype=bool)
+        leads = [f"{s},{d!r},{b!r}," for s, (d, b) in enumerate(zip(
+            self.stage_distance.tolist(), self.stage_br_fraction.tolist()))]
+        leads.append(f"{self.stages},,,")  # a trailing partial stage
         header = ["round", "stage", "distance", "br_fraction"] + [
             f"{p}_{a}" for p in ("rho", "base") for a in range(self.k)]
         with open(path, "w", newline="", encoding="utf-8") as fh:
             fh.write(",".join(header) + "\r\n")
             for r0 in range(0, self.rounds, CSV_ROWS):
-                rows = np.hstack([_repr_cells(d[r0 : r0 + CSV_ROWS], n, table)
-                                  for d in (self.realized_dist, self.base_dist)]).tolist()
-                fh.writelines(f"{t},{t // tau},{metrics[min(t // tau, self.stages)]},"
-                              f"{','.join(row)}\r\n" for t, row in enumerate(rows, r0))
+                real = np.ascontiguousarray(self.realized_dist[r0 : r0 + CSV_ROWS], dtype=float)
+                base = np.ascontiguousarray(self.base_dist[r0 : r0 + CSV_ROWS], dtype=float)
+                # a run ends where the base row's bits change or a stage starts
+                bits = base.view(np.int64)
+                cut = np.arange(r0, r0 + len(base)) % tau == 0
+                cut[0] = True
+                cut[1:] |= (bits[1:] != bits[:-1]).any(axis=1)
+                starts = np.flatnonzero(cut).tolist()
+                cells = [",".join(row) for row in _repr_cells(real, n, table, known).tolist()]
+                if np.array_equal(bits, real.view(np.int64)):  # a regret matcher's rows
+                    runs = [cells[i] for i in starts]
+                else:
+                    runs = [",".join(row) for row in
+                            _repr_cells(base[starts], n, table, known).tolist()]
+                for i0, i1, joined in zip(starts, starts[1:] + [len(base)], runs):
+                    lead, tail = leads[(r0 + i0) // tau], f",{joined}\r\n"
+                    fh.writelines(f"{t},{lead}{row}{tail}" for t, row in
+                                  zip(range(r0 + i0, r0 + i1), cells[i0:i1]))
 
     def summary_text(self) -> str:
         threshold = 0.5
@@ -346,13 +377,13 @@ def run(config: RunConfig) -> RunTrace:
             else:
                 acts = sample_mixed(bases, explore, k, u)
             b = acts.shape[0]
-            hist = np.bincount((acts + k * np.arange(b)[:, None]).ravel(), minlength=b * k)
-            hist = hist.reshape(b, k)
+            flat = acts + k * np.arange(b)[:, None]
+            hist = np.bincount(flat.reshape(-1), minlength=b * k).reshape(b, k)
             np.divide(hist, n, out=realized_hist[r : r + b])
             if matching:
                 payoffs = realize_matching(acts, m, match_rng)
             else:
-                payoffs = _meanfield_payoffs(acts, hist, m)
+                payoffs = _meanfield_payoffs(flat, hist, m)
             if regret:
                 regret_observe(proxy, probs, t, bases[nf:], acts[0, nf:], payoffs[0, nf:],
                                mu, config.delta)

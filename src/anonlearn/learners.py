@@ -17,16 +17,24 @@ import numpy as np
 def sample_mixed(bases, explore, k: int, u) -> np.ndarray:
     """The a_eps law, elementwise: base where u < 1-explore, else uniform over
     the other k-1 actions.  bases and explore broadcast against the uniforms
-    u; one uniform per draw, even where explore is 0."""
+    u; one uniform per draw, even where explore is 0.
+
+    Three passes over the block (fill the bases, compare, find the explorers);
+    the rest touches only the explorers.  explore keeps its own shape, whose
+    flat index is u's modulo its size when it ends u's shape."""
     u = np.asarray(u, dtype=float)
-    acts = np.broadcast_to(bases, u.shape).astype(np.int64)
-    explore = np.broadcast_to(explore, u.shape)
-    x = u >= 1.0 - explore
-    e = explore[x]
-    j = ((u[x] - (1.0 - e)) * (k - 1) / e).astype(np.int64)
+    acts = np.empty(u.shape, np.int64)  # C-ordered, so reshape(-1) is a view
+    acts[...] = bases
+    explore = np.asarray(explore)
+    if explore.shape != u.shape[u.ndim - explore.ndim :]:
+        explore = np.broadcast_to(explore, u.shape)
+    x = np.flatnonzero(u >= 1.0 - explore)
+    e = explore.take(x, mode="wrap")
+    j = ((u.reshape(-1)[x] - (1.0 - e)) * (k - 1) / e).astype(np.int64)
     np.minimum(j, k - 2, out=j)  # guard the u -> 1 edge
-    j += j >= acts[x]
-    acts[x] = j
+    flat = acts.reshape(-1)
+    j += j >= flat[x]
+    flat[x] = j
     return acts
 
 

@@ -177,7 +177,8 @@ def test_meanfield_payoffs_block_matches_per_round_gemv(k, rounds):
     n = max(50, 3 * m.shape[0])
     acts = rng.integers(m.shape[0], size=(rounds, n))
     counts = np.array([np.bincount(a, minlength=m.shape[0]) for a in acts])
-    got = engine._meanfield_payoffs(acts, counts, m)
+    flat = acts + m.shape[0] * np.arange(rounds)[:, None]  # the index run builds
+    got = engine._meanfield_payoffs(flat, counts, m)
     assert got.shape == acts.shape
     assert got.tobytes() == _per_round_payoffs(acts, counts, m).tobytes()
 
@@ -445,6 +446,44 @@ def test_run_trace_csv_falls_back_off_the_count_grid(tmp_path):
     fast, slow = _csv_digests(trace, tmp_path)
     assert fast == slow
     assert b"\r\n1299,4,,,-0.0,0.0,1.0," in (tmp_path / "fast.csv").read_bytes()
+
+
+def _nan(payload):
+    return np.array([0x7FF8000000000000 | payload], dtype=np.int64).view(float)[0]
+
+
+@pytest.mark.parametrize("style", ["stage", "regret"])
+def test_run_trace_csv_dedupes_base_rows_by_bits(style, tmp_path):
+    # base rows that hold for a while, change mid-block and at stage starts
+    # (every 300 rounds, not a multiple of the 512-row block), and twice
+    # change only in the sign of a zero or in a NaN payload, which must not
+    # merge; a trailing partial stage; a regret-style trace whose base rows
+    # are its realized rows
+    rng = np.random.default_rng(21)
+    n, k, rounds = 10, 3, 1300
+    realized = rng.integers(n + 1, size=(rounds, k)) / n
+    base = np.empty((rounds, k))
+    edges = [0, 7, 150, 160, 170, 300, 511, 512, 513, 600, 777, 780, 1024, 1250, rounds]
+    for lo, hi in zip(edges, edges[1:]):
+        base[lo:hi] = rng.integers(n + 1, size=k) / n
+    base[150:160] = [0.0, 0.3, 0.7]
+    base[160:170] = [-0.0, 0.3, 0.7]
+    base[777:780] = [_nan(1), 0.5, 0.5]
+    base[780:790] = [_nan(2), 0.5, 0.5]
+    realized[40] = [-0.0, 0.5, 0.5]
+    if style == "regret":
+        base = realized.copy()
+    trace = RunTrace(
+        config=RunConfig(n=n, rounds=rounds, explore=0.1, stage_len=300),
+        realized_dist=realized, base_dist=base,
+        stage_rho=np.full((4, k), 1 / k), stage_distance=rng.random(4) * 3,
+        stage_br_fraction=rng.random(4))
+    fast, slow = _csv_digests(trace, tmp_path)
+    assert fast == slow
+    if style == "stage":
+        lines = (tmp_path / "fast.csv").read_text().splitlines()
+        assert lines[1 + 159].endswith(",0.0,0.3,0.7")
+        assert lines[1 + 160].endswith(",-0.0,0.3,0.7")
 
 
 def test_run_summary_text(small_run):

@@ -78,6 +78,44 @@ def test_sample_mixed_matches_scalar_reference():
     np.testing.assert_array_equal(draws, expected)
 
 
+def _sample_mixed_layouts():
+    """(bases, explore, u) in each layout the engine and the tests hand
+    sample_mixed: a scalar base over a block, per-agent bases and rates over
+    a block, a column slice of a wider block (the fixed agents of a regret
+    run), per-draw rates, per-round rates, and a lone uniform."""
+    rng = np.random.default_rng(12)
+    k, rounds, n = 6, 30, 24
+    bases, explore = rng.integers(k, size=n), rng.choice([0.0, 0.1, 0.5, 0.99], size=n)
+    u = rng.random((rounds, n))
+    wide = rng.random((rounds, n + 9))
+    return k, {
+        "scalar_base": (3, 0.4, u),
+        "per_agent": (bases, explore, u),
+        "sliced_u": (bases, explore, wide[:, :n]),
+        "block_explore": (bases, rng.choice([0.0, 0.2, 0.7], size=(rounds, n)), u),
+        "round_explore": (bases, rng.choice([0.0, 0.3], size=(rounds, 1)), u),
+        "scalar_u": (4, 0.5, 0.9),
+    }
+
+
+@pytest.mark.parametrize("layout", list(_sample_mixed_layouts()[1]))
+def test_sample_mixed_layout_matches_scalar_reference(layout):
+    # the draws land where the scalar rule puts them whatever the layout of
+    # bases, explore and u, and the explorers' draws are written back
+    k, cases = _sample_mixed_layouts()
+    bases, explore, u = cases[layout]
+    if layout == "sliced_u":
+        assert not u.flags.c_contiguous
+    shape = np.shape(u)
+    draws = sample_mixed(bases, explore, k, u)
+    b, e, x = (np.broadcast_to(v, shape).ravel() for v in (bases, explore, u))
+    expected = np.reshape([scalar_sample_mixed(int(bi), float(ei), k, float(xi))
+                           for bi, ei, xi in zip(b, e, x)], shape)
+    assert draws.shape == shape and draws.dtype == np.int64
+    np.testing.assert_array_equal(draws, expected)
+    assert (expected != b.reshape(shape)).any()  # some draws explored
+
+
 # ---------------------------------------------------------------------------
 # stage learner
 
