@@ -3,9 +3,9 @@ and deterministic seeding.
 
 Seeding layout: agent i draws from default_rng([seed, 0, i]) for its whole
 lifetime (so changing n never reshuffles other agents' draws), the matching
-shuffle from default_rng([seed, 1]), and churn coins/bases from
-default_rng([seed, 2]).  streams.AgentStreams computes the n agents' streams
-at once, following numpy's PCG64 and SeedSequence (pinned by its tests).
+shuffle from default_rng([seed, 1]), and churn (a coin per slot, then a base
+after each hit) from default_rng([seed, 2]).  AgentStreams (all n agents at
+once) and apply_churn (only the hits) follow numpy's PCG64, pinned by tests.
 """
 
 from __future__ import annotations
@@ -182,7 +182,9 @@ def realize_matching(actions, matrix, rng) -> np.ndarray:
     if n % 2:
         raise ValueError(f"matching needs an even number of agents, got {n}")
     m = np.asarray(matrix, dtype=float)
-    perm = rng.permuted(np.tile(np.arange(n), (b, 1)), axis=1)
+    perm = np.empty((b, n), np.int64)
+    perm[...] = np.arange(n)
+    rng.permuted(perm, axis=1, out=perm)
     perm += n * np.arange(b)[:, None]
     perm = perm.reshape(-1)
     pair = block.reshape(-1)[perm]  # left, right, left, right, ...
@@ -202,15 +204,48 @@ def apply_churn(bases, start: int, rate: float, rng, k: int | None = None) -> np
     persistence is the point of having them.  Given k, a replaced slot gets a
     uniform base in range(k) drawn from rng right after its coin, written into
     bases; otherwise the caller resets the slot's state.
+
+    The draws and rng's state after are a loop's, rng.random() per slot and
+    rng.integers(k) on a hit.  With k, rng must be a PCG64 Generator: one
+    compare on its raw outputs ((raw >> 11)·2**-53) finds the hits, and a base
+    is Lemire's method on 32-bit words, the buffered half or else the low half
+    of the next output (buffering its high half, so later coins shift by one).
     """
     if not 0.0 <= rate <= 1.0:
         raise ValueError(f"churn rate must be in [0, 1], got {rate}")
-    out = []
-    for i in range(start, len(bases)):
-        if rng.random() < rate:
-            out.append(i)
-            if k is not None:
-                bases[i] = rng.integers(k)
+    m = len(bases) - start
+    if k is None:
+        return start + np.flatnonzero(rng.random(m) < rate)
+    if not isinstance(bg := rng.bit_generator, np.random.PCG64) or not 2 <= k < 1 << 32:
+        raise ValueError(f"apply_churn: need a PCG64 generator and 2 <= k < 2**32, got "
+                         f"{type(bg).__name__} and k={k}")
+    saved, raw, hits, out = bg.state, np.empty(0, np.uint64), [], []
+    has, half = saved["has_uint32"], saved["uinteger"]
+
+    def read(end):  # outputs through raw[end], and which of them are hits as coins
+        nonlocal raw
+        if end >= raw.size:
+            more = bg.random_raw(end - raw.size + int(rate * m) + 16)
+            hits.extend((raw.size + np.flatnonzero((more >> 11) * 2.0**-53 < rate)).tolist())
+            raw = np.concatenate([raw, more])
+
+    pos, slot, bar = 0, 0, ((1 << 32) - k) % k  # raw[pos] is slot's coin
+    read(m)  # every coin
+    for q in hits:  # read() appends to hits as the walk goes on
+        if not pos <= q < pos + m - slot:  # an output a base used, or past the last coin
+            continue
+        slot, pos, lo = slot + q - pos + 1, q + 1, -1
+        out.append(start + slot - 1)
+        while lo < bar:
+            if has:
+                word, has = half, 0
+            else:
+                read(pos + m - slot)  # this word, and every coin left after it
+                word, half, has, pos = int(raw[pos]) & 0xFFFFFFFF, int(raw[pos]) >> 32, 1, pos + 1
+            hi, lo = divmod(word * k, 1 << 32)
+        bases[out[-1]] = hi
+    bg.state = saved
+    bg.state = {**bg.advance(pos + m - slot).state, "has_uint32": has, "uinteger": half}
     return np.array(out, dtype=np.int64)
 
 

@@ -50,13 +50,14 @@ def stage_end(bases, sums, counts):
     """Move each base to the action with the best stage average and reset the
     tallies.
 
-    Unexplored actions score 0 — deliberately, even though that can shadow
-    actions whose true payoffs are negative.  Ties keep the current base when
-    it is among the maximizers, else go to the lowest index.
+    Unexplored actions score 0, as 0 / max(count, 1) — deliberately, even
+    though that can shadow actions whose true payoffs are negative.  Ties keep
+    the current base when it is among the maximizers, else the lowest index.
     """
-    values = np.divide(sums, counts, out=sums, where=counts > 0.0)
-    move = values[np.arange(bases.size), bases] < values.max(axis=1)
-    bases[move] = values.argmax(axis=1)[move]
+    values = np.divide(sums, np.maximum(counts, 1.0, out=counts), out=sums)
+    rows, best = np.arange(bases.size), values.argmax(axis=1)
+    move = values[rows, bases] < values[rows, best]
+    bases[move] = best[move]
     sums.fill(0.0)
     counts.fill(0.0)
 

@@ -136,8 +136,9 @@ class AgentStreams:
         return out
 
     def take(self, rounds: int) -> np.ndarray:
-        """The next rounds uniforms of every agent, as a new (rounds, n) array."""
-        out, r = np.empty((rounds, self.n)), 0
+        """The next rounds uniforms of every agent, (rounds, n): a view valid
+        until the next take, or a new array when they straddle refills."""
+        out, r = self._u[:0], 0
         while r < rounds:
             if self._pos == len(self._u):  # refill
                 if self._lanes is None:  # lane j: M**j·s + (M**(j-1) + ... + 1)·inc
@@ -156,6 +157,9 @@ class AgentStreams:
                 np.multiply(np.right_shift(x, 11, out=x), 2.0**-53, out=self._u)
                 self._pos = 0
             c = min(rounds - r, len(self._u) - self._pos)
-            out[r : r + c] = self._u[self._pos : self._pos + c]
-            r, self._pos = r + c, self._pos + c
+            part, self._pos = self._u[self._pos : self._pos + c], self._pos + c
+            if c == rounds:  # all from this refill
+                return part
+            out = np.empty((rounds, self.n)) if r == 0 else out
+            out[r : r + c], r = part, r + c
         return out

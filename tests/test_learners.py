@@ -187,6 +187,40 @@ def test_stage_tally_adds_in_time_order():
     np.testing.assert_array_equal(counts, ref_counts)
 
 
+def masked_stage_end(bases, sums, counts):
+    """stage_end written with a masked divide and a separate max, kept as the
+    reference for its bits."""
+    values = np.divide(sums, counts, out=sums, where=counts > 0.0)
+    move = values[np.arange(bases.size), bases] < values.max(axis=1)
+    bases[move] = values.argmax(axis=1)[move]
+    sums.fill(0.0)
+    counts.fill(0.0)
+
+
+def test_stage_end_matches_masked_divide():
+    # zero-count cells (unexplored bases included), ties with the base among
+    # the maximizers, negative averages, and averages that round
+    rng = np.random.default_rng(8)
+    m, k = 4000, 5
+    counts = rng.integers(0, 4, size=(m, k)).astype(float)
+    grid = rng.choice([-2.5, -0.5, 0.0, 1.5, 3.0], size=(m, k))
+    noisy = rng.normal(scale=4.0, size=(m, k))
+    sums = np.where(np.arange(m)[:, None] % 2 == 0, grid, noisy) * counts
+    sums[counts == 0.0] = 0.0
+    bases = rng.integers(k, size=m)
+    got = (bases.copy(), sums.copy(), counts.copy())
+    want = (bases.copy(), sums.copy(), counts.copy())
+    stage_end(*got)
+    masked_stage_end(*want)
+    values = np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0.0)
+    top = values == values.max(axis=1, keepdims=True)
+    assert (top[np.arange(m), bases] & (top.sum(axis=1) > 1)).sum() > 100  # base tied at the top
+    assert (top[np.arange(m), bases] < top.any(axis=1)).sum() > 100  # bases that move
+    assert (values < 0.0).sum() > 1000 and (counts[np.arange(m), bases] == 0.0).sum() > 100
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
+
+
 def test_stage_learner_unexplored_zero_shadows_negative_base():
     # With everything scoring below zero and no exploration, the learner
     # walks to the first unexplored action: absent samples count as 0.

@@ -82,3 +82,31 @@ def test_warm_take_allocates_little_beyond_its_result():
     finally:
         tracemalloc.stop()
     assert peak <= 2 * 8 * n
+
+
+def test_takes_straddling_refills_match_default_rng():
+    # lanes of L = 81 rounds at n = 100: the third and fifth take(34) straddle
+    # a refill (at rounds 81 and 162), the others fit in one
+    n, seed = 100, 2**32 + 1
+    assert min(AHEAD, max(1, UCAP // n)) == 81
+    streams = AgentStreams(seed, n)
+    rngs = [np.random.default_rng([seed, 0, i]) for i in range(n)]
+    for _ in range(7):
+        want = np.array([rng.random(34) for rng in rngs]).T
+        assert streams.take(34).tobytes() == want.tobytes()
+
+
+def test_warm_take_that_fits_its_refill_copies_nothing():
+    # a take within one refill is a view of the refill buffer: at n = 20 000
+    # (a refill per take(1)) a warm take allocates less than its own n doubles
+    n = 20000
+    streams = AgentStreams(3, n)
+    streams.take(1)
+    streams.take(1)
+    tracemalloc.start()
+    try:
+        streams.take(1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n
