@@ -369,12 +369,12 @@ def run(config: RunConfig) -> RunTrace:
     played last.
     """
     game = config._game
-    k, n, tau = game.k, config.n, config.resolved_stage_len
-    m = game.matrix
+    k, n, tau, m = game.k, config.n, config.resolved_stage_len, game.matrix
     streams = AgentStreams(config.seed, n)
-    match_rng = np.random.default_rng([config.seed, 1])
-    churn_rng = np.random.default_rng([config.seed, 2])
     matching = config.mode == "matching"
+    # made only when used: the first default_rng imports numpy.random (~5 MB)
+    match_rng = np.random.default_rng([config.seed, 1]) if matching else None
+    churn_rng = np.random.default_rng([config.seed, 2]) if config.churn_rate > 0.0 else None
     regret = config.learner == "regret"
 
     nf = int(config.fixed_fraction * n)  # fixed agents hold slots 0..nf-1

@@ -410,6 +410,28 @@ def test_run_plays_the_configs_game(monkeypatch):
         np.testing.assert_array_equal(getattr(a, f), getattr(b, f))
 
 
+def test_meanfield_run_without_churn_leaves_numpy_random_unimported():
+    # only the matching shuffle and churn use numpy.random; a fresh process
+    # shows whether a run imported it
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(engine.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import sys; from anonlearn import RunConfig, run\n"
+            "for learner in ('stage', 'regret'):\n"
+            "    run(RunConfig(learner=learner, n=10, rounds=200, explore=0.1))\n"
+            "print('numpy.random' in sys.modules)\n"
+            "run(RunConfig(n=10, rounds=200, explore=0.1, churn_rate=0.1))\n"
+            "print('numpy.random' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]
+
+
 def test_run_base_rows_piecewise_constant(small_run):
     # stage learners move bases only at stage boundaries
     block = small_run.base_dist[0:100]

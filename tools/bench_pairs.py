@@ -1,20 +1,23 @@
 """Alternating parent/change perfbench pairs, collected in one BENCH_*.json.
 
     python3 tools/bench_pairs.py --parent REV --out BENCH_11.json \\
-        --workload large_n_churn --pairs 10 --seed 0 --seconds 25
+        --workload large_n_churn --pairs 10 --seed 0
 
 Both sides run from fresh copies without bytecode caches: the parent is REV's
 committed files (`git archive`), the change is this checkout's working tree
 (its tracked and untracked, not ignored, files).  Pair i runs the parent first
 when i is odd and the change first when i is even.  A run is
 `python3 perfbench/run.py --workload W --seed S --seconds T --trace 0` in that
-side's copy, and its final JSON line is kept as printed.
+side's copy, with T the `run_seconds` of BENCHMARK.json, and its final JSON
+line is kept as printed.
 
 Runs are added to --out under "W/seedS"; an existing file is extended, so
 workloads and seeds can be run in separate calls.  Each entry's summary is
 then recomputed: for every end-to-end metric in BENCHMARK.json, each side's
-median and quartiles (numpy's linear percentiles), the pairs the change won
-(ties count for neither) and the ratio of the medians.  --traced adds one
+median and quartiles (numpy's linear percentiles) over the runs that report it,
+with their count, the pairs the change won among the pairs where both runs
+report it (ties count for neither) and the ratio of the medians.  A failed run
+reports no metrics; it lowers those counts and shows in `correct`.  --traced adds one
 `--trace 1` run per side and workload (parent first) under "traced".
 """
 
@@ -93,6 +96,8 @@ def perfbench(tree: Path, workload: str, seed: int, seconds: float, trace: int) 
 
 
 def stats(values: list) -> dict:
+    if not values:
+        return {"median": None, "q1": None, "q3": None, "runs": 0}
     q1, median, q3 = np.percentile(values, [25, 50, 75]).tolist()
     return {"median": median, "q1": q1, "q3": q3, "runs": len(values)}
 
@@ -104,15 +109,17 @@ def summarize(entry: dict, end_to_end: list):
         name = metric["name"]
         vals = {side: [r["metrics"].get(name, {}).get("value") for r in runs[side]]
                 for side in SIDES}
-        if not all(v is not None for side in SIDES for v in vals[side]):
-            continue
+        both = [(p, c) for p, c in zip(vals["parent"], vals["change"])
+                if p is not None and c is not None]
         sign = 1.0 if metric["better"] == "lower" else -1.0
-        wins = sum(sign * (c - p) < 0.0 for p, c in zip(vals["parent"], vals["change"]))
-        s = {side: stats(vals[side]) for side in SIDES}
+        wins = sum(sign * (c - p) < 0.0 for p, c in both)
+        s = {side: stats([v for v in vals[side] if v is not None]) for side in SIDES}
+        ratio = (s["change"]["median"] / s["parent"]["median"]
+                 if s["change"]["runs"] and s["parent"]["runs"] else None)
         summary[name] = {
             "unit": metric["unit"], "better": metric["better"], **s,
-            "change_wins": f"{wins}/{len(vals['change'])}",
-            "median_ratio_change_over_parent": s["change"]["median"] / s["parent"]["median"],
+            "change_wins": f"{wins}/{len(both)}",
+            "median_ratio_change_over_parent": ratio,
         }
     entry["summary"] = summary
     entry["cells_failed"] = {side: f"{sum(r['failed'] for r in runs[side])}/"
@@ -127,12 +134,12 @@ def main() -> int:
     parser.add_argument("--workload", action="append", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--seconds", type=float, default=25.0)
     parser.add_argument("--traced", action="store_true", help="add one traced run per side")
     parser.add_argument("--workdir", type=Path, default=None,
                         help="where the two copies go (default: the system's temporary dir)")
     args = parser.parse_args()
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = bench["run_seconds"]
     parent_commit = git("rev-parse", args.parent).strip()
     head = git("rev-parse", "HEAD").strip()
     dirty = bool(git("status", "--porcelain", "--", "src"))
@@ -149,15 +156,13 @@ def main() -> int:
         for workload in args.workload:
             key = f"{workload}/seed{args.seed}"
             entry = doc["workloads"].setdefault(key, {
-                "seed": args.seed, "seconds": args.seconds, "pairs": 0,
+                "seed": args.seed, "seconds": seconds, "pairs": 0,
                 "runs": {side: [] for side in SIDES}})
-            if entry["seconds"] != args.seconds:
-                parser.error(f"{key} was run at {entry['seconds']} s, not {args.seconds} s")
             for _ in range(args.pairs):
                 entry["pairs"] += 1
                 order = SIDES if entry["pairs"] % 2 else SIDES[::-1]
                 for side in order:
-                    line, env = perfbench(trees[side], workload, args.seed, args.seconds, 0)
+                    line, env = perfbench(trees[side], workload, args.seed, seconds, 0)
                     entry["runs"][side].append(line)
                     doc.setdefault("machine", {k: env[k] for k in (
                         "cpu_model", "nproc", "cpu_affinity", "bench_cpus", "ref_cal_s")
@@ -169,8 +174,8 @@ def main() -> int:
                 args.out.write_text(json.dumps(doc, indent=1) + "\n")
             if args.traced:
                 traced = doc.setdefault("traced", {"what": TRACED_WHAT})
-                traced[key] = {side: perfbench(trees[side], workload, args.seed,
-                                               args.seconds, 1)[0] for side in SIDES}
+                traced[key] = {side: perfbench(trees[side], workload, args.seed, seconds, 1)[0]
+                               for side in SIDES}
                 args.out.write_text(json.dumps(doc, indent=1) + "\n")
     finally:
         shutil.rmtree(work, ignore_errors=True)
