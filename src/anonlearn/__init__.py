@@ -35,6 +35,7 @@ from .dynamics import (
 from .games import (
     CONTRIBUTION_LEVELS,
     ContributionGame,
+    build_game,
     builtin_matrix,
     climbing_game,
     contribution_cost,
@@ -53,7 +54,6 @@ from .engine import (
     RunTrace,
     apply_churn,
     best_reply_fraction,
-    build_game,
     realize_matching,
     realize_meanfield,
     run,

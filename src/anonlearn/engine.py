@@ -19,17 +19,10 @@ import numpy as np
 
 from .core import ActionDistribution, DimensionError, MatrixGame
 from .dynamics import best_reply_set
-from .games import (
-    PENALTY_N,
-    ContributionGame,
-    climbing_game,
-    load_matrix,
-    prisoners_dilemma,
-)
+from .games import PENALTY_N, build_game
 from .learners import regret_act, regret_observe, sample_mixed, stage_end, stage_tally
 from .streams import AgentStreams
 
-GAME_KINDS = ("contribution", "prisoners_dilemma", "climbing", "matrix")
 LEARNER_KINDS = ("stage", "regret")
 # Working-memory bounds for run, whatever n is: a block's (rounds, n) actions
 # and (rounds, k) histogram hold at most CAP entries (the agents' streams are
@@ -128,21 +121,6 @@ class RunConfig:
         out = [(f.name, getattr(self, f.name)) for f in fields(self)]
         out.append(("resolved_stage_len", self.resolved_stage_len))
         return out
-
-
-def build_game(kind: str, penalty_n: int, matrix_path: str | None) -> MatrixGame:
-    """The game named by kind, one of GAME_KINDS."""
-    if kind == "contribution":
-        return ContributionGame(penalty_n)
-    if kind == "prisoners_dilemma":
-        return prisoners_dilemma()
-    if kind == "climbing":
-        return climbing_game()
-    if kind != "matrix":
-        raise ValueError(f"game: must be one of {GAME_KINDS}, got {kind!r}")
-    if not matrix_path:
-        raise ValueError("matrix_path: required when game=matrix")
-    return MatrixGame(load_matrix(matrix_path))
 
 
 def _meanfield_payoffs(flat, counts, m) -> np.ndarray:
@@ -278,14 +256,26 @@ def _repr_cells(rows, n: int, table, known) -> np.ndarray:
 
 @dataclass
 class RunTrace:
-    """Everything a run produced; one row per round, one metric set per stage."""
+    """Everything a run produced: one row per round, one base row and one
+    metric set per stage."""
 
     config: RunConfig
     realized_dist: np.ndarray  # (rounds, k)
-    base_dist: np.ndarray  # (rounds, k)
+    # (ceil(rounds / tau), k): the bases in force during each stage begun,
+    # a trailing partial stage included; None for regret matchers, whose base
+    # is the action each played last, so their base row is the realized row
+    stage_base: np.ndarray | None
     stage_rho: np.ndarray  # (stages, k)
     stage_distance: np.ndarray  # (stages,)
     stage_br_fraction: np.ndarray  # (stages,)
+
+    @property
+    def base_dist(self) -> np.ndarray:
+        """(rounds, k): the base row in force each round."""
+        if self.stage_base is None:
+            return self.realized_dist
+        tau = self.config.resolved_stage_len
+        return np.repeat(self.stage_base, tau, axis=0)[: self.rounds]
 
     @property
     def k(self) -> int:
@@ -314,37 +304,26 @@ class RunTrace:
     def to_csv(self, path):
         """One row per round: round, stage, that stage's end metrics, then the
         round's realized and base distributions.  The bytes csv.writer would
-        write, CSV_ROWS rows at a time.  Each stage's lead is formatted once,
-        and each run of bit-identical base rows (a stage learner's change only
-        at stage ends) is joined once per block, with the same bytes."""
+        write, CSV_ROWS rows at a time; each stage's lead and base row are
+        formatted once."""
         tau, n = self.config.resolved_stage_len, self.config.n
         table, known = np.empty(n + 1, dtype=object), np.zeros(n + 1, dtype=bool)
         leads = [f"{s},{d!r},{b!r}," for s, (d, b) in enumerate(zip(
             self.stage_distance.tolist(), self.stage_br_fraction.tolist()))]
         leads.append(f"{self.stages},,,")  # a trailing partial stage
+        bases = None if self.stage_base is None else [
+            ",".join(row) for row in _repr_cells(self.stage_base, n, table, known).tolist()]
         header = ["round", "stage", "distance", "br_fraction"] + [
             f"{p}_{a}" for p in ("rho", "base") for a in range(self.k)]
         with open(path, "w", newline="", encoding="utf-8") as fh:
             fh.write(",".join(header) + "\r\n")
             for r0 in range(0, self.rounds, CSV_ROWS):
-                real = np.ascontiguousarray(self.realized_dist[r0 : r0 + CSV_ROWS], dtype=float)
-                base = np.ascontiguousarray(self.base_dist[r0 : r0 + CSV_ROWS], dtype=float)
-                # a run ends where the base row's bits change or a stage starts
-                bits = base.view(np.int64)
-                cut = np.arange(r0, r0 + len(base)) % tau == 0
-                cut[0] = True
-                cut[1:] |= (bits[1:] != bits[:-1]).any(axis=1)
-                starts = np.flatnonzero(cut).tolist()
-                cells = [",".join(row) for row in _repr_cells(real, n, table, known).tolist()]
-                if np.array_equal(bits, real.view(np.int64)):  # a regret matcher's rows
-                    runs = [cells[i] for i in starts]
-                else:
-                    runs = [",".join(row) for row in
-                            _repr_cells(base[starts], n, table, known).tolist()]
-                for i0, i1, joined in zip(starts, starts[1:] + [len(base)], runs):
-                    lead, tail = leads[(r0 + i0) // tau], f",{joined}\r\n"
-                    fh.writelines(f"{t},{lead}{row}{tail}" for t, row in
-                                  zip(range(r0 + i0, r0 + i1), cells[i0:i1]))
+                real = _repr_cells(self.realized_dist[r0 : r0 + CSV_ROWS], n, table, known)
+                cells = [",".join(row) for row in real.tolist()]
+                ts = range(r0, r0 + len(cells))
+                tails = cells if bases is None else [bases[t // tau] for t in ts]
+                fh.writelines(f"{t},{leads[t // tau]}{row},{tail}\r\n"
+                              for t, row, tail in zip(ts, cells, tails))
 
     def summary_text(self) -> str:
         threshold = 0.5
@@ -393,7 +372,7 @@ def run(config: RunConfig) -> RunTrace:
 
     stages = config.rounds // tau
     realized_hist = np.empty((config.rounds, k))
-    base_hist = np.empty((config.rounds, k))
+    stage_base = None if regret else np.empty((math.ceil(config.rounds / tau), k))
     stage_rho = np.empty((stages, k))
     stage_distance = np.empty(stages)
     stage_br = np.empty(stages)
@@ -401,7 +380,8 @@ def run(config: RunConfig) -> RunTrace:
 
     for s, s0 in enumerate(range(0, config.rounds, tau)):
         s1 = min(s0 + tau, config.rounds)
-        base_hist[s0:s1] = np.bincount(bases, minlength=k) / n
+        if not regret:
+            stage_base[s] = np.bincount(bases, minlength=k) / n
         for r in range(s0, s1, width):
             u = streams.take(min(width, s1 - r))
             if regret:
@@ -443,9 +423,7 @@ def run(config: RunConfig) -> RunTrace:
     return RunTrace(
         config=config,
         realized_dist=realized_hist,
-        # a regret matcher re-anchors on every action, so its base row is
-        # the realized row
-        base_dist=realized_hist.copy() if regret else base_hist,
+        stage_base=stage_base,
         stage_rho=stage_rho,
         stage_distance=stage_distance,
         stage_br_fraction=stage_br,

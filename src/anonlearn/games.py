@@ -1,5 +1,5 @@
-"""Game library: the 20-action contribution game, matrix files and the
-bundled matrix games."""
+"""Game library: the 20-action contribution game, matrix files, the bundled
+matrix games, and build_game, which builds any of them by name."""
 
 from __future__ import annotations
 
@@ -9,6 +9,7 @@ import numpy as np
 
 from .core import ActionDistribution, MatrixGame
 
+GAME_KINDS = ("contribution", "prisoners_dilemma", "climbing", "matrix")
 CONTRIBUTION_LEVELS = 20
 # The contribution game's default over-contribution penalty scale.
 PENALTY_N = 20
@@ -108,3 +109,18 @@ def prisoners_dilemma() -> MatrixGame:
 def climbing_game() -> MatrixGame:
     """Three-action climbing game with the literature-standard common payoffs."""
     return MatrixGame(builtin_matrix("climbing"))
+
+
+def build_game(kind: str, penalty_n: int, matrix_path: str | None) -> MatrixGame:
+    """The game named by kind, one of GAME_KINDS."""
+    if kind == "contribution":
+        return ContributionGame(penalty_n)
+    if kind == "prisoners_dilemma":
+        return prisoners_dilemma()
+    if kind == "climbing":
+        return climbing_game()
+    if kind != "matrix":
+        raise ValueError(f"game: must be one of {GAME_KINDS}, got {kind!r}")
+    if not matrix_path:
+        raise ValueError("matrix_path: required when game=matrix")
+    return MatrixGame(load_matrix(matrix_path))

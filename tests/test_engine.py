@@ -509,20 +509,20 @@ def test_run_trace_csv_matches_csv_writer(cfg, tmp_path):
 
 def test_run_trace_csv_falls_back_off_the_count_grid(tmp_path):
     # rows that are not all count/n: every realized block but the first holds
-    # entries off the grid (thirds, nan, inf, noise), and the first base block
+    # entries off the grid (thirds, nan, inf, noise), and one stage base row
     # a -0.0 (equal to 0/n, but not its repr), so those take the repr path
     rng = np.random.default_rng(4)
     n, k, rounds = 4, 3, 1300
-    on_grid = rng.integers(n + 1, size=(rounds, k)) / n
-    off_grid = on_grid.copy()
-    on_grid[100, 0] = -0.0
+    off_grid = rng.integers(n + 1, size=(rounds, k)) / n
+    stage_base = rng.integers(n + 1, size=(5, k)) / n
+    stage_base[1, 0] = -0.0
     off_grid[600:] += rng.normal(scale=1e-3, size=(rounds - 600, k))
     off_grid[520] = [1 / 3, -0.0, 0.25]
     off_grid[530] = [np.nan, np.inf, 0.5]
     off_grid[1299] = [-0.0, 0.0, 1.0]
     trace = RunTrace(
         config=RunConfig(n=n, rounds=rounds, explore=0.1, stage_len=300),
-        realized_dist=off_grid, base_dist=on_grid,
+        realized_dist=off_grid, stage_base=stage_base,
         stage_rho=np.full((4, k), 1 / k), stage_distance=rng.random(4) * 3,
         stage_br_fraction=rng.random(4))
     fast, slow = _csv_digests(trace, tmp_path)
@@ -535,37 +535,44 @@ def _nan(payload):
 
 
 @pytest.mark.parametrize("style", ["stage", "regret"])
-def test_run_trace_csv_dedupes_base_rows_by_bits(style, tmp_path):
-    # base rows that hold for a while, change mid-block and at stage starts
-    # (every 300 rounds, not a multiple of the 512-row block), and twice
-    # change only in the sign of a zero or in a NaN payload, which must not
-    # merge; a trailing partial stage; a regret-style trace whose base rows
-    # are its realized rows
+def test_run_trace_csv_keeps_each_stage_base_row(style, tmp_path):
+    # consecutive stages (every 300 rounds, not a multiple of the 512-row
+    # block) whose base rows differ only in the sign of a zero or in a NaN
+    # payload, and a trailing partial stage; a regret trace has no stage base
+    # rows, its base rows are its realized rows
     rng = np.random.default_rng(21)
     n, k, rounds = 10, 3, 1300
     realized = rng.integers(n + 1, size=(rounds, k)) / n
-    base = np.empty((rounds, k))
-    edges = [0, 7, 150, 160, 170, 300, 511, 512, 513, 600, 777, 780, 1024, 1250, rounds]
-    for lo, hi in zip(edges, edges[1:]):
-        base[lo:hi] = rng.integers(n + 1, size=k) / n
-    base[150:160] = [0.0, 0.3, 0.7]
-    base[160:170] = [-0.0, 0.3, 0.7]
-    base[777:780] = [_nan(1), 0.5, 0.5]
-    base[780:790] = [_nan(2), 0.5, 0.5]
+    stage_base = np.array([[0.0, 0.3, 0.7], [-0.0, 0.3, 0.7], [_nan(1), 0.5, 0.5],
+                           [_nan(2), 0.5, 0.5], [0.1, 0.2, 0.7]])
     realized[40] = [-0.0, 0.5, 0.5]
-    if style == "regret":
-        base = realized.copy()
     trace = RunTrace(
         config=RunConfig(n=n, rounds=rounds, explore=0.1, stage_len=300),
-        realized_dist=realized, base_dist=base,
+        realized_dist=realized, stage_base=None if style == "regret" else stage_base,
         stage_rho=np.full((4, k), 1 / k), stage_distance=rng.random(4) * 3,
         stage_br_fraction=rng.random(4))
     fast, slow = _csv_digests(trace, tmp_path)
     assert fast == slow
+    lines = (tmp_path / "fast.csv").read_text().splitlines()
     if style == "stage":
-        lines = (tmp_path / "fast.csv").read_text().splitlines()
-        assert lines[1 + 159].endswith(",0.0,0.3,0.7")
-        assert lines[1 + 160].endswith(",-0.0,0.3,0.7")
+        assert lines[1 + 299].endswith(",0.0,0.3,0.7")
+        assert lines[1 + 300].endswith(",-0.0,0.3,0.7")
+        assert lines[1 + 1299].endswith(",0.1,0.2,0.7")
+    else:
+        assert lines[1 + 40].endswith(",-0.0,0.5,0.5,-0.0,0.5,0.5")
+
+
+@pytest.mark.parametrize("learner", ["stage", "regret"])
+def test_run_trace_stores_one_base_row_per_stage(learner):
+    # 4.5 stages of 100 rounds: five stage base rows, the partial stage's
+    # included; a regret matcher's base rows are its realized rows
+    t = run(RunConfig(learner=learner, n=10, rounds=450, explore=0.1, seed=2))
+    if learner == "regret":
+        assert t.stage_base is None
+        assert t.base_dist is t.realized_dist
+    else:
+        assert t.stage_base.shape == (5, 20)
+        np.testing.assert_array_equal(t.base_dist, np.repeat(t.stage_base, 100, axis=0)[:450])
 
 
 def test_run_summary_text(small_run):

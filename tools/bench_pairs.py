@@ -17,8 +17,10 @@ then recomputed: for every end-to-end metric in BENCHMARK.json, each side's
 median and quartiles (numpy's linear percentiles) over the runs that report it,
 with their count, the pairs the change won among the pairs where both runs
 report it (ties count for neither) and the ratio of the medians.  A failed run
-reports no metrics; it lowers those counts and shows in `correct`.  --traced adds one
-`--trace 1` run per side and workload (parent first) under "traced".
+reports no metrics; it lowers those counts and shows in `correct`.  Each side
+also records its `src_sha256` and `src_lines` (the total of
+`wc -l src/anonlearn/*.py`).  --traced adds one `--trace 1` run per side and
+workload (parent first) under "traced".
 """
 
 from __future__ import annotations
@@ -76,6 +78,11 @@ def src_sha256(tree: Path) -> str:
     for f in sorted((tree / "src").rglob("*.py")):
         h.update(f.relative_to(tree).as_posix().encode() + b"\0" + f.read_bytes())
     return h.hexdigest()
+
+
+def src_lines(tree: Path) -> int:
+    """The src/ line count ROADMAP tracks, the total of `wc -l src/anonlearn/*.py`."""
+    return sum(f.read_bytes().count(b"\n") for f in (tree / "src" / "anonlearn").glob("*.py"))
 
 
 def perfbench(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> tuple:
@@ -150,9 +157,11 @@ def main() -> int:
         trees = {side: work / side for side in SIDES}
         export_parent(args.parent, trees["parent"])
         export_change(trees["change"])
-        doc["parent"] = {"commit": parent_commit, "src_sha256": src_sha256(trees["parent"])}
+        doc["parent"] = {"commit": parent_commit, "src_sha256": src_sha256(trees["parent"]),
+                         "src_lines": src_lines(trees["parent"])}
         doc["change"] = {"commit": f"working tree of {head}" if dirty else head,
-                         "src_sha256": src_sha256(trees["change"])}
+                         "src_sha256": src_sha256(trees["change"]),
+                         "src_lines": src_lines(trees["change"])}
         for workload in args.workload:
             key = f"{workload}/seed{args.seed}"
             entry = doc["workloads"].setdefault(key, {
