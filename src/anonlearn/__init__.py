@@ -36,7 +36,6 @@ from .games import (
     CONTRIBUTION_LEVELS,
     ContributionGame,
     build_game,
-    builtin_matrix,
     climbing_game,
     contribution_cost,
     load_matrix,
@@ -55,7 +54,6 @@ from .engine import (
     apply_churn,
     best_reply_fraction,
     realize_matching,
-    realize_meanfield,
     run,
     run_many,
     run_stationary,
@@ -85,7 +83,6 @@ __all__ = [
     "br_sequence",
     "br_step",
     "build_game",
-    "builtin_matrix",
     "climbing_game",
     "close_l1_bound",
     "contribution_cost",
@@ -99,7 +96,6 @@ __all__ = [
     "prisoners_dilemma",
     "pure_profile_distribution",
     "realize_matching",
-    "realize_meanfield",
     "regret_act",
     "regret_observe",
     "run",

@@ -80,13 +80,14 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
 
 def cells_from_values(values: dict, seed: int | None = None) -> list[RunConfig]:
     """The grid parsed config values describe, populations x learner kinds x
-    seeds, every cell built (and so validated) once.  A given seed replaces
-    the seed axis before any cell is built."""
+    seeds, every cell built (and so validated) once.  A sweep axis, when
+    set, must be nonempty and distinct.  A given seed replaces the seed axis
+    before any cell is built."""
+    for key in ("sweep.populations", "sweep.learners", "sweep.seeds"):
+        axis = values[key]
+        if axis is not None and (not axis or len(set(axis)) != len(axis)):
+            raise ConfigError(f"{key}: must be nonempty and distinct, got {axis}")
     seeds = values["sweep.seeds"]
-    if seeds is not None and not seeds:
-        raise ConfigError("sweep.seeds: must be nonempty")
-    if seeds is not None and len(set(seeds)) != len(seeds):
-        raise ConfigError("sweep.seeds: seeds must be distinct")
     kwargs = {field: values[key] for key, (_, field) in CONFIG_KEYS.items() if field}
     if seed is not None:
         kwargs["seed"] = seed

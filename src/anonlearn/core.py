@@ -117,8 +117,9 @@ class MatrixGame:
 
     matrix[a][a'] is the payoff to an agent playing a whose opponent plays a'.
     The expected utility of a against rho is the mean of that partner lottery,
-    sum over a' of matrix[a][a'] * rho[a'].  Whether a run realizes it exactly
-    (mean field) or by sampling a partner (matching) is the simulator's choice.
+    sum over a' of matrix[a][a'] * rho[a'].  A mean-field run pays it exactly,
+    against the other agents of each round (meanfield_table); a matching run
+    samples one partner instead (engine.realize_matching).
     `lipschitz` is a bound K on how fast expected payoffs move in rho (L1
     norm); max|matrix| unless a subclass declares a tighter one.
     """
@@ -150,6 +151,21 @@ class MatrixGame:
         # vecdot sums each row exactly as the row dot product matrix[a] @ rho
         # does; matrix @ rho can differ in the last bit and flip near-ties.
         return np.vecdot(self.matrix, rho.weights)
+
+    def meanfield_table(self, counts) -> np.ndarray:
+        """Exact mean-field payoffs of a (rounds, k) action histogram, shape
+        (rounds, k): entry [r, a] is what an agent playing a in round r earns
+        on average against the other n-1 agents of that round,
+        (matrix @ counts[r] - matrix[a, a]) / (n - 1), n the row's total.
+        The stacked np.matmul runs one gemv per round, the bits of
+        matrix @ counts[r]; a gemm (counts @ matrix.T) or np.vecdot can
+        differ in the last bit."""
+        counts = np.asarray(counts)
+        n = counts.sum(axis=1, keepdims=True)
+        if n.min() < 2:
+            raise DimensionError("mean-field payoffs need at least 2 agents")
+        totals = np.matmul(self.matrix, counts.astype(float)[..., None])[..., 0]
+        return (totals - np.diagonal(self.matrix)) / (n - 1)
 
     def payoff_bounds(self) -> tuple[float, float]:
         """(min, max) payoff a single round can ever realize."""

@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import ActionDistribution, DimensionError, MatrixGame
+from .core import ActionDistribution, MatrixGame
 from .dynamics import best_reply_set
 from .games import PENALTY_N, build_game
 from .learners import regret_act, regret_observe, sample_mixed, stage_end, stage_tally
@@ -121,31 +121,6 @@ class RunConfig:
         out = [(f.name, getattr(self, f.name)) for f in fields(self)]
         out.append(("resolved_stage_len", self.resolved_stage_len))
         return out
-
-
-def _meanfield_payoffs(flat, counts, m) -> np.ndarray:
-    """Exact expected payoffs of a (rounds, n) block of actions, each agent
-    against the other n-1 of its round; counts is the (rounds, k) histogram
-    and flat the actions' index into it, acts + k * arange(rounds)[:, None]
-    (run builds it once a block, for the histogram too).  One value per
-    (round, action), (m @ counts[r] - m[a, a]) / (n - 1), then gathered per
-    agent with one 1-D gather.  The stacked np.matmul(m, counts[..., None])
-    runs one gemv per round, the bits of m @ counts[r]; a gemm (counts @ m.T)
-    or np.vecdot can differ in the last bit."""
-    totals = np.matmul(m, counts.astype(float)[..., None])[..., 0]
-    table = (totals - np.diagonal(m)) / (flat.shape[1] - 1)
-    return table.reshape(-1)[flat]
-
-
-def realize_meanfield(actions, matrix) -> np.ndarray:
-    """Exact expected payoff for each agent against the other n-1 agents:
-    the mean of matrix[a_i][a_j] over j != i."""
-    acts = np.asarray(actions, dtype=int)
-    if acts.size < 2:
-        raise DimensionError("mean-field payoffs need at least 2 agents")
-    m = np.asarray(matrix, dtype=float)
-    counts = np.bincount(acts, minlength=m.shape[0])
-    return _meanfield_payoffs(acts[None], counts[None], m)[0]
 
 
 def realize_matching(actions, matrix, rng) -> np.ndarray:
@@ -348,7 +323,7 @@ def run(config: RunConfig) -> RunTrace:
     played last.
     """
     game = config._game
-    k, n, tau, m = game.k, config.n, config.resolved_stage_len, game.matrix
+    k, n, tau = game.k, config.n, config.resolved_stage_len
     streams = AgentStreams(config.seed, n)
     matching = config.mode == "matching"
     # made only when used: the first default_rng imports numpy.random (~5 MB)
@@ -396,9 +371,9 @@ def run(config: RunConfig) -> RunTrace:
             hist = np.bincount(flat.reshape(-1), minlength=b * k).reshape(b, k)
             np.divide(hist, n, out=realized_hist[r : r + b])
             if matching:
-                payoffs = realize_matching(acts, m, match_rng)
+                payoffs = realize_matching(acts, game.matrix, match_rng)
             else:
-                payoffs = _meanfield_payoffs(flat, hist, m)
+                payoffs = game.meanfield_table(hist).reshape(-1)[flat]
             if regret:
                 regret_observe(proxy, probs, t, bases[nf:], acts[0, nf:], payoffs[0, nf:],
                                mu, config.delta)

@@ -3,8 +3,6 @@ matrix games, and build_game, which builds any of them by name."""
 
 from __future__ import annotations
 
-import importlib.resources
-
 import numpy as np
 
 from .core import ActionDistribution, MatrixGame
@@ -92,23 +90,14 @@ def load_matrix(path) -> np.ndarray:
     return m
 
 
-def builtin_matrix(name: str) -> np.ndarray:
-    """Load one of the bundled matrices: 'prisoners_dilemma' or 'climbing'."""
-    resource = importlib.resources.files("anonlearn.data").joinpath(f"{name}.txt")
-    if not resource.is_file():
-        raise ValueError(f"no bundled matrix named {name!r}")
-    with importlib.resources.as_file(resource) as path:
-        return load_matrix(path)
-
-
 def prisoners_dilemma() -> MatrixGame:
     """Standard prisoner's dilemma (R=3, S=0, T=5, P=1); actions 0=C, 1=D."""
-    return MatrixGame(builtin_matrix("prisoners_dilemma"), labels=("C", "D"))
+    return MatrixGame([[3, 0], [5, 1]], labels=("C", "D"))
 
 
 def climbing_game() -> MatrixGame:
     """Three-action climbing game with the literature-standard common payoffs."""
-    return MatrixGame(builtin_matrix("climbing"))
+    return MatrixGame([[11, -30, 0], [-30, 7, 6], [0, 0, 5]])
 
 
 def build_game(kind: str, penalty_n: int, matrix_path: str | None) -> MatrixGame:

@@ -1,0 +1,63 @@
+"""tools/bench_pairs.py: the summary every BENCH_*.json records."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_spec = importlib.util.spec_from_file_location(
+    "bench_pairs", Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+METRIC = {"name": "wall_ref_s", "unit": "s", "better": "lower", "bound": 0.25}
+
+
+def ok(value):
+    return {"correct": True, "attempted": 3, "failed": 0,
+            "metrics": {"wall_ref_s": {"value": value, "unit": "s"}}}
+
+
+def failed():
+    # what perfbench() records for a run that printed no JSON line
+    return {"correct": False, "attempted": 0, "failed": 0, "metrics": {}, "exit_code": 1}
+
+
+def summary(parent, change, better="lower"):
+    entry = {"runs": {"parent": parent, "change": change}}
+    bench_pairs.summarize(entry, [{**METRIC, "better": better}])
+    return entry
+
+
+def test_stats_linear_quartiles_and_empty():
+    assert bench_pairs.stats([4.0, 1.0, 3.0, 2.0]) == {
+        "median": 2.5, "q1": 1.75, "q3": 3.25, "runs": 4}
+    assert bench_pairs.stats([]) == {"median": None, "q1": None, "q3": None, "runs": 0}
+
+
+def test_summarize_tie_counts_for_neither_side():
+    entry = summary([ok(1.0), ok(2.0), ok(3.0)], [ok(1.0), ok(1.5), ok(4.0)])
+    s = entry["summary"]["wall_ref_s"]
+    assert s["change_wins"] == "1/3"  # pair 1 tied, pair 2 won, pair 3 lost
+    assert s["median_ratio_change_over_parent"] == pytest.approx(1.5 / 2.0)
+    assert entry["correct"] == {"parent": True, "change": True}
+    assert entry["cells_failed"] == {"parent": "0/9", "change": "0/9"}
+
+
+def test_summarize_failed_run_lowers_runs_and_correct():
+    entry = summary([ok(1.0), ok(2.0), ok(3.0)], [ok(0.5), failed(), ok(2.0)])
+    s = entry["summary"]["wall_ref_s"]
+    assert (s["parent"]["runs"], s["change"]["runs"]) == (3, 2)
+    assert s["change"]["median"] == 1.25
+    assert s["change_wins"] == "2/2"  # the failed run's pair counts for no one
+    assert entry["correct"] == {"parent": True, "change": False}
+    assert entry["cells_failed"] == {"parent": "0/9", "change": "0/6"}
+
+
+def test_summarize_higher_is_better_flips_wins():
+    parent, change = [ok(1.0), ok(2.0), ok(3.0)], [ok(1.0), ok(1.5), ok(1.8)]
+    assert summary(parent, change, "lower")["summary"]["wall_ref_s"]["change_wins"] == "2/3"
+    higher = summary(parent, change, "higher")["summary"]["wall_ref_s"]
+    assert higher["change_wins"] == "0/3"
+    assert higher["better"] == "higher"
+    assert summary(change, parent, "higher")["summary"]["wall_ref_s"]["change_wins"] == "2/3"

@@ -92,17 +92,22 @@ def test_spec_rejects_invalid_cell():
 
 
 def test_spec_rejects_duplicate_seeds():
-    with pytest.raises(ConfigError, match="distinct"):
-        cells_from_values(parse_config_text("sweep.seeds = 1 1\n"))
+    # every sweep axis: a repeated value would run one cell twice into the
+    # same files
+    for key, axis in (("sweep.seeds", "1 1"), ("sweep.populations", "10 10"),
+                      ("sweep.learners", "stage regret stage")):
+        with pytest.raises(ConfigError, match=f"{key}: must be nonempty and distinct"):
+            cells_from_values(parse_config_text(f"{key} = {axis}\n"))
 
 
 def test_experiment_spec_direct_validation(tmp_path):
-    # an empty seed axis is an error, with or without a forced seed
+    # an empty sweep axis is an error, with or without a forced seed
     path = tmp_path / "exp.cfg"
-    path.write_text("sweep.seeds =\n")
-    for seed in (None, 5):
-        with pytest.raises(ConfigError, match="nonempty"):
-            load_experiment(path, seed)
+    for key in ("sweep.seeds", "sweep.populations", "sweep.learners"):
+        path.write_text(f"{key} =\n")
+        for seed in (None, 5):
+            with pytest.raises(ConfigError, match=f"{key}: must be nonempty and distinct"):
+                load_experiment(path, seed)
 
 
 def test_load_experiment_roundtrip(tmp_path):

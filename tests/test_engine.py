@@ -12,6 +12,7 @@ from anonlearn import (
     ActionDistribution,
     ContributionGame,
     DimensionError,
+    MatrixGame,
     MixedAction,
     RunConfig,
     RunTrace,
@@ -23,7 +24,6 @@ from anonlearn import (
     prisoners_dilemma,
     pure_profile_distribution,
     realize_matching,
-    realize_meanfield,
     run,
     run_many,
     run_stationary,
@@ -120,25 +120,33 @@ def test_build_population_range_checks(tmp_path):
 # payoff realization
 
 
+def meanfield(acts, game):
+    """Each agent's mean-field payoff, read from its round's table row."""
+    acts = np.asarray(acts)
+    return game.meanfield_table(np.bincount(acts, minlength=game.k)[None])[0][acts]
+
+
 def test_realize_meanfield_contribution_example():
     # three agents at (8, 8, 0): the pair of 8s each face mean 4, the
     # free rider faces mean 8 but contributes nothing
     game = ContributionGame()
-    payoffs = realize_meanfield([8, 8, 0], game.matrix)
+    payoffs = meanfield([8, 8, 0], game)
     np.testing.assert_allclose(payoffs, [15.0, 15.0, 0.0])
 
 
 def test_realize_meanfield_pd_example():
-    payoffs = realize_meanfield([0, 1], prisoners_dilemma().matrix)
+    payoffs = meanfield([0, 1], prisoners_dilemma())
     np.testing.assert_array_equal(payoffs, [0.0, 5.0])
 
 
 def test_realize_meanfield_excludes_self():
     game = prisoners_dilemma()
     # four cooperators: each faces three cooperators, not itself
-    np.testing.assert_allclose(realize_meanfield([0, 0, 0, 0], game.matrix), [3.0] * 4)
+    np.testing.assert_allclose(meanfield([0, 0, 0, 0], game), [3.0] * 4)
     with pytest.raises(DimensionError):
-        realize_meanfield([0], game.matrix)
+        meanfield([0], game)
+    with pytest.raises(DimensionError):  # any round short of 2 agents
+        game.meanfield_table([[2, 1], [1, 0]])
 
 
 def test_realize_meanfield_fast_path_matches_generic():
@@ -147,7 +155,7 @@ def test_realize_meanfield_fast_path_matches_generic():
     game = ContributionGame()
     for _ in range(10):
         acts = rng.integers(20, size=9)
-        fast = realize_meanfield(acts, game.matrix)
+        fast = meanfield(acts, game)
         slow = [
             game.utilities(pure_profile_distribution(np.delete(acts, i), 20))[a]
             for i, a in enumerate(acts)
@@ -178,7 +186,7 @@ def test_meanfield_payoffs_block_matches_per_round_gemv(k, rounds):
     acts = rng.integers(m.shape[0], size=(rounds, n))
     counts = np.array([np.bincount(a, minlength=m.shape[0]) for a in acts])
     flat = acts + m.shape[0] * np.arange(rounds)[:, None]  # the index run builds
-    got = engine._meanfield_payoffs(flat, counts, m)
+    got = MatrixGame(m).meanfield_table(counts).reshape(-1)[flat]
     assert got.shape == acts.shape
     assert got.tobytes() == _per_round_payoffs(acts, counts, m).tobytes()
 
@@ -250,7 +258,7 @@ def test_matching_mean_approaches_meanfield():
     m = game.matrix
     rng = np.random.default_rng(8)
     acts = rng.integers(2, size=10000)
-    exact = realize_meanfield(acts, m).mean()
+    exact = meanfield(acts, game).mean()
     sampled = realize_matching(acts, m, rng).mean()
     assert abs(sampled - exact) < 0.1
 

@@ -9,13 +9,11 @@ from anonlearn import (
     ContributionGame,
     DimensionError,
     MatrixGame,
-    builtin_matrix,
     climbing_game,
     contribution_cost,
     load_matrix,
     prisoners_dilemma,
     realize_matching,
-    realize_meanfield,
     utility,
 )
 
@@ -154,7 +152,7 @@ def test_modes_agree_on_expected_payoff():
     game = prisoners_dilemma()
     rng = np.random.default_rng(2)
     acts = rng.integers(2, size=400)
-    meanfield = realize_meanfield(acts, game.matrix)
+    meanfield = game.meanfield_table(np.bincount(acts, minlength=2)[None])[0][acts]
     for i in (0, 1, 2):
         others = ActionDistribution.from_counts(np.bincount(np.delete(acts, i), minlength=2))
         assert meanfield[i] == pytest.approx(game.utilities(others)[acts[i]])
@@ -229,7 +227,5 @@ def test_load_matrix_errors(tmp_path):
 
 
 def test_builtin_matrices():
-    np.testing.assert_array_equal(builtin_matrix("prisoners_dilemma"), [[3, 0], [5, 1]])
-    assert builtin_matrix("climbing").shape == (3, 3)
-    with pytest.raises(ValueError):
-        builtin_matrix("chicken")
+    np.testing.assert_array_equal(prisoners_dilemma().matrix, [[3, 0], [5, 1]])
+    np.testing.assert_array_equal(climbing_game().matrix, [[11, -30, 0], [-30, 7, 6], [0, 0, 5]])

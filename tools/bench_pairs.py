@@ -149,7 +149,7 @@ def main() -> int:
     seconds = bench["run_seconds"]
     parent_commit = git("rev-parse", args.parent).strip()
     head = git("rev-parse", "HEAD").strip()
-    dirty = bool(git("status", "--porcelain", "--", "src"))
+    dirty = bool(git("status", "--porcelain"))  # export_change copies the whole tree
     doc = json.loads(args.out.read_text()) if args.out.exists() else {
         "what": WHAT, "workloads": {}}
     work = Path(tempfile.mkdtemp(prefix="bench_pairs_", dir=args.workdir))
