@@ -211,54 +211,42 @@ def best_reply_fraction(
     return float(in_abr[bases].mean())
 
 
-def _repr_cells(rows, n: int, table, known) -> np.ndarray:
-    """repr(float(v)) of each entry of rows: table[c] = repr(c / n) where an
-    entry is exactly c / n (the bits, so not -0.0), else repr itself.  The
-    (n + 1,) table fills on demand; known marks the counts formatted so far."""
-    rows = np.asarray(rows, dtype=float)
-    c = np.rint(rows * n)
-    if ((c >= 0) & (c <= n)).all():
-        c = c.astype(np.intp)
-        if ((c / n).view(np.int64) == rows.view(np.int64)).all():
-            fresh = np.zeros(n + 1, dtype=bool)
-            fresh[c.reshape(-1)] = True
-            fresh = np.flatnonzero(fresh & ~known)
-            table[fresh] = [repr(v) for v in (fresh / n).tolist()]
-            known[fresh] = True
-            return table[c]
-    return np.array([[repr(v) for v in row] for row in rows.tolist()], dtype=object)
-
-
 @dataclass
 class RunTrace:
-    """Everything a run produced: one row per round, one base row and one
-    metric set per stage."""
+    """Everything a run produced: one action histogram per round, one base
+    histogram and one metric set per stage.  A histogram is the agents'
+    integer counts of each action, so its row sums to n."""
 
     config: RunConfig
-    realized_dist: np.ndarray  # (rounds, k)
-    # (ceil(rounds / tau), k): the bases in force during each stage begun,
-    # a trailing partial stage included; None for regret matchers, whose base
-    # is the action each played last, so their base row is the realized row
+    realized_counts: np.ndarray  # (rounds, k) int32
+    # (ceil(rounds / tau), k) int32: the bases in force during each stage
+    # begun, a trailing partial one included; None for regret matchers, whose
+    # base is the action each played last, so their base row is the realized row
     stage_base: np.ndarray | None
     stage_rho: np.ndarray  # (stages, k)
     stage_distance: np.ndarray  # (stages,)
     stage_br_fraction: np.ndarray  # (stages,)
 
     @property
+    def realized_dist(self) -> np.ndarray:
+        """(rounds, k): the realized action distribution of each round."""
+        return self.realized_counts / self.config.n
+
+    @property
     def base_dist(self) -> np.ndarray:
-        """(rounds, k): the base row in force each round."""
+        """(rounds, k): the base distribution in force each round."""
         if self.stage_base is None:
             return self.realized_dist
         tau = self.config.resolved_stage_len
-        return np.repeat(self.stage_base, tau, axis=0)[: self.rounds]
+        return np.repeat(self.stage_base / self.config.n, tau, axis=0)[: self.rounds]
 
     @property
     def k(self) -> int:
-        return self.realized_dist.shape[1]
+        return self.realized_counts.shape[1]
 
     @property
     def rounds(self) -> int:
-        return self.realized_dist.shape[0]
+        return self.realized_counts.shape[0]
 
     @property
     def stages(self) -> int:
@@ -279,22 +267,29 @@ class RunTrace:
     def to_csv(self, path):
         """One row per round: round, stage, that stage's end metrics, then the
         round's realized and base distributions.  The bytes csv.writer would
-        write, CSV_ROWS rows at a time; each stage's lead and base row are
-        formatted once."""
+        write, CSV_ROWS rows at a time: a cell holding count c is repr(c / n),
+        formatted once for each count present; each stage's lead and base row
+        are joined once."""
         tau, n = self.config.resolved_stage_len, self.config.n
-        table, known = np.empty(n + 1, dtype=object), np.zeros(n + 1, dtype=bool)
+        seen = np.zeros(n + 1, dtype=bool)
+        seen[self.realized_counts] = True
+        if self.stage_base is not None:
+            seen[self.stage_base] = True
+        table = np.empty(n + 1, dtype=object)
+        c = np.flatnonzero(seen)
+        table[c] = [repr(v) for v in (c / n).tolist()]
         leads = [f"{s},{d!r},{b!r}," for s, (d, b) in enumerate(zip(
             self.stage_distance.tolist(), self.stage_br_fraction.tolist()))]
         leads.append(f"{self.stages},,,")  # a trailing partial stage
         bases = None if self.stage_base is None else [
-            ",".join(row) for row in _repr_cells(self.stage_base, n, table, known).tolist()]
+            ",".join(row) for row in table[self.stage_base].tolist()]
         header = ["round", "stage", "distance", "br_fraction"] + [
             f"{p}_{a}" for p in ("rho", "base") for a in range(self.k)]
         with open(path, "w", newline="", encoding="utf-8") as fh:
             fh.write(",".join(header) + "\r\n")
             for r0 in range(0, self.rounds, CSV_ROWS):
-                real = _repr_cells(self.realized_dist[r0 : r0 + CSV_ROWS], n, table, known)
-                cells = [",".join(row) for row in real.tolist()]
+                cells = [",".join(row) for row in
+                         table[self.realized_counts[r0 : r0 + CSV_ROWS]].tolist()]
                 ts = range(r0, r0 + len(cells))
                 tails = cells if bases is None else [bases[t // tau] for t in ts]
                 fh.writelines(f"{t},{leads[t // tau]}{row},{tail}\r\n"
@@ -346,8 +341,8 @@ def run(config: RunConfig) -> RunTrace:
         counts = np.zeros((n - nf, k))
 
     stages = config.rounds // tau
-    realized_hist = np.empty((config.rounds, k))
-    stage_base = None if regret else np.empty((math.ceil(config.rounds / tau), k))
+    realized_counts = np.empty((config.rounds, k), dtype=np.int32)
+    stage_base = None if regret else np.empty((math.ceil(config.rounds / tau), k), np.int32)
     stage_rho = np.empty((stages, k))
     stage_distance = np.empty(stages)
     stage_br = np.empty(stages)
@@ -356,7 +351,7 @@ def run(config: RunConfig) -> RunTrace:
     for s, s0 in enumerate(range(0, config.rounds, tau)):
         s1 = min(s0 + tau, config.rounds)
         if not regret:
-            stage_base[s] = np.bincount(bases, minlength=k) / n
+            stage_base[s] = np.bincount(bases, minlength=k)
         for r in range(s0, s1, width):
             u = streams.take(min(width, s1 - r))
             if regret:
@@ -369,7 +364,7 @@ def run(config: RunConfig) -> RunTrace:
             b = acts.shape[0]
             flat = acts + k * np.arange(b)[:, None]
             hist = np.bincount(flat.reshape(-1), minlength=b * k).reshape(b, k)
-            np.divide(hist, n, out=realized_hist[r : r + b])
+            realized_counts[r : r + b] = hist
             if matching:
                 payoffs = realize_matching(acts, game.matrix, match_rng)
             else:
@@ -383,7 +378,7 @@ def run(config: RunConfig) -> RunTrace:
             break
         if not regret:
             stage_end(bases[nf:], sums, counts)
-        rho = ActionDistribution(realized_hist[s0:s1].mean(axis=0))
+        rho = ActionDistribution((realized_counts[s0:s1] / n).mean(axis=0))
         stage_rho[s] = rho.weights
         stage_distance[s] = rho.weights @ np.abs(np.arange(k) - config.target)
         stage_br[s] = best_reply_fraction(bases, rho, config.metrics_eta, game)
@@ -397,7 +392,7 @@ def run(config: RunConfig) -> RunTrace:
 
     return RunTrace(
         config=config,
-        realized_dist=realized_hist,
+        realized_counts=realized_counts,
         stage_base=stage_base,
         stage_rho=stage_rho,
         stage_distance=stage_distance,

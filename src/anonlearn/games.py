@@ -102,6 +102,8 @@ def climbing_game() -> MatrixGame:
 
 def build_game(kind: str, penalty_n: int, matrix_path: str | None) -> MatrixGame:
     """The game named by kind, one of GAME_KINDS."""
+    if matrix_path and kind != "matrix":
+        raise ValueError(f"matrix_path: only game=matrix reads a matrix file, got game={kind!r}")
     if kind == "contribution":
         return ContributionGame(penalty_n)
     if kind == "prisoners_dilemma":

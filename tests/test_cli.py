@@ -276,6 +276,13 @@ def test_analyze_matrix_requires_path(capsys):
     assert "matrix_path" in capsys.readouterr().err
 
 
+def test_analyze_matrix_path_needs_matrix_game(tmp_path, capsys):
+    m = tmp_path / "m.txt"
+    m.write_text("3 0\n5 1\n")
+    assert main(["analyze", "--game", "climbing", "--matrix", str(m)]) == EXIT_CONFIG
+    assert "matrix_path" in capsys.readouterr().err
+
+
 def test_analyze_missing_matrix_exits_3(tmp_path):
     assert main(["analyze", "--game", "matrix", "--matrix", str(tmp_path / "no.txt")]) == EXIT_IO
 

@@ -52,6 +52,9 @@ def test_parse_duplicate_key():
 def test_parse_bad_value_reports_line():
     with pytest.raises(ConfigError, match=r"myfile:1: bad value for sim\.n"):
         parse_config_text("sim.n = ten\n", source="myfile")
+    # only a whole line is a comment: after a value, # is part of the value
+    with pytest.raises(ConfigError, match=r"<config>:2: bad value for sim\.n: '10  # agents'"):
+        parse_config_text("  # agents\nsim.n = 10  # agents\n")
 
 
 def test_parse_requires_assignment():

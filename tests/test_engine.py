@@ -66,6 +66,7 @@ def test_run_config_defaults_and_stage_resolution():
         (dict(game="prisoners_dilemma"), "target"),  # default target 8 of 2 actions
         (dict(fixed_base=25), "fixed_base"),
         (dict(churn_rate=0.1, fixed_fraction=1.0), "churn_rate"),  # no learner to churn
+        (dict(game="climbing", target=0, matrix_path="/nonexistent.txt"), "matrix_path"),
     ],
 )
 def test_run_config_validation_names_offending_key(kwargs, needle):
@@ -515,48 +516,46 @@ def test_run_trace_csv_matches_csv_writer(cfg, tmp_path):
     assert fast == slow
 
 
-def test_run_trace_csv_falls_back_off_the_count_grid(tmp_path):
-    # rows that are not all count/n: every realized block but the first holds
-    # entries off the grid (thirds, nan, inf, noise), and one stage base row
-    # a -0.0 (equal to 0/n, but not its repr), so those take the repr path
+def test_run_trace_csv_covers_every_count(tmp_path):
+    # every count 0..n appears in some cell, on both sides of the 512-row
+    # blocks, and each row still sums to n
     rng = np.random.default_rng(4)
-    n, k, rounds = 4, 3, 1300
-    off_grid = rng.integers(n + 1, size=(rounds, k)) / n
-    stage_base = rng.integers(n + 1, size=(5, k)) / n
-    stage_base[1, 0] = -0.0
-    off_grid[600:] += rng.normal(scale=1e-3, size=(rounds - 600, k))
-    off_grid[520] = [1 / 3, -0.0, 0.25]
-    off_grid[530] = [np.nan, np.inf, 0.5]
-    off_grid[1299] = [-0.0, 0.0, 1.0]
+    n, k, rounds = 1000, 3, 1300
+    c = np.arange(rounds) % (n + 1)
+    realized = rng.permuted(np.stack([c, n - c, np.zeros_like(c)], axis=1), axis=1)
     trace = RunTrace(
         config=RunConfig(n=n, rounds=rounds, explore=0.1, stage_len=300),
-        realized_dist=off_grid, stage_base=stage_base,
+        realized_counts=realized.astype(np.int32),
+        stage_base=rng.multinomial(n, [0.2, 0.3, 0.5], size=5).astype(np.int32),
         stage_rho=np.full((4, k), 1 / k), stage_distance=rng.random(4) * 3,
         stage_br_fraction=rng.random(4))
+    assert set(trace.realized_counts.reshape(-1).tolist()) == set(range(n + 1))
     fast, slow = _csv_digests(trace, tmp_path)
     assert fast == slow
-    assert b"\r\n1299,4,,,-0.0,0.0,1.0," in (tmp_path / "fast.csv").read_bytes()
 
 
-def _nan(payload):
-    return np.array([0x7FF8000000000000 | payload], dtype=np.int64).view(float)[0]
+def _counts_rows(rng, n, rounds):
+    """rounds rows of 3 counts summing to n, none of them n."""
+    rows = rng.multinomial(n, [0.2, 0.3, 0.5], size=rounds)
+    rows[rows.max(axis=1) == n] = [n - 1, 1, 0]
+    return rows.astype(np.int32)
 
 
 @pytest.mark.parametrize("style", ["stage", "regret"])
 def test_run_trace_csv_keeps_each_stage_base_row(style, tmp_path):
     # consecutive stages (every 300 rounds, not a multiple of the 512-row
-    # block) whose base rows differ only in the sign of a zero or in a NaN
-    # payload, and a trailing partial stage; a regret trace has no stage base
-    # rows, its base rows are its realized rows
+    # block) with different base rows, one of them a count (n) that no
+    # realized cell holds, and a trailing partial stage; a regret trace has
+    # no stage base rows, its base rows are its realized rows
     rng = np.random.default_rng(21)
     n, k, rounds = 10, 3, 1300
-    realized = rng.integers(n + 1, size=(rounds, k)) / n
-    stage_base = np.array([[0.0, 0.3, 0.7], [-0.0, 0.3, 0.7], [_nan(1), 0.5, 0.5],
-                           [_nan(2), 0.5, 0.5], [0.1, 0.2, 0.7]])
-    realized[40] = [-0.0, 0.5, 0.5]
+    realized = _counts_rows(rng, n, rounds)
+    stage_base = np.array([[0, 3, 7], [1, 2, 7], [0, 0, 10], [5, 5, 0], [1, 2, 7]],
+                          dtype=np.int32)
+    realized[40] = [0, 5, 5]
     trace = RunTrace(
         config=RunConfig(n=n, rounds=rounds, explore=0.1, stage_len=300),
-        realized_dist=realized, stage_base=None if style == "regret" else stage_base,
+        realized_counts=realized, stage_base=None if style == "regret" else stage_base,
         stage_rho=np.full((4, k), 1 / k), stage_distance=rng.random(4) * 3,
         stage_br_fraction=rng.random(4))
     fast, slow = _csv_digests(trace, tmp_path)
@@ -564,10 +563,11 @@ def test_run_trace_csv_keeps_each_stage_base_row(style, tmp_path):
     lines = (tmp_path / "fast.csv").read_text().splitlines()
     if style == "stage":
         assert lines[1 + 299].endswith(",0.0,0.3,0.7")
-        assert lines[1 + 300].endswith(",-0.0,0.3,0.7")
+        assert lines[1 + 300].endswith(",0.1,0.2,0.7")
+        assert lines[1 + 600].endswith(",0.0,0.0,1.0")
         assert lines[1 + 1299].endswith(",0.1,0.2,0.7")
     else:
-        assert lines[1 + 40].endswith(",-0.0,0.5,0.5,-0.0,0.5,0.5")
+        assert lines[1 + 40].endswith(",0.0,0.5,0.5,0.0,0.5,0.5")
 
 
 @pytest.mark.parametrize("learner", ["stage", "regret"])
@@ -577,10 +577,23 @@ def test_run_trace_stores_one_base_row_per_stage(learner):
     t = run(RunConfig(learner=learner, n=10, rounds=450, explore=0.1, seed=2))
     if learner == "regret":
         assert t.stage_base is None
-        assert t.base_dist is t.realized_dist
+        np.testing.assert_array_equal(t.base_dist, t.realized_dist)
     else:
         assert t.stage_base.shape == (5, 20)
-        np.testing.assert_array_equal(t.base_dist, np.repeat(t.stage_base, 100, axis=0)[:450])
+        assert t.stage_base.dtype == np.int32 and (t.stage_base.sum(axis=1) == 10).all()
+        np.testing.assert_array_equal(t.base_dist,
+                                      np.repeat(t.stage_base / 10, 100, axis=0)[:450])
+
+
+@pytest.mark.parametrize("cfg", random_configs()[:8])
+def test_run_trace_stores_integer_counts(cfg):
+    # each round's histogram is kept as counts; realized_dist is counts / n,
+    # bit for bit
+    t = run(cfg)
+    assert t.realized_counts.dtype == np.int32
+    assert t.realized_counts.shape == (cfg.rounds, t.k)
+    assert (t.realized_counts.sum(axis=1) == cfg.n).all()
+    assert t.realized_dist.tobytes() == (t.realized_counts / cfg.n).tobytes()
 
 
 def test_run_summary_text(small_run):

@@ -2,13 +2,16 @@
 tests/golden/, and what `anonlearn analyze` prints, must keep their exact
 bytes; sampled Lipschitz estimates must keep their exact bits; `run` on a
 seeded table of random small configs must keep the exact bits of every
-RunTrace array; and `run_stationary` must return the same bases.
+RunTrace array; `run_stationary` must return the same bases; and each demo
+in demos/ must print the same bytes.
 
 digests.json holds the sha256 of each per-run CSV, summary and aggregate.csv
 and of each analyze report, the float.hex() of each Lipschitz estimate (a max
 of utility differences, so it moves with any bit-level change in the expected
 utilities), the sha256 of the five arrays of each random config's
-RunTrace, and the sha256 of the bases `run_stationary` returns.  Re-record it only when a change is meant to alter the outputs:
+RunTrace, the sha256 of the bases `run_stationary` returns, and the sha256
+of each demo's standard output.  Re-record it only when a change is meant to
+alter the outputs:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -18,6 +21,7 @@ import hashlib
 import io
 import json
 import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -39,6 +43,7 @@ from anonlearn import (
 )
 from anonlearn.cli import EXIT_OK, main
 
+ROOT = Path(__file__).parents[1]
 GOLDEN = Path(__file__).parent / "golden"
 DIGESTS = GOLDEN / "digests.json"
 CONFIGS = sorted(p.name for p in GOLDEN.glob("*.cfg"))
@@ -75,6 +80,7 @@ STATIONARY = {
 }
 
 RANDOM_CONFIGS = 32
+DEMOS = sorted(p.stem for p in (ROOT / "demos").glob("*.py"))
 
 
 def random_configs(count=RANDOM_CONFIGS, seed=20240):
@@ -161,6 +167,14 @@ def _trace_digest(idx: int, config: RunConfig) -> dict:
                                                 for a in arrays))}
 
 
+def _demo_digest(stem: str) -> dict:
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / f"{stem}.py")],
+                          capture_output=True, cwd=ROOT,
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert proc.returncode == 0, proc.stderr.decode()
+    return {f"demo/{stem}": _sha(proc.stdout)}
+
+
 def _recorded(match) -> dict:
     table = json.loads(DIGESTS.read_text())
     found = {k: v for k, v in table.items() if match(k)}
@@ -195,6 +209,11 @@ def test_golden_random_trace_bits(idx):
     assert _trace_digest(idx, config) == _recorded(lambda key: key == f"random/{idx:02d}")
 
 
+@pytest.mark.parametrize("stem", DEMOS)
+def test_golden_demo_stdout(stem):
+    assert _demo_digest(stem) == _recorded(lambda key: key == f"demo/{stem}")
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -210,5 +229,7 @@ if __name__ == "__main__":
         table.update(_stationary_digest(label))
     for idx, config in enumerate(random_configs()):
         table.update(_trace_digest(idx, config))
+    for stem in DEMOS:
+        table.update(_demo_digest(stem))
     DIGESTS.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
     print(f"recorded {len(table)} digests to {DIGESTS}", file=sys.stderr)
