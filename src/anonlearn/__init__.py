@@ -51,13 +51,12 @@ from .learners import (
 from .engine import (
     RunConfig,
     RunTrace,
-    apply_churn,
     best_reply_fraction,
-    realize_matching,
     run,
     run_many,
     run_stationary,
 )
+from .streams import apply_churn
 from .config import ConfigError, load_experiment, parse_config_text
 
 __version__ = "0.1.0"
@@ -95,7 +94,6 @@ __all__ = [
     "parse_config_text",
     "prisoners_dilemma",
     "pure_profile_distribution",
-    "realize_matching",
     "regret_act",
     "regret_observe",
     "run",

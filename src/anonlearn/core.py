@@ -119,7 +119,7 @@ class MatrixGame:
     The expected utility of a against rho is the mean of that partner lottery,
     sum over a' of matrix[a][a'] * rho[a'].  A mean-field run pays it exactly,
     against the other agents of each round (meanfield_table); a matching run
-    samples one partner instead (engine.realize_matching).
+    samples one partner instead (matching_payoffs).
     `lipschitz` is a bound K on how fast expected payoffs move in rho (L1
     norm); max|matrix| unless a subclass declares a tighter one.
     """
@@ -166,6 +166,31 @@ class MatrixGame:
             raise DimensionError("mean-field payoffs need at least 2 agents")
         totals = np.matmul(self.matrix, counts.astype(float)[..., None])[..., 0]
         return (totals - np.diagonal(self.matrix)) / (n - 1)
+
+    def matching_payoffs(self, actions, rng) -> np.ndarray:
+        """Payoffs of a uniform random perfect matching, matrix[a_i][a_partner],
+        for (n,) actions or a (rounds, n) block.  A block draws the
+        permutations that rng.permutation(n) would draw one per row, in row
+        order, in one rng.permuted call; offset by n per row, they index the
+        flat block, so the pairs' actions are one 1-D gather, both payoffs of
+        each pair one lookup in the flat matrix at left·k + right and
+        right·k + left, and the scatter back one 1-D store."""
+        block = np.atleast_2d(np.asarray(actions, dtype=int))
+        b, n = block.shape
+        if n % 2:
+            raise ValueError(f"matching needs an even number of agents, got {n}")
+        perm = np.empty((b, n), np.int64)
+        perm[...] = np.arange(n)
+        rng.permuted(perm, axis=1, out=perm)
+        perm += n * np.arange(b)[:, None]
+        perm = perm.reshape(-1)
+        pair = block.reshape(-1)[perm]  # left, right, left, right, ...
+        cell = pair * self.k
+        cell[0::2] += pair[1::2]
+        cell[1::2] += pair[0::2]
+        payoffs = np.empty(block.shape)
+        payoffs.reshape(-1)[perm] = self.matrix.reshape(-1)[cell]
+        return payoffs.reshape(np.shape(actions))
 
     def payoff_bounds(self) -> tuple[float, float]:
         """(min, max) payoff a single round can ever realize."""

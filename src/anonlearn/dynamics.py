@@ -25,7 +25,7 @@ def best_reply_set(rho: ActionDistribution, eta: float, game: MatrixGame) -> set
     Comparison is raw double arithmetic: eta is the intended slack, no extra
     epsilon is layered on.
     """
-    if eta < 0:
+    if not eta >= 0:
         raise ValueError(f"eta must be >= 0, got {eta}")
     u = game.utilities(rho)
     best = u.max()

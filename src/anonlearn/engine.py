@@ -1,12 +1,6 @@
-"""Round loop over a finite population: payoff realization, churn, metrics,
-and deterministic seeding.
-
-Seeding layout: agent i draws from default_rng([seed, 0, i]) for its whole
-lifetime (so changing n never reshuffles other agents' draws), the matching
-shuffle from default_rng([seed, 1]), and churn (a coin per slot, then a base
-after each hit) from default_rng([seed, 2]).  AgentStreams (all n agents at
-once) and apply_churn (only the hits) follow numpy's PCG64, pinned by tests.
-"""
+"""Round loop over a finite population: run configs, the block loop (the
+game pays the actions, the learners update) and the stage metrics.  The
+seeding layout, the agents' streams and churn's draws live in streams."""
 
 from __future__ import annotations
 
@@ -21,7 +15,7 @@ from .core import ActionDistribution, MatrixGame
 from .dynamics import best_reply_set
 from .games import PENALTY_N, build_game
 from .learners import regret_act, regret_observe, sample_mixed, stage_end, stage_tally
-from .streams import AgentStreams
+from .streams import AgentStreams, apply_churn
 
 LEARNER_KINDS = ("stage", "regret")
 # Working-memory bounds for run, whatever n is: a block's (rounds, n) actions
@@ -66,8 +60,8 @@ class RunConfig:
             raise ValueError(f"explore: must be in (0, 1), got {self.explore}")
         if self.stage_len is not None and self.stage_len < 1:
             raise ValueError(f"stage_len: must be >= 1, got {self.stage_len}")
-        if self.mu is not None and self.mu <= 0:
-            raise ValueError(f"mu: must be positive, got {self.mu}")
+        if self.mu is not None and not 0 < self.mu < math.inf:
+            raise ValueError(f"mu: must be positive and finite, got {self.mu}")
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta: must be in (0, 1), got {self.delta}")
         if self.n < 2:
@@ -92,8 +86,8 @@ class RunConfig:
             )
         if self.seed < 0:
             raise ValueError(f"seed: must be nonnegative, got {self.seed}")
-        if self.metrics_eta < 0:
-            raise ValueError(f"metrics_eta: must be >= 0, got {self.metrics_eta}")
+        if not 0 <= self.metrics_eta < math.inf:
+            raise ValueError(f"metrics_eta: must be finite and >= 0, got {self.metrics_eta}")
         game = build_game(self.game, self.penalty_n, self.matrix_path)
         for key in ("target", "fixed_base"):
             a = getattr(self, key)
@@ -121,85 +115,6 @@ class RunConfig:
         out = [(f.name, getattr(self, f.name)) for f in fields(self)]
         out.append(("resolved_stage_len", self.resolved_stage_len))
         return out
-
-
-def realize_matching(actions, matrix, rng) -> np.ndarray:
-    """Uniform random perfect matching; payoff matrix[a_i][a_partner].  A
-    (rounds, n) block draws the permutations that rng.permutation(n) would
-    draw one per row, in row order, in one rng.permuted call; offset by n per
-    row, they index the flat block, so the pairs' actions are one 1-D
-    gather, both payoffs of each pair one lookup in the flat matrix at
-    left·k + right and right·k + left, and the scatter back one 1-D store."""
-    block = np.atleast_2d(np.asarray(actions, dtype=int))
-    b, n = block.shape
-    if n % 2:
-        raise ValueError(f"matching needs an even number of agents, got {n}")
-    m = np.asarray(matrix, dtype=float)
-    perm = np.empty((b, n), np.int64)
-    perm[...] = np.arange(n)
-    rng.permuted(perm, axis=1, out=perm)
-    perm += n * np.arange(b)[:, None]
-    perm = perm.reshape(-1)
-    pair = block.reshape(-1)[perm]  # left, right, left, right, ...
-    cell = pair * m.shape[0]
-    cell[0::2] += pair[1::2]
-    cell[1::2] += pair[0::2]
-    payoffs = np.empty(block.shape)
-    payoffs.reshape(-1)[perm] = m.reshape(-1)[cell]
-    return payoffs.reshape(np.shape(actions))
-
-
-def apply_churn(bases, start: int, rate: float, rng, k: int | None = None) -> np.ndarray:
-    """Replace each learner (slots start..n-1) independently with probability
-    rate, and return the replaced slots.
-
-    Fixed agents, in the slots below start, are never churned — their
-    persistence is the point of having them.  Given k, a replaced slot gets a
-    uniform base in range(k) drawn from rng right after its coin, written into
-    bases; otherwise the caller resets the slot's state.
-
-    The draws and rng's state after are a loop's, rng.random() per slot and
-    rng.integers(k) on a hit.  With k, rng must be a PCG64 Generator: one
-    compare on its raw outputs ((raw >> 11)·2**-53) finds the hits, and a base
-    is Lemire's method on 32-bit words, the buffered half or else the low half
-    of the next output (buffering its high half, so later coins shift by one).
-    """
-    if not 0.0 <= rate <= 1.0:
-        raise ValueError(f"churn rate must be in [0, 1], got {rate}")
-    m = len(bases) - start
-    if k is None:
-        return start + np.flatnonzero(rng.random(m) < rate)
-    if not isinstance(bg := rng.bit_generator, np.random.PCG64) or not 2 <= k < 1 << 32:
-        raise ValueError(f"apply_churn: need a PCG64 generator and 2 <= k < 2**32, got "
-                         f"{type(bg).__name__} and k={k}")
-    saved, raw, hits, out = bg.state, np.empty(0, np.uint64), [], []
-    has, half = saved["has_uint32"], saved["uinteger"]
-
-    def read(end):  # outputs through raw[end], and which of them are hits as coins
-        nonlocal raw
-        if end >= raw.size:
-            more = bg.random_raw(end - raw.size + int(rate * m) + 16)
-            hits.extend((raw.size + np.flatnonzero((more >> 11) * 2.0**-53 < rate)).tolist())
-            raw = np.concatenate([raw, more])
-
-    pos, slot, bar = 0, 0, ((1 << 32) - k) % k  # raw[pos] is slot's coin
-    read(m)  # every coin
-    for q in hits:  # read() appends to hits as the walk goes on
-        if not pos <= q < pos + m - slot:  # an output a base used, or past the last coin
-            continue
-        slot, pos, lo = slot + q - pos + 1, q + 1, -1
-        out.append(start + slot - 1)
-        while lo < bar:
-            if has:
-                word, has = half, 0
-            else:
-                read(pos + m - slot)  # this word, and every coin left after it
-                word, half, has, pos = int(raw[pos]) & 0xFFFFFFFF, int(raw[pos]) >> 32, 1, pos + 1
-            hi, lo = divmod(word * k, 1 << 32)
-        bases[out[-1]] = hi
-    bg.state = saved
-    bg.state = {**bg.advance(pos + m - slot).state, "has_uint32": has, "uinteger": half}
-    return np.array(out, dtype=np.int64)
 
 
 def best_reply_fraction(
@@ -366,7 +281,7 @@ def run(config: RunConfig) -> RunTrace:
             hist = np.bincount(flat.reshape(-1), minlength=b * k).reshape(b, k)
             realized_counts[r : r + b] = hist
             if matching:
-                payoffs = realize_matching(acts, game.matrix, match_rng)
+                payoffs = game.matching_payoffs(acts, match_rng)
             else:
                 payoffs = game.meanfield_table(hist).reshape(-1)[flat]
             if regret:

@@ -61,3 +61,14 @@ def test_summarize_higher_is_better_flips_wins():
     assert higher["change_wins"] == "0/3"
     assert higher["better"] == "higher"
     assert summary(change, parent, "higher")["summary"]["wall_ref_s"]["change_wins"] == "2/3"
+
+
+def test_line_counts_per_module_sum_to_src_lines(tmp_path):
+    pkg = tmp_path / "src" / "anonlearn"
+    pkg.mkdir(parents=True)
+    (pkg / "b.py").write_text("x = 1\ny = 2\n")
+    (pkg / "a.py").write_text("z = 3\nno trailing newline")
+    (pkg / "notes.txt").write_text("not a module\n")
+    assert bench_pairs.module_lines(tmp_path) == {"a.py": 1, "b.py": 2}
+    assert list(bench_pairs.module_lines(tmp_path)) == ["a.py", "b.py"]
+    assert bench_pairs.src_lines(tmp_path) == 3

@@ -186,6 +186,7 @@ def test_run_bad_value_exits_2(tmp_path):
         ("game.kind = prisoners_dilemma\n", "target"),  # default target 8 of 2 actions
         ("sim.fixed_base = 25\n", "fixed_base"),
         ("sim.churn_rate = 0.1\nsim.fixed_fraction = 1.0\n", "churn_rate"),
+        ("learner.kind = regret\nlearner.mu = nan\n", "mu"),
     ],
 )
 def test_run_rejects_bad_config_at_load(tmp_path, capsys, text, key):
@@ -239,6 +240,14 @@ def test_analyze_nash(capsys):
     out = capsys.readouterr().out
     assert "eta-nash (eta=0.0): True" in out
     assert "ABR_eta(rho) = [8]" in out
+
+
+def test_analyze_nan_eta_exits_2(capsys):
+    # NaN is no slack: both modes reject it instead of printing an empty set
+    rho = ",".join(["0"] * 8 + ["1"] + ["0"] * 11)
+    for mode in (["nash", "--rho", rho], ["brs"]):
+        assert main(["analyze", "--eta", "nan", "--mode", *mode]) == EXIT_CONFIG
+        assert "eta must be >= 0" in capsys.readouterr().err
 
 
 def test_analyze_has_no_payoff_mode(capsys):

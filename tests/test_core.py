@@ -6,6 +6,7 @@ import pytest
 import anonlearn
 from anonlearn import (
     ActionDistribution,
+    ContributionGame,
     DimensionError,
     MatrixGame,
     MixedAction,
@@ -13,6 +14,7 @@ from anonlearn import (
     estimate_lipschitz,
     l1_distance,
     prisoners_dilemma,
+    pure_profile_distribution,
     utility,
 )
 
@@ -145,6 +147,49 @@ def test_matching_utility_matches_expected_payoff():
         utility(0, ActionDistribution.uniform(3), game)
     with pytest.raises(DimensionError):
         game.utilities(ActionDistribution.uniform(3))
+
+
+def meanfield(acts, game):
+    """Each agent's mean-field payoff, read from its round's table row."""
+    acts = np.asarray(acts)
+    return game.meanfield_table(np.bincount(acts, minlength=game.k)[None])[0][acts]
+
+
+def test_meanfield_table_contribution_example():
+    # three agents at (8, 8, 0): the pair of 8s each face mean 4, the
+    # free rider faces mean 8 but contributes nothing
+    game = ContributionGame()
+    payoffs = meanfield([8, 8, 0], game)
+    np.testing.assert_allclose(payoffs, [15.0, 15.0, 0.0])
+
+
+def test_meanfield_table_pd_example():
+    payoffs = meanfield([0, 1], prisoners_dilemma())
+    np.testing.assert_array_equal(payoffs, [0.0, 5.0])
+
+
+def test_meanfield_table_excludes_self():
+    game = prisoners_dilemma()
+    # four cooperators: each faces three cooperators, not itself
+    np.testing.assert_allclose(meanfield([0, 0, 0, 0], game), [3.0] * 4)
+    with pytest.raises(DimensionError):
+        meanfield([0], game)
+    with pytest.raises(DimensionError):  # any round short of 2 agents
+        game.meanfield_table([[2, 1], [1, 0]])
+
+
+def test_meanfield_table_matches_per_agent_utilities():
+    # each agent is paid its action's utility against the other n-1 agents
+    rng = np.random.default_rng(6)
+    game = ContributionGame()
+    for _ in range(10):
+        acts = rng.integers(20, size=9)
+        table = meanfield(acts, game)
+        per_agent = [
+            game.utilities(pure_profile_distribution(np.delete(acts, i), 20))[a]
+            for i, a in enumerate(acts)
+        ]
+        np.testing.assert_allclose(table, per_agent, atol=1e-9)
 
 
 def test_l1_distance():

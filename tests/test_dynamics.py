@@ -63,6 +63,12 @@ def test_best_reply_set_rejects_negative_eta():
         best_reply_set(ActionDistribution.uniform(2), -0.1, prisoners_dilemma())
 
 
+def test_best_reply_set_rejects_nan_eta():
+    # every comparison with NaN is false: the set would come out empty
+    with pytest.raises(ValueError, match="eta must be >= 0"):
+        best_reply_set(ActionDistribution.uniform(2), float("nan"), prisoners_dilemma())
+
+
 def test_eta_nash():
     game = ContributionGame()
     delta8 = ActionDistribution.point_mass(8, 20)

@@ -11,7 +11,6 @@ import pytest
 from anonlearn import (
     ActionDistribution,
     ContributionGame,
-    DimensionError,
     MatrixGame,
     MixedAction,
     RunConfig,
@@ -22,13 +21,12 @@ from anonlearn import (
     engine,
     load_matrix,
     prisoners_dilemma,
-    pure_profile_distribution,
-    realize_matching,
     run,
     run_many,
     run_stationary,
 )
 from anonlearn.engine import pool_size
+from test_core import meanfield
 from test_golden import GOLDEN, random_configs
 
 
@@ -67,6 +65,10 @@ def test_run_config_defaults_and_stage_resolution():
         (dict(fixed_base=25), "fixed_base"),
         (dict(churn_rate=0.1, fixed_fraction=1.0), "churn_rate"),  # no learner to churn
         (dict(game="climbing", target=0, matrix_path="/nonexistent.txt"), "matrix_path"),
+        (dict(learner="regret", mu=float("nan")), "mu"),
+        (dict(mu=float("inf")), "mu"),
+        (dict(metrics_eta=float("nan")), "metrics_eta"),
+        (dict(metrics_eta=float("inf")), "metrics_eta"),
     ],
 )
 def test_run_config_validation_names_offending_key(kwargs, needle):
@@ -121,49 +123,6 @@ def test_build_population_range_checks(tmp_path):
 # payoff realization
 
 
-def meanfield(acts, game):
-    """Each agent's mean-field payoff, read from its round's table row."""
-    acts = np.asarray(acts)
-    return game.meanfield_table(np.bincount(acts, minlength=game.k)[None])[0][acts]
-
-
-def test_realize_meanfield_contribution_example():
-    # three agents at (8, 8, 0): the pair of 8s each face mean 4, the
-    # free rider faces mean 8 but contributes nothing
-    game = ContributionGame()
-    payoffs = meanfield([8, 8, 0], game)
-    np.testing.assert_allclose(payoffs, [15.0, 15.0, 0.0])
-
-
-def test_realize_meanfield_pd_example():
-    payoffs = meanfield([0, 1], prisoners_dilemma())
-    np.testing.assert_array_equal(payoffs, [0.0, 5.0])
-
-
-def test_realize_meanfield_excludes_self():
-    game = prisoners_dilemma()
-    # four cooperators: each faces three cooperators, not itself
-    np.testing.assert_allclose(meanfield([0, 0, 0, 0], game), [3.0] * 4)
-    with pytest.raises(DimensionError):
-        meanfield([0], game)
-    with pytest.raises(DimensionError):  # any round short of 2 agents
-        game.meanfield_table([[2, 1], [1, 0]])
-
-
-def test_realize_meanfield_fast_path_matches_generic():
-    # each agent is paid its action's utility against the other n-1 agents
-    rng = np.random.default_rng(6)
-    game = ContributionGame()
-    for _ in range(10):
-        acts = rng.integers(20, size=9)
-        fast = meanfield(acts, game)
-        slow = [
-            game.utilities(pure_profile_distribution(np.delete(acts, i), 20))[a]
-            for i, a in enumerate(acts)
-        ]
-        np.testing.assert_allclose(fast, slow, atol=1e-9)
-
-
 def _per_round_payoffs(acts, counts, m):
     """The per-round reference: one m @ c per round, then
     (totals[r, a] - m[a, a]) / (n - 1) for each agent."""
@@ -197,7 +156,7 @@ def test_realize_matching_is_a_perfect_matching():
     k = 6
     m = np.add.outer(10 * np.arange(k), np.arange(k)).astype(float)
     acts = np.array([0, 1, 2, 3, 4, 5])
-    payoffs = realize_matching(acts, m, np.random.default_rng(0))
+    payoffs = MatrixGame(m).matching_payoffs(acts, np.random.default_rng(0))
     partner = (payoffs - 10 * acts).astype(int)
     for i in range(k):
         assert partner[i] != i  # never self-matched
@@ -205,29 +164,29 @@ def test_realize_matching_is_a_perfect_matching():
 
 
 def test_realize_matching_zero_sum_conserved():
-    m = np.array([[0.0, -1.0], [1.0, 0.0]])
+    game = MatrixGame([[0.0, -1.0], [1.0, 0.0]])
     rng = np.random.default_rng(3)
     for _ in range(20):
         acts = rng.integers(2, size=100)
-        assert realize_matching(acts, m, rng).sum() == 0.0
+        assert game.matching_payoffs(acts, rng).sum() == 0.0
 
 
 def test_realize_matching_needs_even_population():
     with pytest.raises(ValueError, match="even"):
-        realize_matching([0, 1, 0], np.eye(2), np.random.default_rng(0))
+        MatrixGame(np.eye(2)).matching_payoffs([0, 1, 0], np.random.default_rng(0))
 
 
 def test_realize_matching_block_equals_stacked_rows():
     # a (rounds, n) block draws one permutation per row, in row order: the
     # bits and the generator state of one 1-D call per row
-    m = np.random.default_rng(1).normal(size=(5, 5))
+    game = MatrixGame(np.random.default_rng(1).normal(size=(5, 5)))
     acts = np.random.default_rng(2).integers(5, size=(40, 12))
     rng_block, rng_rows = np.random.default_rng(9), np.random.default_rng(9)
-    block = realize_matching(acts, m, rng_block)
-    rows = np.array([realize_matching(a, m, rng_rows) for a in acts])
+    block = game.matching_payoffs(acts, rng_block)
+    rows = np.array([game.matching_payoffs(a, rng_rows) for a in acts])
     assert block.shape == acts.shape and block.tobytes() == rows.tobytes()
     assert rng_block.random() == rng_rows.random()
-    one = realize_matching(acts[:1], m, np.random.default_rng(9))
+    one = game.matching_payoffs(acts[:1], np.random.default_rng(9))
     assert one.shape == (1, 12) and one.tobytes() == rows[:1].tobytes()
 
 
@@ -236,9 +195,9 @@ def test_realize_matching_block_draws_per_row_permutations(n):
     # the block's pairs are those of one rng.permutation(n) per row, in row
     # order, and the generator ends in the same state
     rounds = 30
-    partner_payoff = np.tile(np.arange(float(n)), (n, 1))  # payoff = partner's action
+    game = MatrixGame(np.tile(np.arange(float(n)), (n, 1)))  # payoff = partner's action
     rng, ref = np.random.default_rng(5), np.random.default_rng(5)
-    got = realize_matching(np.tile(np.arange(n), (rounds, 1)), partner_payoff, rng)
+    got = game.matching_payoffs(np.tile(np.arange(n), (rounds, 1)), rng)
     want = np.empty((rounds, n))
     for row in want:
         perm = ref.permutation(n)
@@ -249,18 +208,18 @@ def test_realize_matching_block_draws_per_row_permutations(n):
 
 def test_realize_matching_block_needs_even_population():
     with pytest.raises(ValueError, match="even"):
-        realize_matching(np.zeros((3, 5), dtype=int), np.eye(2), np.random.default_rng(0))
+        MatrixGame(np.eye(2)).matching_payoffs(np.zeros((3, 5), dtype=int),
+                                               np.random.default_rng(0))
 
 
 def test_matching_mean_approaches_meanfield():
     # with many agents, one matched round's average payoff sits close to the
     # mean-field average for the same action profile
     game = prisoners_dilemma()
-    m = game.matrix
     rng = np.random.default_rng(8)
     acts = rng.integers(2, size=10000)
     exact = meanfield(acts, game).mean()
-    sampled = realize_matching(acts, m, rng).mean()
+    sampled = game.matching_payoffs(acts, rng).mean()
     assert abs(sampled - exact) < 0.1
 
 
@@ -417,6 +376,39 @@ def test_run_plays_the_configs_game(monkeypatch):
     for f in ("realized_dist", "base_dist", "stage_rho", "stage_distance",
               "stage_br_fraction"):
         np.testing.assert_array_equal(getattr(a, f), getattr(b, f))
+
+
+class CountingGame(MatrixGame):
+    """A MatrixGame that counts the calls to its payoff methods."""
+
+    def __init__(self, matrix):
+        super().__init__(matrix)
+        self.calls = {"meanfield_table": 0, "matching_payoffs": 0}
+
+    def meanfield_table(self, counts):
+        self.calls["meanfield_table"] += 1
+        return super().meanfield_table(counts)
+
+    def matching_payoffs(self, actions, rng):
+        self.calls["matching_payoffs"] += 1
+        return super().matching_payoffs(actions, rng)
+
+
+@pytest.mark.parametrize("mode,method", [("meanfield", "meanfield_table"),
+                                         ("matching", "matching_payoffs")])
+def test_run_pays_through_the_games_payoff_methods(mode, method):
+    # run asks the config's game for every payoff, by the mode's method only,
+    # so a game that overrides the method changes what its agents earn
+    kwargs = dict(game="climbing", target=0, mode=mode, n=10, rounds=300, explore=0.1, seed=2)
+    cfg = RunConfig(**kwargs)
+    game = CountingGame(cfg._game.matrix)
+    object.__setattr__(cfg, "_game", game)
+    trace = run(cfg)
+    assert game.calls[method] > 0
+    assert sum(game.calls.values()) == game.calls[method]
+    plain = run(RunConfig(**kwargs))
+    assert trace.realized_counts.tobytes() == plain.realized_counts.tobytes()
+    assert trace.stage_base.tobytes() == plain.stage_base.tobytes()
 
 
 def test_meanfield_run_without_churn_leaves_numpy_random_unimported():

@@ -13,7 +13,6 @@ from anonlearn import (
     contribution_cost,
     load_matrix,
     prisoners_dilemma,
-    realize_matching,
     utility,
 )
 
@@ -138,9 +137,8 @@ def test_matching_channel_is_partner_lottery():
     # a defector matched with a cooperator earns 5, with a defector 1; the
     # expected utility is that lottery's mean under rho
     game = prisoners_dilemma()
-    m = game.matrix
     acts = np.array([1, 0, 1, 1])
-    payoffs = realize_matching(acts, m, np.random.default_rng(0))
+    payoffs = game.matching_payoffs(acts, np.random.default_rng(0))
     assert sorted(payoffs) == [0.0, 1.0, 1.0, 5.0]
     assert game.utilities(ActionDistribution([0.5, 0.5]))[1] == pytest.approx(3.0)
     assert game.utilities(ActionDistribution.point_mass(1, 2))[0] == 0.0
@@ -157,7 +155,7 @@ def test_modes_agree_on_expected_payoff():
         others = ActionDistribution.from_counts(np.bincount(np.delete(acts, i), minlength=2))
         assert meanfield[i] == pytest.approx(game.utilities(others)[acts[i]])
     matched = np.mean(
-        [realize_matching(acts, game.matrix, rng).mean() for _ in range(200)]
+        [game.matching_payoffs(acts, rng).mean() for _ in range(200)]
     )
     assert matched == pytest.approx(meanfield.mean(), abs=0.05)
 
@@ -168,7 +166,7 @@ def test_matching_payoff_set():
     rng = np.random.default_rng(1)
     seen = set()
     for _ in range(20):
-        seen |= set(realize_matching(rng.integers(2, size=10), game.matrix, rng))
+        seen |= set(game.matching_payoffs(rng.integers(2, size=10), rng))
     assert seen == {0.0, 1.0, 3.0, 5.0}
 
 

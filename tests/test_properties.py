@@ -7,7 +7,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anonlearn import RunConfig, realize_matching, run
+from anonlearn import MatrixGame, RunConfig, run
 
 ACTIONS = {"contribution": 20, "prisoners_dilemma": 2, "climbing": 3}
 FEW = settings(max_examples=25, deadline=None)
@@ -67,7 +67,7 @@ def test_run_is_a_pure_function_of_its_config(cfg):
 def test_realize_matching_pairs_every_agent_once(half, seed):
     # agent i plays action i and its payoff is its partner's action
     n = 2 * half
-    partner = realize_matching(np.arange(n), np.tile(np.arange(n), (n, 1)),
-                               np.random.default_rng(seed)).astype(int)
+    game = MatrixGame(np.tile(np.arange(n), (n, 1)))
+    partner = game.matching_payoffs(np.arange(n), np.random.default_rng(seed)).astype(int)
     assert (partner != np.arange(n)).all()
     np.testing.assert_array_equal(partner[partner], np.arange(n))

@@ -18,9 +18,10 @@ median and quartiles (numpy's linear percentiles) over the runs that report it,
 with their count, the pairs the change won among the pairs where both runs
 report it (ties count for neither) and the ratio of the medians.  A failed run
 reports no metrics; it lowers those counts and shows in `correct`.  Each side
-also records its `src_sha256` and `src_lines` (the total of
-`wc -l src/anonlearn/*.py`).  --traced adds one `--trace 1` run per side and
-workload (parent first) under "traced".
+also records its `src_sha256`, `src_lines` (the total of
+`wc -l src/anonlearn/*.py`) and `module_lines`, each module's share of it.
+--traced adds one `--trace 1` run per side and workload (parent first) under
+"traced".
 """
 
 from __future__ import annotations
@@ -80,9 +81,15 @@ def src_sha256(tree: Path) -> str:
     return h.hexdigest()
 
 
+def module_lines(tree: Path) -> dict:
+    """`wc -l src/anonlearn/*.py` per module, by file name."""
+    return {f.name: f.read_bytes().count(b"\n")
+            for f in sorted((tree / "src" / "anonlearn").glob("*.py"))}
+
+
 def src_lines(tree: Path) -> int:
     """The src/ line count ROADMAP tracks, the total of `wc -l src/anonlearn/*.py`."""
-    return sum(f.read_bytes().count(b"\n") for f in (tree / "src" / "anonlearn").glob("*.py"))
+    return sum(module_lines(tree).values())
 
 
 def perfbench(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> tuple:
@@ -157,11 +164,12 @@ def main() -> int:
         trees = {side: work / side for side in SIDES}
         export_parent(args.parent, trees["parent"])
         export_change(trees["change"])
-        doc["parent"] = {"commit": parent_commit, "src_sha256": src_sha256(trees["parent"]),
-                         "src_lines": src_lines(trees["parent"])}
-        doc["change"] = {"commit": f"working tree of {head}" if dirty else head,
-                         "src_sha256": src_sha256(trees["change"]),
-                         "src_lines": src_lines(trees["change"])}
+        commits = {"parent": parent_commit,
+                   "change": f"working tree of {head}" if dirty else head}
+        for side in SIDES:
+            doc[side] = {"commit": commits[side], "src_sha256": src_sha256(trees[side]),
+                         "src_lines": src_lines(trees[side]),
+                         "module_lines": module_lines(trees[side])}
         for workload in args.workload:
             key = f"{workload}/seed{args.seed}"
             entry = doc["workloads"].setdefault(key, {
