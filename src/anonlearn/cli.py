@@ -1,4 +1,4 @@
-"""Experiment runner CLI: single runs, sweeps, and quick analyses.
+"""Experiment runner CLI: runs of a config's grid, and quick analyses.
 
 Exit codes: 0 ok, 2 config error, 3 IO error.  Output files are written to a
 temp name and renamed, so a crash never leaves a half-written CSV behind, and
@@ -84,29 +84,16 @@ def _write_aggregate(path: Path, cells, metrics):
     _atomic_write(path, writer)
 
 
-def _execute(cells, out: str, threads: int) -> int:
+def cmd_run(args) -> int:
     """Run every cell, each writing its own files as it finishes (so a failed
     cell leaves the finished ones in place), then write aggregate.csv."""
-    outdir = Path(out)
+    cells = load_experiment(args.config, args.seed)
+    outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    metrics = pool_map(_run_cell, [(cfg, outdir) for cfg in cells], threads)
+    metrics = pool_map(_run_cell, [(cfg, outdir) for cfg in cells], args.threads)
     _write_aggregate(outdir / "aggregate.csv", cells, metrics)
     print(f"wrote {len(cells)} run(s) and aggregate.csv to {outdir}")
     return EXIT_OK
-
-
-def cmd_run(args) -> int:
-    return _execute(load_experiment(args.config, args.seed), args.out, args.threads)
-
-
-def cmd_sweep(args) -> int:
-    cells = load_experiment(args.config)
-    if len(cells) < 2:
-        raise ConfigError(
-            "sweep: config defines no sweep grid (set sweep.populations, "
-            "sweep.seeds, or sweep.learners)"
-        )
-    return _execute(cells, args.out, args.threads)
 
 
 def _parse_rho(text: str, k: int) -> ActionDistribution:
@@ -195,21 +182,16 @@ def _default(fn, param: str):
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="anonlearn",
-        description="Population learning experiments: run, sweep, analyze.",
+        description="Population learning experiments: run, analyze.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    runs = argparse.ArgumentParser(add_help=False)
-    runs.add_argument("--config", required=True, help="experiment config file")
-    runs.add_argument("--out", default="out", help="output directory (default: out)")
-    runs.add_argument("--threads", type=int, default=1, help="parallel runs (default: 1)")
-
-    p_run = sub.add_parser("run", parents=[runs], help="execute the runs a config describes")
+    p_run = sub.add_parser("run", help="execute the runs a config describes")
+    p_run.add_argument("--config", required=True, help="experiment config file")
+    p_run.add_argument("--out", default="out", help="output directory (default: out)")
+    p_run.add_argument("--threads", type=int, default=1, help="parallel runs (default: 1)")
     p_run.add_argument("--seed", type=int, default=None, help="force a single master seed")
     p_run.set_defaults(func=cmd_run)
-
-    p_sweep = sub.add_parser("sweep", parents=[runs], help="like run, but requires a sweep grid")
-    p_sweep.set_defaults(func=cmd_sweep)
 
     p_an = sub.add_parser("analyze", help="best-reply sequences, eta-Nash, Lipschitz")
     p_an.add_argument("--game", default=RunConfig.game, choices=GAME_KINDS)
@@ -227,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.set_defaults(func=cmd_analyze)
 
     p_gp = sub.add_parser("gnuplot", help="pivot an aggregate.csv for gnuplot")
-    p_gp.add_argument("--aggregate", required=True, help="aggregate.csv from run/sweep")
+    p_gp.add_argument("--aggregate", required=True, help="aggregate.csv from run")
     p_gp.add_argument("--out", required=True, help="output .dat path")
     p_gp.add_argument("--metric", default="mean_distance")
     p_gp.set_defaults(func=cmd_gnuplot)

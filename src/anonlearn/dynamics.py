@@ -201,8 +201,8 @@ def close_l1_bound(e: float, eps: float) -> float:
 def abr_containment_threshold(eta: float, K: float) -> float:
     """Closeness budget d_eta = eta/(8K) under which ABR_{eta/2} of the noisy
     distribution stays inside ABR_eta of the clean one."""
-    if K <= 0.0:
+    if not K > 0.0:
         raise ValueError(f"need a positive Lipschitz bound, got K={K}")
-    if eta <= 0.0:
+    if not eta > 0.0:
         raise ValueError(f"eta must be positive, got {eta}")
     return eta / (8.0 * K)

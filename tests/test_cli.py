@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, file layout, output formats."""
 
+import argparse
 import csv
 import multiprocessing
 from pathlib import Path
@@ -205,20 +206,22 @@ def test_run_missing_config_exits_3(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# sweep
+# command set
 
 
-def test_sweep_requires_grid(tmp_path, capsys):
-    cfg = tmp_path / "single.cfg"
-    cfg.write_text("sim.n = 4\nsim.rounds = 200\nlearner.explore = 0.1\n")
-    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
-    assert "sweep" in capsys.readouterr().err
-
-
-def test_sweep_runs_grid(tiny_cfg, tmp_path):
-    out = tmp_path / "out"
-    assert main(["sweep", "--config", str(tiny_cfg), "--out", str(out)]) == EXIT_OK
-    assert (out / "aggregate.csv").is_file()
+def test_commands_are_run_analyze_gnuplot(tiny_cfg, tmp_path, capsys):
+    # run is the one command that runs a config's grid; sweep is unknown
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert sorted(sub.choices) == ["analyze", "gnuplot", "run"]
+    args = parser.parse_args(["run", "--config", str(tiny_cfg)])
+    assert (args.out, args.threads, args.seed) == ("out", 1, None)
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--config", str(tiny_cfg), "--out", str(out)])
+    assert exc.value.code == 2
+    assert "invalid choice: 'sweep'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

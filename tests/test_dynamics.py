@@ -284,6 +284,10 @@ def test_abr_containment_threshold_values():
         abr_containment_threshold(0.0, 5.0)
     with pytest.raises(ValueError):
         abr_containment_threshold(1.0, 0.0)
+    with pytest.raises(ValueError):
+        abr_containment_threshold(float("nan"), 1.0)
+    with pytest.raises(ValueError):
+        abr_containment_threshold(1.0, float("nan"))
 
 
 @pytest.mark.parametrize("game,eta", [(prisoners_dilemma(), 1.0), (ContributionGame(), 8.0)])

@@ -94,7 +94,7 @@ def test_build_game_kinds(tmp_path):
     np.testing.assert_array_equal(game.matrix, [[0, 1], [1, 0]])
 
 
-def test_build_population_layout():
+def test_fixed_agents_hold_low_slots_and_learners_draw_own_base():
     # fixed agents take the low floor(fixed_fraction * n) slots; each learner
     # draws its first base from its own stream default_rng([seed, 0, i])
     cfg = RunConfig(n=8, rounds=100, explore=0.1, fixed_fraction=0.25, fixed_base=8,
@@ -103,7 +103,7 @@ def test_build_population_layout():
     np.testing.assert_array_equal(run(cfg).base_dist[0], np.bincount(bases, minlength=20) / 8)
 
 
-def test_build_population_range_checks(tmp_path):
+def test_action_indices_checked_against_game_at_build(tmp_path):
     # action indices are checked against the game when the config is built,
     # so a bad one never reaches run or a worker
     with pytest.raises(ValueError, match="target: action 5 out of range for 2 actions"):
@@ -151,7 +151,7 @@ def test_meanfield_payoffs_block_matches_per_round_gemv(k, rounds):
     assert got.tobytes() == _per_round_payoffs(acts, counts, m).tobytes()
 
 
-def test_realize_matching_is_a_perfect_matching():
+def test_matching_payoffs_is_a_perfect_matching():
     # payoff 10*own + partner decodes who met whom
     k = 6
     m = np.add.outer(10 * np.arange(k), np.arange(k)).astype(float)
@@ -163,7 +163,7 @@ def test_realize_matching_is_a_perfect_matching():
         assert partner[partner[i]] == i  # symmetric pairing
 
 
-def test_realize_matching_zero_sum_conserved():
+def test_matching_payoffs_zero_sum_conserved():
     game = MatrixGame([[0.0, -1.0], [1.0, 0.0]])
     rng = np.random.default_rng(3)
     for _ in range(20):
@@ -171,12 +171,12 @@ def test_realize_matching_zero_sum_conserved():
         assert game.matching_payoffs(acts, rng).sum() == 0.0
 
 
-def test_realize_matching_needs_even_population():
+def test_matching_payoffs_needs_even_population():
     with pytest.raises(ValueError, match="even"):
         MatrixGame(np.eye(2)).matching_payoffs([0, 1, 0], np.random.default_rng(0))
 
 
-def test_realize_matching_block_equals_stacked_rows():
+def test_matching_payoffs_block_equals_stacked_rows():
     # a (rounds, n) block draws one permutation per row, in row order: the
     # bits and the generator state of one 1-D call per row
     game = MatrixGame(np.random.default_rng(1).normal(size=(5, 5)))
@@ -191,7 +191,7 @@ def test_realize_matching_block_equals_stacked_rows():
 
 
 @pytest.mark.parametrize("n", [2, 100, 1000])
-def test_realize_matching_block_draws_per_row_permutations(n):
+def test_matching_payoffs_block_draws_per_row_permutations(n):
     # the block's pairs are those of one rng.permutation(n) per row, in row
     # order, and the generator ends in the same state
     rounds = 30
@@ -206,7 +206,7 @@ def test_realize_matching_block_draws_per_row_permutations(n):
     assert rng.bit_generator.state == ref.bit_generator.state
 
 
-def test_realize_matching_block_needs_even_population():
+def test_matching_payoffs_block_needs_even_population():
     with pytest.raises(ValueError, match="even"):
         MatrixGame(np.eye(2)).matching_payoffs(np.zeros((3, 5), dtype=int),
                                                np.random.default_rng(0))

@@ -64,7 +64,7 @@ def test_run_is_a_pure_function_of_its_config(cfg):
 
 @FEW
 @given(st.integers(1, 100), st.integers(0, 2**32))
-def test_realize_matching_pairs_every_agent_once(half, seed):
+def test_matching_payoffs_pairs_every_agent_once(half, seed):
     # agent i plays action i and its payoff is its partner's action
     n = 2 * half
     game = MatrixGame(np.tile(np.arange(n), (n, 1)))
