@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
+import pickle
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -357,14 +357,52 @@ def pool_size(threads: int, cells: int, cpus: int) -> int:
 
 
 def pool_map(fn, items, threads: int) -> list:
-    """[fn(x) for x in items], across pool_size worker processes; fn must be
-    picklable, and so must its arguments and results."""
+    """[fn(x) for x in items] across pool_size worker processes forked from this
+    one (in-process where os.fork is missing); only results and the exceptions
+    fn raises must be picklable.  Worker w runs items w, w + W, ... up to its
+    first failure, raised here in item order.  Every worker is reaped: one
+    still running ends at its next write."""
     items = list(items)
-    workers = pool_size(threads, len(items), os.cpu_count() or 1)
+    workers = pool_size(threads, len(items), (os.cpu_count() or 1) if hasattr(os, "fork") else 1)
     if workers == 1:
         return [fn(x) for x in items]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    pipes, pids = [], []
+    try:
+        for w in range(workers):
+            r, fd = os.pipe()
+            pipes.append(open(r, "rb"))
+            if (pid := os.fork()) == 0:  # the worker, which leaves only by os._exit
+                try:
+                    for p in pipes:  # so its write fails once the parent stops reading
+                        p.close()
+                    with open(fd, "wb") as out:
+                        for x in items[w::workers]:
+                            try:
+                                value = fn(x)
+                            except Exception as exc:
+                                out.write(pickle.dumps((False, exc)))  # and stop
+                                break
+                            out.write(pickle.dumps((True, value)))  # whole or not at all
+                            out.flush()
+                finally:
+                    os._exit(0)
+            os.close(fd)
+            pids.append(pid)
+        results = []
+        for i in range(len(items)):
+            try:
+                ok, value = pickle.load(pipes[i % workers])
+            except (EOFError, pickle.UnpicklingError):
+                raise RuntimeError(f"item {i}: its worker died or could not pickle it") from None
+            if not ok:
+                raise value
+            results.append(value)
+        return results
+    finally:
+        for p in pipes:
+            p.close()
+        for pid in pids:
+            os.waitpid(pid, 0)
 
 
 def run_many(configs, threads: int = 1) -> list[RunTrace]:

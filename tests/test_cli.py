@@ -2,7 +2,6 @@
 
 import argparse
 import csv
-import multiprocessing
 from pathlib import Path
 
 import numpy as np
@@ -118,9 +117,8 @@ def test_failed_cell_keeps_finished_cells(tiny_cfg, tmp_path, monkeypatch, capsy
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("error,code", [(ValueError, EXIT_CONFIG), (OSError, EXIT_IO)])
 def test_failed_cell_is_named(tiny_cfg, tmp_path, monkeypatch, capsys, threads, error, code):
-    # a cell's error keeps its exit code, in-process and from a pool worker
-    if threads > 1 and multiprocessing.get_start_method() != "fork":
-        pytest.skip("pool workers see the patched run only when forked")
+    # a cell's error keeps its exit code, in-process and from a forked worker,
+    # which sees the patched run
     _fail_seed_one(monkeypatch, error)
     out = tmp_path / "out"
     argv = ["run", "--config", str(tiny_cfg), "--out", str(out), "--threads", str(threads)]
@@ -140,11 +138,10 @@ sweep.seeds = 0 1 2 3 4 5 6 7 8 9 10 11
 
 
 def test_failed_cell_cancels_queued_cells(tmp_path, monkeypatch, capsys):
-    # at 2 threads as in-process, the cells queued behind a failed one do not
-    # run (pool.map's iterator cancels them as the failure reaches it); each
-    # cell takes long enough that the failure is seen early
-    if multiprocessing.get_start_method() != "fork":
-        pytest.skip("pool workers see the patched run only when forked")
+    # at 2 threads as in-process, the cells behind a failed one do not run: its
+    # worker stops at the failure, and the other ends at its next write once
+    # the parent has read it; each cell takes long enough that the failure is
+    # read early
     cfg = tmp_path / "slow.cfg"
     cfg.write_text(SLOW)
     _fail_seed_one(monkeypatch, ValueError)
@@ -153,8 +150,8 @@ def test_failed_cell_cancels_queued_cells(tmp_path, monkeypatch, capsys):
     assert main(argv) == EXIT_CONFIG
     assert "failed cell: run_n100_stage_seed1\n" in capsys.readouterr().err
     assert (out / "run_n100_stage_seed0.csv").is_file()
-    # seed 0, what ran beside it, and at most the two cells running and the
-    # three a pool queues to its workers when the failure is seen; not all 11
+    # seed 0 and the cells the other worker finished or was running when the
+    # failure was read; not all 11
     assert len(list(out.glob("*.csv"))) <= 7
     assert not (out / "aggregate.csv").exists()
 

@@ -1,9 +1,16 @@
-"""Simulation engine: configs, payoff realization, churn, full runs."""
+"""Simulation engine: configs, payoff realization, full runs, the pool."""
 
 import csv
 import dataclasses
 import hashlib
+import os
 import pickle
+import signal
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +22,6 @@ from anonlearn import (
     MixedAction,
     RunConfig,
     RunTrace,
-    apply_churn,
     best_reply_set,
     build_game,
     engine,
@@ -25,7 +31,7 @@ from anonlearn import (
     run_many,
     run_stationary,
 )
-from anonlearn.engine import pool_size
+from anonlearn.engine import pool_map, pool_size
 from test_core import meanfield
 from test_golden import GOLDEN, random_configs
 
@@ -224,114 +230,6 @@ def test_matching_mean_approaches_meanfield():
 
 
 # ---------------------------------------------------------------------------
-# churn
-
-
-def test_apply_churn_rate_zero_and_one():
-    bases = np.full(10, 8)
-    assert apply_churn(bases, 0, 0.0, np.random.default_rng(0), k=20).size == 0
-    assert (bases == 8).all()
-    np.testing.assert_array_equal(
-        apply_churn(bases, 0, 1.0, np.random.default_rng(0), k=20), np.arange(10))
-
-
-def test_apply_churn_spares_fixed_agents():
-    bases = np.full(10, 8)
-    replaced = apply_churn(bases, 1, 1.0, np.random.default_rng(0), k=20)
-    np.testing.assert_array_equal(replaced, np.arange(1, 10))
-    assert bases[0] == 8
-
-
-def test_apply_churn_binomial_count():
-    replaced = apply_churn(np.full(2000, 8), 0, 0.3, np.random.default_rng(5), k=20)
-    assert abs(replaced.size - 600) < 3 * np.sqrt(2000 * 0.3 * 0.7)
-
-
-def test_apply_churn_replacements_copy_template():
-    # each replaced slot draws its new base right after its coin
-    bases = np.full(6, 8)
-    apply_churn(bases, 0, 1.0, np.random.default_rng(2), k=20)
-    ref = np.random.default_rng(2)
-    expected = []
-    for _ in range(6):
-        assert ref.random() < 1.0
-        expected.append(ref.integers(20))
-    np.testing.assert_array_equal(bases, expected)
-    # without k (regret matchers) only the coins are drawn; bases stay put
-    rng, ref = np.random.default_rng(2), np.random.default_rng(2)
-    bases = np.full(6, 8)
-    replaced = apply_churn(bases, 0, 0.5, rng)
-    np.testing.assert_array_equal(replaced, np.flatnonzero(ref.random(6) < 0.5))
-    assert 0 < replaced.size < 6 and (bases == 8).all()
-    assert rng.random() == ref.random()
-
-
-def scalar_churn(bases, start, rate, rng, k=None):
-    """The per-slot loop apply_churn computes without looping: a coin per
-    slot, then a base right after each hit."""
-    out = []
-    for i in range(start, len(bases)):
-        if rng.random() < rate:
-            out.append(i)
-            if k is not None:
-                bases[i] = rng.integers(k)
-    return np.array(out, dtype=np.int64)
-
-
-class CountingPCG64(np.random.PCG64):
-    """PCG64 that counts its random_raw calls."""
-
-    raw_calls = 0
-
-    def random_raw(self, size=None, output=True):
-        self.raw_calls += 1
-        return super().random_raw(size, output)
-
-
-def observable(rng):
-    # numpy leaves a stale uinteger once the buffered half is used
-    s = rng.bit_generator.state
-    return s["state"], s["has_uint32"], s["uinteger"] if s["has_uint32"] else None
-
-
-@pytest.mark.parametrize("k", [None, 2, 3, 20, 1000, 2**31 + 7])
-@pytest.mark.parametrize("rate", [0.0, 1.0, 0.05])
-def test_apply_churn_matches_scalar_loop(k, rate):
-    # a buffered half going in, then three calls in a row, with and without
-    # fixed agents below start
-    rng = np.random.Generator(CountingPCG64([17, 2]))
-    ref = np.random.default_rng([17, 2])
-    rng.integers(7)
-    ref.integers(7)
-    assert observable(rng) == observable(ref) and observable(ref)[1] == 1
-    for n, start in [(700, 40), (501, 0), (3000, 300)]:
-        got, want = np.full(n, 8), np.full(n, 8)
-        slots = apply_churn(got, start, rate, rng, k)
-        assert slots.dtype == np.int64
-        np.testing.assert_array_equal(slots, scalar_churn(want, start, rate, ref, k))
-        np.testing.assert_array_equal(got, want)
-        assert observable(rng) == observable(ref)
-    assert rng.random() == ref.random()
-    if k == 2**31 + 7 and rate == 1.0:
-        # about half the words are rejected, so at this seed every call's
-        # first block of raw outputs ran out and was extended
-        assert rng.bit_generator.raw_calls == 6
-
-
-def test_apply_churn_validates_rate():
-    with pytest.raises(ValueError):
-        apply_churn(np.full(4, 8), 0, 1.5, np.random.default_rng(0), k=20)
-
-
-def test_apply_churn_with_k_needs_pcg64_and_a_32_bit_range():
-    with pytest.raises(ValueError, match="PCG64"):
-        apply_churn(np.full(4, 8), 0, 0.5, np.random.Generator(np.random.MT19937(0)), k=20)
-    for k in (1, 2**32):
-        with pytest.raises(ValueError, match="2 <= k"):
-            apply_churn(np.full(4, 8), 0, 0.5, np.random.default_rng(0), k=k)
-
-
-# ---------------------------------------------------------------------------
 # full runs
 
 
@@ -411,26 +309,34 @@ def test_run_pays_through_the_games_payoff_methods(mode, method):
     assert trace.stage_base.tobytes() == plain.stage_base.tobytes()
 
 
+def _fresh_python(code: str) -> list[str]:
+    """The words a fresh interpreter prints running code, with anonlearn on
+    its path."""
+    src = str(Path(engine.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
 def test_meanfield_run_without_churn_leaves_numpy_random_unimported():
     # only the matching shuffle and churn use numpy.random; a fresh process
     # shows whether a run imported it
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    src = str(Path(engine.__file__).parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     code = ("import sys; from anonlearn import RunConfig, run\n"
             "for learner in ('stage', 'regret'):\n"
             "    run(RunConfig(learner=learner, n=10, rounds=200, explore=0.1))\n"
             "print('numpy.random' in sys.modules)\n"
             "run(RunConfig(n=10, rounds=200, explore=0.1, churn_rate=0.1))\n"
             "print('numpy.random' in sys.modules)\n")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path})
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "True"]
+    assert _fresh_python(code) == ["False", "True"]
+
+
+def test_import_leaves_concurrent_futures_and_multiprocessing_unimported():
+    # the pool forks its own workers, so neither is loaded at import
+    code = ("import sys, anonlearn, anonlearn.cli\n"
+            "print('concurrent.futures' in sys.modules, 'multiprocessing' in sys.modules)\n")
+    assert _fresh_python(code) == ["False", "False"]
 
 
 def test_run_base_rows_piecewise_constant(small_run):
@@ -628,6 +534,93 @@ def test_run_many_matches_sequential_and_preserves_order():
         assert a.config.seed == b.config.seed
         np.testing.assert_array_equal(a.realized_dist, b.realized_dist)
         np.testing.assert_array_equal(a.stage_distance, b.stage_distance)
+
+
+@pytest.fixture
+def three_cpus(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+
+
+def test_pool_map_keeps_order_and_deals_items_round_robin(three_cpus):
+    # the lambda is inherited through the fork, never pickled
+    out = pool_map(lambda x: (x * x, os.getpid()), range(7), 3)
+    assert [v for v, _ in out] == [x * x for x in range(7)]
+    pids = [pid for _, pid in out]
+    assert pids == [pids[i % 3] for i in range(7)]  # item i from worker i mod 3
+    assert len(set(pids)) == 3 and os.getpid() not in pids
+
+
+def _killed_at_4(x):
+    if x == 4:  # worker 1's second item, after it sent item 1
+        os.kill(os.getpid(), signal.SIGKILL)
+    return x
+
+
+def _killed_mid_write(x):
+    if x == 0:
+        time.sleep(1.0)  # the parent waits for item 0 while worker 1 fills its pipe
+    if x == 1:  # SIGALRM's default action ends the worker with its record half sent
+        signal.setitimer(signal.ITIMER_REAL, 0.2)
+        return bytes(1 << 23)
+    return x
+
+
+@pytest.mark.parametrize("fn,item", [(_killed_at_4, 4), (_killed_mid_write, 1)])
+def test_pool_map_names_the_item_of_a_killed_worker(three_cpus, fn, item):
+    with pytest.raises(RuntimeError, match=f"item {item}: its worker died"):
+        pool_map(fn, range(7), 3)
+
+
+def _unpicklable_lock(x):
+    return threading.Lock() if x == 5 else x
+
+
+def _raises_unpicklable(x):
+    if x == 5:
+        raise ValueError(threading.Lock())
+    return x
+
+
+@pytest.mark.parametrize("fn", [_unpicklable_lock, _raises_unpicklable])
+def test_pool_map_raises_a_result_or_error_it_cannot_pickle(three_cpus, fn):
+    with pytest.raises(RuntimeError, match="item 5: its worker died or could not pickle it"):
+        pool_map(fn, range(7), 3)
+
+
+def test_pool_map_raises_the_first_failure_in_item_order(three_cpus):
+    def fails(x):
+        if x in (2, 4):
+            raise ValueError(x)
+        return x
+
+    with pytest.raises(ValueError) as info:
+        pool_map(fails, range(7), 3)
+    assert info.value.args == (2,)
+
+
+def test_pool_map_leaves_no_child_after_success_failure_or_kill():
+    code = ("import os, signal\n"
+            "from anonlearn.engine import pool_map\n"
+            "os.cpu_count = lambda: 3\n"
+            "def fail(x):\n"
+            "    if x == 2:\n"
+            "        raise ValueError(x)\n"
+            "    return x\n"
+            "def die(x):\n"
+            "    if x == 4:\n"
+            "        os.kill(os.getpid(), signal.SIGKILL)\n"
+            "    return x\n"
+            "assert pool_map(abs, range(7), 3) == list(range(7))\n"
+            "for fn in (fail, die):\n"
+            "    try:\n"
+            "        pool_map(fn, range(7), 3)\n"
+            "    except Exception as exc:\n"
+            "        print(type(exc).__name__)\n"
+            "try:\n"
+            "    os.waitpid(-1, os.WNOHANG)\n"
+            "except ChildProcessError:\n"
+            "    print('no-child')\n")
+    assert _fresh_python(code) == ["ValueError", "RuntimeError", "no-child"]
 
 
 def test_run_many_validates_threads():
