@@ -1,4 +1,4 @@
-"""Simulation engine: configs, payoff realization, full runs, the pool."""
+"""Simulation engine: configs, payoff realization, churn, full runs, the pool."""
 
 import csv
 import dataclasses
@@ -22,6 +22,7 @@ from anonlearn import (
     MixedAction,
     RunConfig,
     RunTrace,
+    apply_churn,
     best_reply_set,
     build_game,
     engine,
@@ -227,6 +228,114 @@ def test_matching_mean_approaches_meanfield():
     exact = meanfield(acts, game).mean()
     sampled = game.matching_payoffs(acts, rng).mean()
     assert abs(sampled - exact) < 0.1
+
+
+# ---------------------------------------------------------------------------
+# churn
+
+
+def test_apply_churn_rate_zero_and_one():
+    bases = np.full(10, 8)
+    assert apply_churn(bases, 0, 0.0, np.random.default_rng(0), k=20).size == 0
+    assert (bases == 8).all()
+    np.testing.assert_array_equal(
+        apply_churn(bases, 0, 1.0, np.random.default_rng(0), k=20), np.arange(10))
+
+
+def test_apply_churn_spares_fixed_agents():
+    bases = np.full(10, 8)
+    replaced = apply_churn(bases, 1, 1.0, np.random.default_rng(0), k=20)
+    np.testing.assert_array_equal(replaced, np.arange(1, 10))
+    assert bases[0] == 8
+
+
+def test_apply_churn_binomial_count():
+    replaced = apply_churn(np.full(2000, 8), 0, 0.3, np.random.default_rng(5), k=20)
+    assert abs(replaced.size - 600) < 3 * np.sqrt(2000 * 0.3 * 0.7)
+
+
+def test_apply_churn_replacements_copy_template():
+    # each replaced slot draws its new base right after its coin
+    bases = np.full(6, 8)
+    apply_churn(bases, 0, 1.0, np.random.default_rng(2), k=20)
+    ref = np.random.default_rng(2)
+    expected = []
+    for _ in range(6):
+        assert ref.random() < 1.0
+        expected.append(ref.integers(20))
+    np.testing.assert_array_equal(bases, expected)
+    # without k (regret matchers) only the coins are drawn; bases stay put
+    rng, ref = np.random.default_rng(2), np.random.default_rng(2)
+    bases = np.full(6, 8)
+    replaced = apply_churn(bases, 0, 0.5, rng)
+    np.testing.assert_array_equal(replaced, np.flatnonzero(ref.random(6) < 0.5))
+    assert 0 < replaced.size < 6 and (bases == 8).all()
+    assert rng.random() == ref.random()
+
+
+def scalar_churn(bases, start, rate, rng, k=None):
+    """The per-slot loop apply_churn computes without looping: a coin per
+    slot, then a base right after each hit."""
+    out = []
+    for i in range(start, len(bases)):
+        if rng.random() < rate:
+            out.append(i)
+            if k is not None:
+                bases[i] = rng.integers(k)
+    return np.array(out, dtype=np.int64)
+
+
+class CountingPCG64(np.random.PCG64):
+    """PCG64 that counts its random_raw calls."""
+
+    raw_calls = 0
+
+    def random_raw(self, size=None, output=True):
+        self.raw_calls += 1
+        return super().random_raw(size, output)
+
+
+def observable(rng):
+    # numpy leaves a stale uinteger once the buffered half is used
+    s = rng.bit_generator.state
+    return s["state"], s["has_uint32"], s["uinteger"] if s["has_uint32"] else None
+
+
+@pytest.mark.parametrize("k", [None, 2, 3, 20, 1000, 2**31 + 7])
+@pytest.mark.parametrize("rate", [0.0, 1.0, 0.05])
+def test_apply_churn_matches_scalar_loop(k, rate):
+    # a buffered half going in, then three calls in a row, with and without
+    # fixed agents below start
+    rng = np.random.Generator(CountingPCG64([17, 2]))
+    ref = np.random.default_rng([17, 2])
+    rng.integers(7)
+    ref.integers(7)
+    assert observable(rng) == observable(ref) and observable(ref)[1] == 1
+    for n, start in [(700, 40), (501, 0), (3000, 300)]:
+        got, want = np.full(n, 8), np.full(n, 8)
+        slots = apply_churn(got, start, rate, rng, k)
+        assert slots.dtype == np.int64
+        np.testing.assert_array_equal(slots, scalar_churn(want, start, rate, ref, k))
+        np.testing.assert_array_equal(got, want)
+        assert observable(rng) == observable(ref)
+    assert rng.random() == ref.random()
+    if k == 2**31 + 7 and rate == 1.0:
+        # about half the words are rejected, so at this seed every call's
+        # first block of raw outputs ran out and was extended
+        assert rng.bit_generator.raw_calls == 6
+
+
+def test_apply_churn_validates_rate():
+    with pytest.raises(ValueError):
+        apply_churn(np.full(4, 8), 0, 1.5, np.random.default_rng(0), k=20)
+
+
+def test_apply_churn_with_k_needs_pcg64_and_a_32_bit_range():
+    with pytest.raises(ValueError, match="PCG64"):
+        apply_churn(np.full(4, 8), 0, 0.5, np.random.Generator(np.random.MT19937(0)), k=20)
+    for k in (1, 2**32):
+        with pytest.raises(ValueError, match="2 <= k"):
+            apply_churn(np.full(4, 8), 0, 0.5, np.random.default_rng(0), k=k)
 
 
 # ---------------------------------------------------------------------------
