@@ -1,8 +1,9 @@
 """Experiment runner CLI: runs of a config's grid, and quick analyses.
 
-Exit codes: 0 ok, 2 config error, 3 IO error.  Output files are written to a
-temp name and renamed, so a crash never leaves a half-written CSV behind, and
-each cell of a grid writes its own files as it finishes.
+Exit codes: 0 ok, 2 config error, 3 IO error; other errors propagate (exit 1).
+A cell that stops a grid, by raising, by a dead worker or by a record that
+cannot be pickled, is named on stderr first (`failed cell: <stem>`).  Each cell
+writes its files as it finishes, through temp names, so none is half-written.
 """
 
 from __future__ import annotations
@@ -41,25 +42,22 @@ def _atomic_write(path: Path, write_to):
         raise
 
 
-class CellError(Exception):
-    """A grid cell raised; args are the cell's file stem and what it raised."""
+def _stem(cfg) -> str:
+    """A cell's file stem, which also names it when it fails."""
+    return f"run_n{cfg.n}_{cfg.learner}_seed{cfg.seed}"
 
 
-def _run_cell(job) -> tuple[np.ndarray, np.ndarray]:
-    """Run one cell of a grid and write its CSV and summary into the output
-    directory; return the stage metrics the aggregate needs."""
-    cfg, outdir = job
-    name = f"run_n{cfg.n}_{cfg.learner}_seed{cfg.seed}"
-    try:
-        trace = run(cfg)
-        _atomic_write(outdir / f"{name}.csv", trace.to_csv)
-        summary = trace.summary_text()
-        _atomic_write(
-            outdir / f"{name}.summary.txt",
-            lambda tmp: Path(tmp).write_text(summary, encoding="utf-8"),
-        )
-    except Exception as exc:
-        raise CellError(name, exc) from exc
+def _run_cell(cfg, outdir: Path) -> tuple[np.ndarray, np.ndarray]:
+    """Run one cell of a grid and write its CSV and summary into outdir;
+    return the stage metrics the aggregate needs."""
+    trace = run(cfg)
+    name = _stem(cfg)
+    _atomic_write(outdir / f"{name}.csv", trace.to_csv)
+    summary = trace.summary_text()
+    _atomic_write(
+        outdir / f"{name}.summary.txt",
+        lambda tmp: Path(tmp).write_text(summary, encoding="utf-8"),
+    )
     return trace.stage_distance, trace.stage_br_fraction
 
 
@@ -90,7 +88,14 @@ def cmd_run(args) -> int:
     cells = load_experiment(args.config, args.seed)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    metrics = pool_map(_run_cell, [(cfg, outdir) for cfg in cells], args.threads)
+    results = pool_map(lambda cfg: _run_cell(cfg, outdir), cells, args.threads)
+    metrics = []
+    try:
+        for m in results:
+            metrics.append(m)
+    except Exception:  # a cell raised, its worker died or its record would not pickle
+        print(f"failed cell: {_stem(cells[len(metrics)])}", file=sys.stderr)
+        raise
     _write_aggregate(outdir / "aggregate.csv", cells, metrics)
     print(f"wrote {len(cells)} run(s) and aggregate.csv to {outdir}")
     return EXIT_OK
@@ -221,12 +226,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        try:
-            return args.func(args)
-        except CellError as exc:
-            name, error = exc.args
-            print(f"failed cell: {name}", file=sys.stderr)
-            raise error
+        return args.func(args)
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -318,7 +318,7 @@ def run(config: RunConfig) -> RunTrace:
 def run_stationary(game: MatrixGame, rho: ActionDistribution, bases, explore: float,
                    stage_len: int, rounds: int, seed: int) -> np.ndarray:
     """Drive one stage learner per entry of bases against a frozen rho for
-    `rounds` rounds, and return their final bases.
+    `rounds` rounds, and return their bases after the last full stage.
 
     The mean-field oracle hands back exact expected payoffs, so the only noise
     is the learners' own exploration.  Learner i draws from
@@ -337,14 +337,12 @@ def run_stationary(game: MatrixGame, rho: ActionDistribution, bases, explore: fl
     sums = np.zeros((n, game.k))
     counts = np.zeros((n, game.k))
     width = max(1, CAP // (n + game.k))
-    for s0 in range(0, rounds, stage_len):
-        s1 = min(s0 + stage_len, rounds)
-        for r in range(s0, s1, width):
-            u = streams.take(min(width, s1 - r))
+    for s0 in range(0, rounds - stage_len + 1, stage_len):
+        for r in range(s0, s0 + stage_len, width):
+            u = streams.take(min(width, s0 + stage_len - r))
             acts = sample_mixed(bases, explore, game.k, u)
             stage_tally(sums, counts, acts, payoffs[acts])
-        if s0 + stage_len <= rounds:
-            stage_end(bases, sums, counts)
+        stage_end(bases, sums, counts)
     return bases
 
 
@@ -356,26 +354,29 @@ def pool_size(threads: int, cells: int, cpus: int) -> int:
     return max(1, min(threads, cells, cpus))
 
 
-def pool_map(fn, items, threads: int) -> list:
-    """[fn(x) for x in items] across pool_size worker processes forked from this
-    one (in-process where os.fork is missing); only results and the exceptions
-    fn raises must be picklable.  Worker w runs items w, w + W, ... up to its
-    first failure, raised here in item order.  Every worker is reaped: one
-    still running ends at its next write."""
+def pool_map(fn, items, threads: int):
+    """An iterator over fn(x) for x in items, in item order, across pool_size
+    worker processes forked at its first step (in-process, as map, where
+    os.fork is missing); only results and the exceptions fn raises must be
+    picklable.  Worker w runs items w, w + W, ... up to its first failure, which
+    is raised when its item is reached.  Every worker is reaped, on a failed
+    fork too: one still running ends at its next write."""
     items = list(items)
     workers = pool_size(threads, len(items), (os.cpu_count() or 1) if hasattr(os, "fork") else 1)
-    if workers == 1:
-        return [fn(x) for x in items]
+    return map(fn, items) if workers == 1 else _forked_map(fn, items, workers)
+
+
+def _forked_map(fn, items: list, workers: int):
     pipes, pids = [], []
     try:
         for w in range(workers):
             r, fd = os.pipe()
             pipes.append(open(r, "rb"))
-            if (pid := os.fork()) == 0:  # the worker, which leaves only by os._exit
-                try:
-                    for p in pipes:  # so its write fails once the parent stops reading
-                        p.close()
-                    with open(fd, "wb") as out:
+            with open(fd, "wb") as out:  # the parent's end closes after its fork, or if it fails
+                if (pid := os.fork()) == 0:  # the worker, which leaves only by os._exit
+                    try:
+                        for p in pipes:  # so its write fails once the parent stops reading
+                            p.close()
                         for x in items[w::workers]:
                             try:
                                 value = fn(x)
@@ -384,11 +385,10 @@ def pool_map(fn, items, threads: int) -> list:
                                 break
                             out.write(pickle.dumps((True, value)))  # whole or not at all
                             out.flush()
-                finally:
-                    os._exit(0)
-            os.close(fd)
+                        out.close()  # flushes a failure record
+                    finally:
+                        os._exit(0)
             pids.append(pid)
-        results = []
         for i in range(len(items)):
             try:
                 ok, value = pickle.load(pipes[i % workers])
@@ -396,8 +396,7 @@ def pool_map(fn, items, threads: int) -> list:
                 raise RuntimeError(f"item {i}: its worker died or could not pickle it") from None
             if not ok:
                 raise value
-            results.append(value)
-        return results
+            yield value
     finally:
         for p in pipes:
             p.close()
@@ -411,4 +410,4 @@ def run_many(configs, threads: int = 1) -> list[RunTrace]:
     Results are identical for any thread count — each run is internally
     sequential and fully seeded.
     """
-    return pool_map(run, configs, threads)
+    return list(pool_map(run, configs, threads))

@@ -2,6 +2,8 @@
 
 import argparse
 import csv
+import os
+import signal
 from pathlib import Path
 
 import numpy as np
@@ -127,6 +129,33 @@ def test_failed_cell_is_named(tiny_cfg, tmp_path, monkeypatch, capsys, threads, 
     assert "failed cell: run_n4_stage_seed1\n" in err and "cell failed" in err
     assert (out / "run_n4_stage_seed0.csv").is_file()
     assert not (out / "aggregate.csv").exists()
+
+
+def test_killed_worker_cell_is_named(tiny_cfg, tmp_path, monkeypatch, capsys):
+    # seed 1's worker SIGKILLs itself; the parent names the cell and re-raises
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    parent, real = os.getpid(), cli.run
+
+    def second_dies(cfg):
+        if cfg.seed == 1:
+            assert os.getpid() != parent  # never kill the test process itself
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(cfg)
+
+    monkeypatch.setattr(cli, "run", second_dies)
+    out = tmp_path / "out"
+    argv = ["run", "--config", str(tiny_cfg), "--out", str(out), "--threads", "2"]
+    with pytest.raises(RuntimeError, match="item 1: its worker died"):
+        main(argv)
+    assert capsys.readouterr().err == "failed cell: run_n4_stage_seed1\n"
+    assert (out / "run_n4_stage_seed0.csv").is_file()
+    assert not (out / "aggregate.csv").exists()
+
+
+def test_run_zero_threads_is_a_config_error_not_a_failed_cell(tiny_cfg, tmp_path, capsys):
+    argv = ["run", "--config", str(tiny_cfg), "--out", str(tmp_path / "out"), "--threads", "0"]
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: threads must be >= 1, got 0\n"
 
 
 SLOW = """\

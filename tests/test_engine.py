@@ -652,7 +652,7 @@ def three_cpus(monkeypatch):
 
 def test_pool_map_keeps_order_and_deals_items_round_robin(three_cpus):
     # the lambda is inherited through the fork, never pickled
-    out = pool_map(lambda x: (x * x, os.getpid()), range(7), 3)
+    out = list(pool_map(lambda x: (x * x, os.getpid()), range(7), 3))
     assert [v for v, _ in out] == [x * x for x in range(7)]
     pids = [pid for _, pid in out]
     assert pids == [pids[i % 3] for i in range(7)]  # item i from worker i mod 3
@@ -677,7 +677,7 @@ def _killed_mid_write(x):
 @pytest.mark.parametrize("fn,item", [(_killed_at_4, 4), (_killed_mid_write, 1)])
 def test_pool_map_names_the_item_of_a_killed_worker(three_cpus, fn, item):
     with pytest.raises(RuntimeError, match=f"item {item}: its worker died"):
-        pool_map(fn, range(7), 3)
+        list(pool_map(fn, range(7), 3))
 
 
 def _unpicklable_lock(x):
@@ -693,7 +693,7 @@ def _raises_unpicklable(x):
 @pytest.mark.parametrize("fn", [_unpicklable_lock, _raises_unpicklable])
 def test_pool_map_raises_a_result_or_error_it_cannot_pickle(three_cpus, fn):
     with pytest.raises(RuntimeError, match="item 5: its worker died or could not pickle it"):
-        pool_map(fn, range(7), 3)
+        list(pool_map(fn, range(7), 3))
 
 
 def test_pool_map_raises_the_first_failure_in_item_order(three_cpus):
@@ -703,8 +703,53 @@ def test_pool_map_raises_the_first_failure_in_item_order(three_cpus):
         return x
 
     with pytest.raises(ValueError) as info:
-        pool_map(fails, range(7), 3)
+        list(pool_map(fails, range(7), 3))
     assert info.value.args == (2,)
+
+
+def test_pool_map_yields_each_result_before_a_later_failure(three_cpus):
+    def fails_at_4(x):
+        if x == 4:
+            raise ValueError(x)
+        return x
+
+    got = []
+    with pytest.raises(ValueError):
+        for value in pool_map(fails_at_4, range(7), 3):
+            got.append(value)
+    assert got == [0, 1, 2, 3]
+
+
+def test_pool_map_runs_in_process_without_fork(three_cpus, monkeypatch):
+    monkeypatch.delattr(os, "fork")
+    out = list(pool_map(lambda x: (x, os.getpid()), range(7), 3))
+    assert out == [(x, os.getpid()) for x in range(7)]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_pool_map_failed_fork_leaks_no_fd_and_reaps_the_forked():
+    # the second fork fails: its pipe is closed and the first worker reaped
+    code = ("import os\n"
+            "from anonlearn.engine import pool_map\n"
+            "os.cpu_count = lambda: 3\n"
+            "fork, calls = os.fork, []\n"
+            "def second_fails():\n"
+            "    calls.append(None)\n"
+            "    if len(calls) == 2:\n"
+            "        raise BlockingIOError(11, 'Resource temporarily unavailable')\n"
+            "    return fork()\n"
+            "os.fork = second_fails\n"
+            "fds = len(os.listdir('/proc/self/fd'))\n"
+            "try:\n"
+            "    list(pool_map(abs, range(7), 3))\n"
+            "except BlockingIOError:\n"
+            "    print('BlockingIOError')\n"
+            "print(len(os.listdir('/proc/self/fd')) == fds)\n"
+            "try:\n"
+            "    os.waitpid(-1, os.WNOHANG)\n"
+            "except ChildProcessError:\n"
+            "    print('no-child')\n")
+    assert _fresh_python(code) == ["BlockingIOError", "True", "no-child"]
 
 
 def test_pool_map_leaves_no_child_after_success_failure_or_kill():
@@ -719,10 +764,10 @@ def test_pool_map_leaves_no_child_after_success_failure_or_kill():
             "    if x == 4:\n"
             "        os.kill(os.getpid(), signal.SIGKILL)\n"
             "    return x\n"
-            "assert pool_map(abs, range(7), 3) == list(range(7))\n"
+            "assert list(pool_map(abs, range(7), 3)) == list(range(7))\n"
             "for fn in (fail, die):\n"
             "    try:\n"
-            "        pool_map(fn, range(7), 3)\n"
+            "        list(pool_map(fn, range(7), 3))\n"
             "    except Exception as exc:\n"
             "        print(type(exc).__name__)\n"
             "try:\n"
