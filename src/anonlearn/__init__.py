@@ -51,7 +51,6 @@ from .learners import (
 from .engine import (
     RunConfig,
     RunTrace,
-    best_reply_fraction,
     run,
     run_many,
     run_stationary,
@@ -77,7 +76,6 @@ __all__ = [
     "abr_containment_threshold",
     "apply_churn",
     "as_strategy_vector",
-    "best_reply_fraction",
     "best_reply_set",
     "br_sequence",
     "br_step",

@@ -117,15 +117,6 @@ class RunConfig:
         return out
 
 
-def best_reply_fraction(
-    bases, rho: ActionDistribution, eta: float, game: MatrixGame
-) -> float:
-    """Fraction of agents whose current base is an eta-best reply to rho."""
-    in_abr = np.zeros(game.k, dtype=bool)
-    in_abr[list(best_reply_set(rho, eta, game))] = True
-    return float(in_abr[bases].mean())
-
-
 @dataclass
 class RunTrace:
     """Everything a run produced: one action histogram per round, one base
@@ -296,7 +287,8 @@ def run(config: RunConfig) -> RunTrace:
         rho = ActionDistribution((realized_counts[s0:s1] / n).mean(axis=0))
         stage_rho[s] = rho.weights
         stage_distance[s] = rho.weights @ np.abs(np.arange(k) - config.target)
-        stage_br[s] = best_reply_fraction(bases, rho, config.metrics_eta, game)
+        abr = list(best_reply_set(rho, config.metrics_eta, game))
+        stage_br[s] = np.bincount(bases, minlength=k)[abr].sum() / n  # bases in ABR_eta(rho)
         if config.churn_rate > 0.0:
             rows = apply_churn(bases, nf, config.churn_rate, churn_rng,
                                None if regret else k) - nf
@@ -356,14 +348,18 @@ def pool_size(threads: int, cells: int, cpus: int) -> int:
 
 def pool_map(fn, items, threads: int):
     """An iterator over fn(x) for x in items, in item order, across pool_size
-    worker processes forked at its first step (in-process, as map, where
+    worker processes forked when it is called (in-process, as map, where
     os.fork is missing); only results and the exceptions fn raises must be
     picklable.  Worker w runs items w, w + W, ... up to its first failure, which
     is raised when its item is reached.  Every worker is reaped, on a failed
     fork too: one still running ends at its next write."""
     items = list(items)
     workers = pool_size(threads, len(items), (os.cpu_count() or 1) if hasattr(os, "fork") else 1)
-    return map(fn, items) if workers == 1 else _forked_map(fn, items, workers)
+    if workers == 1:
+        return map(fn, items)
+    results = _forked_map(fn, items, workers)
+    next(results)  # every fork happens here, so a failed one is raised by this call
+    return results
 
 
 def _forked_map(fn, items: list, workers: int):
@@ -389,6 +385,7 @@ def _forked_map(fn, items: list, workers: int):
                     finally:
                         os._exit(0)
             pids.append(pid)
+        yield  # pool_map's next() stops here, with every worker forked
         for i in range(len(items)):
             try:
                 ok, value = pickle.load(pipes[i % workers])

@@ -152,6 +152,29 @@ def test_killed_worker_cell_is_named(tiny_cfg, tmp_path, monkeypatch, capsys):
     assert not (out / "aggregate.csv").exists()
 
 
+def test_failed_fork_names_no_cell(tmp_path, monkeypatch, capsys):
+    # the pool forks its workers when run calls it, outside the cell naming;
+    # the second fork fails after the first worker may have run its cell
+    cfg = tmp_path / "three.cfg"
+    cfg.write_text(TINY.replace("sweep.seeds = 0 1", "sweep.seeds = 0 1 2"))
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    fork, calls = os.fork, []
+
+    def second_fails():
+        calls.append(None)
+        if len(calls) == 2:
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", second_fails)
+    out = tmp_path / "out"
+    argv = ["run", "--config", str(cfg), "--out", str(out), "--threads", "3"]
+    assert main(argv) == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("io error: ") and "failed cell" not in err
+    assert not (out / "aggregate.csv").exists()
+
+
 def test_run_zero_threads_is_a_config_error_not_a_failed_cell(tiny_cfg, tmp_path, capsys):
     argv = ["run", "--config", str(tiny_cfg), "--out", str(tmp_path / "out"), "--threads", "0"]
     assert main(argv) == EXIT_CONFIG

@@ -367,6 +367,31 @@ def test_run_deterministic(small_run):
     assert (small_run.realized_dist != other.realized_dist).any()
 
 
+def test_stage_br_fraction_is_the_share_of_stage_end_bases_in_abr():
+    # the bases at a stage end, read back from the trace: a stage learner's
+    # (without churn) are the next stage's base row; a regret matcher's are
+    # the stage's last realized row when every fixed agent plays its base
+    checked = {"stage": 0, "regret": 0}
+    for cfg in random_configs():
+        trace, tau, n = run(cfg), cfg.resolved_stage_len, cfg.n
+        if cfg.learner == "regret":
+            if int(cfg.fixed_fraction * n) and cfg.fixed_explore:
+                continue
+            ends = [trace.realized_counts[(s + 1) * tau - 1] for s in range(trace.stages)]
+        elif cfg.churn_rate == 0.0:
+            ends = list(trace.stage_base[1 : trace.stages + 1])
+        else:
+            continue
+        for s, hist in enumerate(ends):
+            rho = ActionDistribution((trace.realized_counts[s * tau : (s + 1) * tau] / n)
+                                     .mean(axis=0))
+            assert rho.weights.tobytes() == trace.stage_rho[s].tobytes()
+            abr = list(best_reply_set(rho, cfg.metrics_eta, cfg._game))
+            assert trace.stage_br_fraction[s] == hist[abr].sum() / n
+            checked[cfg.learner] += 1
+    assert min(checked.values()) >= 5
+
+
 def test_run_plays_the_configs_game(monkeypatch):
     # the config keeps the game it validated against; run, and run on a
     # pickled copy (what a pool worker gets), build no other
@@ -726,20 +751,24 @@ def test_pool_map_runs_in_process_without_fork(three_cpus, monkeypatch):
     assert out == [(x, os.getpid()) for x in range(7)]
 
 
+# a fresh interpreter's pool of 3 whose second fork fails, and its fd count
+SECOND_FORK_FAILS = ("import os\n"
+                     "from anonlearn.engine import pool_map\n"
+                     "os.cpu_count = lambda: 3\n"
+                     "fork, calls = os.fork, []\n"
+                     "def second_fails():\n"
+                     "    calls.append(None)\n"
+                     "    if len(calls) == 2:\n"
+                     "        raise BlockingIOError(11, 'Resource temporarily unavailable')\n"
+                     "    return fork()\n"
+                     "os.fork = second_fails\n"
+                     "fds = len(os.listdir('/proc/self/fd'))\n")
+
+
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
 def test_pool_map_failed_fork_leaks_no_fd_and_reaps_the_forked():
     # the second fork fails: its pipe is closed and the first worker reaped
-    code = ("import os\n"
-            "from anonlearn.engine import pool_map\n"
-            "os.cpu_count = lambda: 3\n"
-            "fork, calls = os.fork, []\n"
-            "def second_fails():\n"
-            "    calls.append(None)\n"
-            "    if len(calls) == 2:\n"
-            "        raise BlockingIOError(11, 'Resource temporarily unavailable')\n"
-            "    return fork()\n"
-            "os.fork = second_fails\n"
-            "fds = len(os.listdir('/proc/self/fd'))\n"
+    code = (SECOND_FORK_FAILS +
             "try:\n"
             "    list(pool_map(abs, range(7), 3))\n"
             "except BlockingIOError:\n"
@@ -750,6 +779,22 @@ def test_pool_map_failed_fork_leaks_no_fd_and_reaps_the_forked():
             "except ChildProcessError:\n"
             "    print('no-child')\n")
     assert _fresh_python(code) == ["BlockingIOError", "True", "no-child"]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_pool_map_forks_every_worker_when_called():
+    # the second fork fails at the call itself, before any item is asked for
+    code = (SECOND_FORK_FAILS +
+            "try:\n"
+            "    pool_map(abs, range(6), 3)\n"
+            "except BlockingIOError:\n"
+            "    print('BlockingIOError', len(calls))\n"
+            "print(len(os.listdir('/proc/self/fd')) == fds)\n"
+            "try:\n"
+            "    os.waitpid(-1, os.WNOHANG)\n"
+            "except ChildProcessError:\n"
+            "    print('no-child')\n")
+    assert _fresh_python(code) == ["BlockingIOError", "2", "True", "no-child"]
 
 
 def test_pool_map_leaves_no_child_after_success_failure_or_kill():
