@@ -44,6 +44,7 @@ from .games import (
 from .learners import (
     regret_act,
     regret_observe,
+    sample_explorers,
     sample_mixed,
     stage_end,
     stage_tally,
@@ -97,6 +98,7 @@ __all__ = [
     "run",
     "run_many",
     "run_stationary",
+    "sample_explorers",
     "sample_mixed",
     "stage_end",
     "stage_tally",

@@ -14,14 +14,15 @@ import numpy as np
 from .core import ActionDistribution, MatrixGame
 from .dynamics import best_reply_set
 from .games import PENALTY_N, build_game
-from .learners import regret_act, regret_observe, sample_mixed, stage_end, stage_tally
+from .learners import (regret_act, regret_observe, sample_explorers, sample_mixed, stage_end,
+                       stage_tally)
 from .streams import AgentStreams, apply_churn
 
 LEARNER_KINDS = ("stage", "regret")
-# Working-memory bounds for run, whatever n is: a block's (rounds, n) actions
-# and (rounds, k) histogram hold at most CAP entries (the agents' streams are
-# bounded by streams.UCAP and AHEAD); RunTrace.to_csv formats and writes
-# CSV_ROWS rows at a time.
+# Working-memory bounds for run: a block's (rounds, n) actions and (rounds, k)
+# histogram hold at most CAP entries, unless n + k alone exceeds CAP, when a
+# block is one round (the agents' streams are bounded by streams.UCAP and
+# AHEAD); RunTrace.to_csv formats and writes CSV_ROWS rows at a time.
 CAP = 1 << 12
 CSV_ROWS = 512
 
@@ -218,10 +219,10 @@ def run(config: RunConfig) -> RunTrace:
     config (seed included).
 
     The population is arrays in slot order, fixed agents in the low slots:
-    bases and explore rates (n,); stage-learner tallies (learners, k), or a
-    regret matcher's proxy (learners, k, k), action probabilities
-    (learners, k) and round count.  A regret matcher's base is the action it
-    played last.
+    bases and explore rates (n,); stage-learner tallies (learners, k) and base
+    sums (learners,), or a regret matcher's proxy (learners, k, k), action
+    probabilities (learners, k) and round count.  A regret matcher's base is
+    the action it played last.
     """
     game = config._game
     k, n, tau = game.k, config.n, config.resolved_stage_len
@@ -245,6 +246,7 @@ def run(config: RunConfig) -> RunTrace:
     else:
         sums = np.zeros((n - nf, k))
         counts = np.zeros((n - nf, k))
+        base_sum = np.zeros(n - nf)
 
     stages = config.rounds // tau
     realized_counts = np.empty((config.rounds, k), dtype=np.int32)
@@ -266,7 +268,7 @@ def run(config: RunConfig) -> RunTrace:
                     acts[:, :nf] = sample_mixed(bases[:nf], explore[:nf], k, u[:, :nf])
                 acts[0, nf:] = regret_act(probs, u[0, nf:])
             else:
-                acts = sample_mixed(bases, explore, k, u)
+                acts, x = sample_explorers(bases, explore, k, u)
             b = acts.shape[0]
             flat = acts + k * np.arange(b)[:, None]
             hist = np.bincount(flat.reshape(-1), minlength=b * k).reshape(b, k)
@@ -279,11 +281,13 @@ def run(config: RunConfig) -> RunTrace:
                 regret_observe(proxy, probs, t, bases[nf:], acts[0, nf:], payoffs[0, nf:],
                                mu, config.delta)
             else:
-                stage_tally(sums, counts, acts[:, nf:], payoffs[:, nf:])
+                if nf:  # the learners' explorers only
+                    x = x[x % n >= nf]
+                stage_tally(sums, counts, base_sum, acts, payoffs, x)
         if s == stages:  # trailing partial stage: no stage end, no metrics
             break
         if not regret:
-            stage_end(bases[nf:], sums, counts)
+            stage_end(bases[nf:], sums, counts, base_sum, s1 - s0)
         rho = ActionDistribution((realized_counts[s0:s1] / n).mean(axis=0))
         stage_rho[s] = rho.weights
         stage_distance[s] = rho.weights @ np.abs(np.arange(k) - config.target)
@@ -328,13 +332,14 @@ def run_stationary(game: MatrixGame, rho: ActionDistribution, bases, explore: fl
     streams = AgentStreams(seed, n)
     sums = np.zeros((n, game.k))
     counts = np.zeros((n, game.k))
+    base_sum = np.zeros(n)
     width = max(1, CAP // (n + game.k))
     for s0 in range(0, rounds - stage_len + 1, stage_len):
         for r in range(s0, s0 + stage_len, width):
             u = streams.take(min(width, s0 + stage_len - r))
-            acts = sample_mixed(bases, explore, game.k, u)
-            stage_tally(sums, counts, acts, payoffs[acts])
-        stage_end(bases, sums, counts)
+            acts, x = sample_explorers(bases, explore, game.k, u)
+            stage_tally(sums, counts, base_sum, acts, payoffs[acts], x)
+        stage_end(bases, sums, counts, base_sum, stage_len)
     return bases
 
 

@@ -2,11 +2,14 @@
 
 A stage learner keeps a mixed action a_eps fixed for a stage, tallies the
 payoffs of what it played, and at the stage end moves its base to the action
-with the best stage average.  A payoff-only regret matcher (Hart and
-Mas-Colell's reinforcement procedure) re-weights its next action by estimated
-regrets every round.  A fixed agent plays one mixed action forever and is
-just sample_mixed.  Learners see nothing but their own actions and payoffs;
-every random draw arrives as a uniform, so the caller owns the streams.
+with the best stage average.  Its tally is split in two: a running sum of its
+base's payoffs, added a round at a time, and sums and counts of its explorer
+rounds, the only ones played off base; the stage end folds the first into the
+second.  A payoff-only regret matcher (Hart and Mas-Colell's reinforcement
+procedure) re-weights its next action by estimated regrets every round.  A
+fixed agent plays one mixed action forever and is just sample_mixed.  Learners
+see nothing but their own actions and payoffs; every random draw arrives as a
+uniform, so the caller owns the streams.
 """
 
 from __future__ import annotations
@@ -17,7 +20,13 @@ import numpy as np
 def sample_mixed(bases, explore, k: int, u) -> np.ndarray:
     """The a_eps law, elementwise: base where u < 1-explore, else uniform over
     the other k-1 actions.  bases and explore broadcast against the uniforms
-    u; one uniform per draw, even where explore is 0.
+    u; one uniform per draw, even where explore is 0."""
+    return sample_explorers(bases, explore, k, u)[0]
+
+
+def sample_explorers(bases, explore, k: int, u):
+    """sample_mixed's draws, and the ascending flat positions in them of the
+    explorers: the draws off base.
 
     Three passes over the block (fill the bases, compare, find the explorers);
     the rest touches only the explorers.  explore keeps its own shape, whose
@@ -35,31 +44,59 @@ def sample_mixed(bases, explore, k: int, u) -> np.ndarray:
     flat = acts.reshape(-1)
     j += j >= flat[x]
     flat[x] = j
-    return acts
+    return acts, x
 
 
-def stage_tally(sums, counts, acts, payoffs):
-    """Add (rounds, m) blocks of actions and payoffs to the (m, k) stage
-    tallies, round by round, so each sum is the one sequential additions give."""
-    idx = (acts + np.arange(sums.shape[0]) * sums.shape[1]).ravel()
-    np.add.at(sums.reshape(-1), idx, payoffs.ravel())
-    np.add.at(counts.reshape(-1), idx, 1.0)
+def stage_tally(sums, counts, base_sum, acts, payoffs, x):
+    """Add a (rounds, w) block of actions and payoffs to the stage tallies of
+    the m learners in its last m columns, so each sum is the one sequential
+    additions give.  x holds those learners' explorers as ascending flat
+    positions in the block (sample_explorers' second value).
+
+    The explorers' payoffs go to their (m, k) sums and counts cells by
+    np.add.at, in time order, and are then set to -0.0 in payoffs; the (m,)
+    base_sum then adds the block's learner columns round by round.  An
+    explorer is never on base and every other draw is, and x + -0.0 is x, so
+    base_sum holds the base cells' sums, which stay 0 in sums and counts until
+    stage_end puts them in place."""
+    (m, k), w = sums.shape, acts.shape[1]
+    cell = (x % w - (w - m)) * k
+    cell += acts.reshape(-1)[x]
+    flat = payoffs.reshape(-1)
+    np.add.at(sums.reshape(-1), cell, flat[x])
+    np.add.at(counts.reshape(-1), cell, 1.0)
+    flat[x] = -0.0
+    own = payoffs[:, w - m :]
+    if own.shape[0] == 1:
+        base_sum += own[0]
+        return
+    own[0] += base_sum  # so a sum down the rounds adds them to it in time order
+    if m > 1:  # numpy sums pairwise only along the fast axis, here the learners'
+        np.add.reduce(own, axis=0, out=base_sum)
+    else:
+        base_sum[:] = np.add.accumulate(own, axis=0)[-1]
 
 
-def stage_end(bases, sums, counts):
-    """Move each base to the action with the best stage average and reset the
-    tallies.
+def stage_end(bases, sums, counts, base_sum, rounds):
+    """Fold each base's sum and count into the tallies of a stage of rounds
+    rounds, move each base to the action with the best stage average and reset
+    the tallies.
 
-    Unexplored actions score 0, as 0 / max(count, 1) — deliberately, even
-    though that can shadow actions whose true payoffs are negative.  Ties keep
-    the current base when it is among the maximizers, else the lowest index.
+    A base's count is the rounds less the row's explorer counts.  Unexplored
+    actions score 0, as 0 / max(count, 1) — deliberately, even though that can
+    shadow actions whose true payoffs are negative.  Ties keep the current
+    base when it is among the maximizers, else the lowest index.
     """
+    rows = np.arange(bases.size)
+    sums[rows, bases] = base_sum
+    counts[rows, bases] = rounds - counts.sum(axis=1)
     values = np.divide(sums, np.maximum(counts, 1.0, out=counts), out=sums)
-    rows, best = np.arange(bases.size), values.argmax(axis=1)
+    best = values.argmax(axis=1)
     move = values[rows, bases] < values[rows, best]
     bases[move] = best[move]
     sums.fill(0.0)
     counts.fill(0.0)
+    base_sum.fill(0.0)
 
 
 def regret_act(probs, u) -> np.ndarray:

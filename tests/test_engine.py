@@ -367,6 +367,20 @@ def test_run_deterministic(small_run):
     assert (small_run.realized_dist != other.realized_dist).any()
 
 
+def _trace_arrays(t):
+    return [None if a is None else a.tobytes() for a in (
+        t.realized_counts, t.stage_base, t.stage_rho, t.stage_distance, t.stage_br_fraction)]
+
+
+@pytest.mark.parametrize("cap", [1, 64])
+def test_run_bits_do_not_depend_on_block_width(cap, monkeypatch):
+    # one-round blocks (CAP 1) and blocks of a few rounds (CAP 64) give the
+    # bytes the default blocks of up to CAP // (n + k) rounds give
+    want = [_trace_arrays(run(cfg)) for cfg in random_configs()]
+    monkeypatch.setattr(engine, "CAP", cap)
+    assert [_trace_arrays(run(cfg)) for cfg in random_configs()] == want
+
+
 def test_stage_br_fraction_is_the_share_of_stage_end_bases_in_abr():
     # the bases at a stage end, read back from the trace: a stage learner's
     # (without churn) are the next stage's base row; a regret matcher's are

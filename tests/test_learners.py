@@ -13,6 +13,7 @@ from anonlearn import (
     regret_observe,
     run,
     run_stationary,
+    sample_explorers,
     sample_mixed,
     stage_end,
     stage_tally,
@@ -125,10 +126,21 @@ def one_stage(table, base, explore, stage_len, rng):
     uniform from rng per round; returns its new base and emptied tallies."""
     k = len(table)
     bases, sums, counts = np.array([base]), np.zeros((1, k)), np.zeros((1, k))
-    acts = sample_mixed(bases, explore, k, rng.random((stage_len, 1)))
-    stage_tally(sums, counts, acts, np.asarray(table)[acts])
-    stage_end(bases, sums, counts)
+    base_sum = np.zeros(1)
+    acts, x = sample_explorers(bases, explore, k, rng.random((stage_len, 1)))
+    stage_tally(sums, counts, base_sum, acts, np.asarray(table)[acts], x)
+    stage_end(bases, sums, counts, base_sum, stage_len)
     return int(bases[0]), sums, counts
+
+
+def with_base(sums, counts, base_sum, bases, rounds):
+    """Copies of a stage's tallies with the base column folded in, as
+    stage_end folds it, to read them mid-stage."""
+    rows = np.arange(bases.size)
+    sums, counts = sums.copy(), counts.copy()
+    sums[rows, bases] = base_sum
+    counts[rows, bases] = rounds - counts.sum(axis=1)
+    return sums, counts
 
 
 def test_stage_learner_validation():
@@ -158,9 +170,11 @@ def test_stage_learner_keeps_base_on_tie():
 
 def test_stage_learner_average_values_mid_stage():
     rng = np.random.default_rng(3)
-    sums, counts = np.zeros((1, 3)), np.zeros((1, 3))
-    a, b = (int(x) for x in sample_mixed(0, 0.3, 3, rng.random(2)))
-    stage_tally(sums, counts, np.array([[a], [b]]), np.array([[4.0], [4.0 if b == a else -2.0]]))
+    sums, counts, base_sum = np.zeros((1, 3)), np.zeros((1, 3)), np.zeros(1)
+    acts, x = sample_explorers(0, 0.3, 3, rng.random((2, 1)))
+    a, b = (int(v) for v in acts[:, 0])
+    stage_tally(sums, counts, base_sum, acts, np.array([[4.0], [4.0 if b == a else -2.0]]), x)
+    sums, counts = with_base(sums, counts, base_sum, np.array([0]), 2)
     vals = np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)[0]
     assert vals[a] == 4.0
     if b != a:
@@ -175,9 +189,12 @@ def test_stage_tally_adds_in_time_order():
     m, k, rounds = 7, 3, 40
     acts = rng.integers(k, size=(rounds, m))
     payoffs = rng.normal(scale=3.0, size=(rounds, m)) * 10.0 ** rng.integers(-8, 8, size=(rounds, m))
-    sums, counts = np.zeros((m, k)), np.zeros((m, k))
-    stage_tally(sums, counts, acts[:17], payoffs[:17])
-    stage_tally(sums, counts, acts[17:], payoffs[17:])
+    sums, counts, base_sum = np.zeros((m, k)), np.zeros((m, k)), np.zeros(m)
+    bases = acts[0]  # so that the explorers are the draws off it
+    for block in (slice(0, 17), slice(17, rounds)):
+        x = np.flatnonzero(acts[block] != bases)
+        stage_tally(sums, counts, base_sum, acts[block], payoffs[block].copy(), x)
+    sums, counts = with_base(sums, counts, base_sum, bases, rounds)
     ref_sums, ref_counts = np.zeros((m, k)), np.zeros((m, k))
     for t in range(rounds):
         for i in range(m):
@@ -210,7 +227,10 @@ def test_stage_end_matches_masked_divide():
     bases = rng.integers(k, size=m)
     got = (bases.copy(), sums.copy(), counts.copy())
     want = (bases.copy(), sums.copy(), counts.copy())
-    stage_end(*got)
+    rows = np.arange(m)  # got's base cells go to the base column, as stage_tally leaves them
+    base_sum = sums[rows, bases].copy()
+    got[1][rows, bases] = got[2][rows, bases] = 0.0
+    stage_end(*got, base_sum, counts.sum(axis=1))
     masked_stage_end(*want)
     values = np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0.0)
     top = values == values.max(axis=1, keepdims=True)
@@ -219,6 +239,58 @@ def test_stage_end_matches_masked_divide():
     assert (values < 0.0).sum() > 1000 and (counts[np.arange(m), bases] == 0.0).sum() > 100
     for a, b in zip(got, want):
         assert a.tobytes() == b.tobytes()
+
+
+def add_at_tally(sums, counts, acts, payoffs):
+    """The stage tally as one np.add.at over every draw, base draws included,
+    kept as the reference for the split tally's bits."""
+    idx = (acts + np.arange(sums.shape[0]) * sums.shape[1]).ravel()
+    np.add.at(sums.reshape(-1), idx, payoffs.ravel())
+    np.add.at(counts.reshape(-1), idx, 1.0)
+
+
+@pytest.mark.parametrize("m, nf, widths", [
+    (6, 0, [1] * 9),  # one-round blocks
+    (6, 0, [4, 1, 7, 2]),  # blocks of several rounds, a stage split across calls
+    (1, 0, [3, 1, 40]),  # a lone learner, whose column numpy would sum pairwise
+    (5, 3, [2, 1, 6]),  # fixed agents in the block's low columns
+    (4, 0, [1]),  # a one-round stage
+    (0, 4, [3, 2]),  # no learners
+], ids=["one_round_blocks", "split_blocks", "lone_learner", "fixed_columns",
+        "one_round_stage", "no_learners"])
+def test_stage_tally_matches_add_at_reference(m, nf, widths):
+    # the split tally, folded at the stage end, carries the bits of np.add.at
+    # over every draw: sums, counts, the sign of each zero, and the new bases
+    rng = np.random.default_rng(31 + m + nf + len(widths))
+    k, rounds, w = 4, sum(widths), nf + m
+    bases = rng.integers(k, size=w)
+    u = rng.random((rounds, w))
+    payoffs = rng.normal(scale=3.0, size=(rounds, w)) * 10.0 ** rng.integers(-8, 8, size=(rounds, w))
+    payoffs[rng.random((rounds, w)) < 0.3] = -0.0
+    if m > 1:
+        u[:, nf] = 1.0 - 1e-16  # the first learner explores every round
+        payoffs[:, -1] = -0.0  # and the last is paid only -0.0
+    sums, counts, base_sum = np.zeros((m, k)), np.zeros((m, k)), np.zeros(m)
+    ref_sums, ref_counts = np.zeros((m, k)), np.zeros((m, k))
+    r0 = 0
+    for width in widths:
+        block = slice(r0, r0 + width)
+        acts, x = sample_explorers(bases, 0.3, k, u[block])
+        stage_tally(sums, counts, base_sum, acts, payoffs[block].copy(), x[x % w >= nf])
+        add_at_tally(ref_sums, ref_counts, acts[:, nf:], payoffs[block, nf:])
+        r0 += width
+    got_sums, got_counts = with_base(sums, counts, base_sum, bases[nf:], rounds)
+    assert got_sums.tobytes() == ref_sums.tobytes()
+    assert got_counts.tobytes() == ref_counts.tobytes()
+    np.testing.assert_array_equal(np.signbit(got_sums), np.signbit(ref_sums))
+    assert not np.signbit(ref_sums[ref_sums == 0.0]).any()  # -0.0 payoffs sum to +0.0
+    if m > 1:  # the first learner never played its base
+        assert ref_counts[0, bases[nf]] == 0.0 and ref_counts[0].sum() == rounds
+    got_bases, ref_bases = bases[nf:].copy(), bases[nf:].copy()
+    stage_end(got_bases, sums, counts, base_sum, rounds)
+    masked_stage_end(ref_bases, ref_sums, ref_counts)
+    np.testing.assert_array_equal(got_bases, ref_bases)
+    assert not (sums.any() or counts.any() or base_sum.any())
 
 
 def test_stage_learner_unexplored_zero_shadows_negative_base():
