@@ -44,7 +44,6 @@ from .games import (
 from .learners import (
     regret_act,
     regret_observe,
-    sample_explorers,
     sample_mixed,
     stage_end,
     stage_tally,
@@ -98,7 +97,6 @@ __all__ = [
     "run",
     "run_many",
     "run_stationary",
-    "sample_explorers",
     "sample_mixed",
     "stage_end",
     "stage_tally",

@@ -160,11 +160,10 @@ def cmd_gnuplot(args) -> int:
             rounds.setdefault(key, []).append(int(row["end_round"]))
     if not series:
         raise ConfigError(f"{args.aggregate}: no data rows")
-    lengths = {len(v) for v in series.values()}
-    if len(lengths) != 1:
-        raise ConfigError(f"{args.aggregate}: series have unequal stage counts {lengths}")
     keys = sorted(series)
     axis = rounds[keys[0]]
+    if any(rounds[key] != axis for key in keys):
+        raise ConfigError(f"{args.aggregate}: series have unequal stage counts or end rounds")
 
     def writer(tmp):
         with open(tmp, "w", encoding="utf-8") as fh:
@@ -193,8 +192,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="execute the runs a config describes")
     p_run.add_argument("--config", required=True, help="experiment config file")
-    p_run.add_argument("--out", default="out", help="output directory (default: out)")
-    p_run.add_argument("--threads", type=int, default=1, help="parallel runs (default: 1)")
+    p_run.add_argument("--out", default="out", help="output directory (default: %(default)s)")
+    p_run.add_argument("--threads", type=int, default=1, help="parallel runs (default: %(default)s)")
     p_run.add_argument("--seed", type=int, default=None, help="force a single master seed")
     p_run.set_defaults(func=cmd_run)
 

@@ -33,7 +33,7 @@ def best_reply_set(rho: ActionDistribution, eta: float, game: MatrixGame) -> set
 
 
 def br_step(
-    rho: ActionDistribution, eta: float, game: MatrixGame, rule: str = "pointmass"
+    rho: ActionDistribution, eta: float, game: MatrixGame, rule: str = BR_RULES[0]
 ) -> ActionDistribution:
     """One step of the best-reply map: a distribution supported on ABR_eta(rho).
 
@@ -67,7 +67,7 @@ def br_sequence(
     eta: float,
     game: MatrixGame,
     max_steps: int = 100,
-    rule: str = "pointmass",
+    rule: str = BR_RULES[0],
 ) -> BestReplySequence:
     """Iterate br_step from rho0 until a fixed point or max_steps.
 

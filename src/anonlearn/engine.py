@@ -14,8 +14,7 @@ import numpy as np
 from .core import ActionDistribution, MatrixGame
 from .dynamics import best_reply_set
 from .games import PENALTY_N, build_game
-from .learners import (regret_act, regret_observe, sample_explorers, sample_mixed, stage_end,
-                       stage_tally)
+from .learners import regret_act, regret_observe, sample_mixed, stage_end, stage_tally
 from .streams import AgentStreams, apply_churn
 
 LEARNER_KINDS = ("stage", "regret")
@@ -265,10 +264,10 @@ def run(config: RunConfig) -> RunTrace:
             if regret:
                 acts = np.empty(u.shape, dtype=np.int64)
                 if nf:
-                    acts[:, :nf] = sample_mixed(bases[:nf], explore[:nf], k, u[:, :nf])
+                    acts[:, :nf] = sample_mixed(bases[:nf], explore[:nf], k, u[:, :nf])[0]
                 acts[0, nf:] = regret_act(probs, u[0, nf:])
             else:
-                acts, x = sample_explorers(bases, explore, k, u)
+                acts, x = sample_mixed(bases, explore, k, u)
             b = acts.shape[0]
             flat = acts + k * np.arange(b)[:, None]
             hist = np.bincount(flat.reshape(-1), minlength=b * k).reshape(b, k)
@@ -281,8 +280,6 @@ def run(config: RunConfig) -> RunTrace:
                 regret_observe(proxy, probs, t, bases[nf:], acts[0, nf:], payoffs[0, nf:],
                                mu, config.delta)
             else:
-                if nf:  # the learners' explorers only
-                    x = x[x % n >= nf]
                 stage_tally(sums, counts, base_sum, acts, payoffs, x)
         if s == stages:  # trailing partial stage: no stage end, no metrics
             break
@@ -325,6 +322,8 @@ def run_stationary(game: MatrixGame, rho: ActionDistribution, bases, explore: fl
         raise ValueError(f"explore must be in (0, 1), got {explore}")
     if stage_len < 1:
         raise ValueError(f"stage_len must be >= 1, got {stage_len}")
+    if rounds < stage_len:
+        raise ValueError(f"rounds: must cover at least one stage of {stage_len}, got {rounds}")
     if bases.size == 0 or bases.min() < 0 or bases.max() >= game.k:
         raise ValueError(f"bases must be one or more actions in range({game.k})")
     payoffs = game.utilities(rho)
@@ -337,7 +336,7 @@ def run_stationary(game: MatrixGame, rho: ActionDistribution, bases, explore: fl
     for s0 in range(0, rounds - stage_len + 1, stage_len):
         for r in range(s0, s0 + stage_len, width):
             u = streams.take(min(width, s0 + stage_len - r))
-            acts, x = sample_explorers(bases, explore, game.k, u)
+            acts, x = sample_mixed(bases, explore, game.k, u)
             stage_tally(sums, counts, base_sum, acts, payoffs[acts], x)
         stage_end(bases, sums, counts, base_sum, stage_len)
     return bases

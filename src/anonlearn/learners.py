@@ -7,9 +7,9 @@ base's payoffs, added a round at a time, and sums and counts of its explorer
 rounds, the only ones played off base; the stage end folds the first into the
 second.  A payoff-only regret matcher (Hart and Mas-Colell's reinforcement
 procedure) re-weights its next action by estimated regrets every round.  A
-fixed agent plays one mixed action forever and is just sample_mixed.  Learners
-see nothing but their own actions and payoffs; every random draw arrives as a
-uniform, so the caller owns the streams.
+fixed agent plays one mixed action forever and is just sample_mixed's draws.
+Learners see nothing but their own actions and payoffs; every random draw
+arrives as a uniform, so the caller owns the streams.
 """
 
 from __future__ import annotations
@@ -17,16 +17,11 @@ from __future__ import annotations
 import numpy as np
 
 
-def sample_mixed(bases, explore, k: int, u) -> np.ndarray:
+def sample_mixed(bases, explore, k: int, u):
     """The a_eps law, elementwise: base where u < 1-explore, else uniform over
     the other k-1 actions.  bases and explore broadcast against the uniforms
-    u; one uniform per draw, even where explore is 0."""
-    return sample_explorers(bases, explore, k, u)[0]
-
-
-def sample_explorers(bases, explore, k: int, u):
-    """sample_mixed's draws, and the ascending flat positions in them of the
-    explorers: the draws off base.
+    u; one uniform per draw, even where explore is 0.  Returns the draws and
+    the ascending flat positions in them of the explorers: the draws off base.
 
     Three passes over the block (fill the bases, compare, find the explorers);
     the rest touches only the explorers.  explore keeps its own shape, whose
@@ -50,8 +45,9 @@ def sample_explorers(bases, explore, k: int, u):
 def stage_tally(sums, counts, base_sum, acts, payoffs, x):
     """Add a (rounds, w) block of actions and payoffs to the stage tallies of
     the m learners in its last m columns, so each sum is the one sequential
-    additions give.  x holds those learners' explorers as ascending flat
-    positions in the block (sample_explorers' second value).
+    additions give.  x holds the block's explorers as ascending flat positions
+    (sample_mixed's second value); those in the first w - m columns, which
+    are not learners', are skipped.
 
     The explorers' payoffs go to their (m, k) sums and counts cells by
     np.add.at, in time order, and are then set to -0.0 in payoffs; the (m,)
@@ -60,7 +56,11 @@ def stage_tally(sums, counts, base_sum, acts, payoffs, x):
     base_sum holds the base cells' sums, which stay 0 in sums and counts until
     stage_end puts them in place."""
     (m, k), w = sums.shape, acts.shape[1]
-    cell = (x % w - (w - m)) * k
+    cell = x % w - (w - m)
+    if m < w:
+        keep = cell >= 0
+        x, cell = x[keep], cell[keep]
+    cell *= k
     cell += acts.reshape(-1)[x]
     flat = payoffs.reshape(-1)
     np.add.at(sums.reshape(-1), cell, flat[x])

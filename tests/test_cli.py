@@ -375,6 +375,20 @@ def test_gnuplot_unknown_metric_exits_2(tiny_cfg, tmp_path, capsys):
     assert "--metric" in capsys.readouterr().err
 
 
+def test_gnuplot_mismatched_rounds_exit_2(tmp_path, capsys):
+    # every column is labelled with one end_round axis, so the series must
+    # share it: neither a shorter series nor one at other rounds is pivoted
+    for other in ((250, 500, 750), (250, 500)):
+        agg = tmp_path / "aggregate.csv"
+        rows = [(10, r, 0.5) for r in (400, 800)] + [(100, r, 0.25) for r in other]
+        agg.write_text("n,learner,end_round,mean_distance\n"
+                       + "".join(f"{n},stage,{r},{v}\n" for n, r, v in rows))
+        dat = tmp_path / "p.dat"
+        assert main(["gnuplot", "--aggregate", str(agg), "--out", str(dat)]) == EXIT_CONFIG
+        assert "unequal stage counts" in capsys.readouterr().err
+        assert not dat.exists()
+
+
 def test_gnuplot_missing_aggregate_exits_3(tmp_path):
     code = main(["gnuplot", "--aggregate", str(tmp_path / "no.csv"),
                  "--out", str(tmp_path / "p.dat")])

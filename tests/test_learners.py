@@ -13,7 +13,6 @@ from anonlearn import (
     regret_observe,
     run,
     run_stationary,
-    sample_explorers,
     sample_mixed,
     stage_end,
     stage_tally,
@@ -36,7 +35,7 @@ def scalar_sample_mixed(base, explore, k, u):
 
 def test_sample_mixed_frequencies():
     n = 20000
-    draws = sample_mixed(2, 0.2, 5, np.random.default_rng(42).random(n))
+    draws = sample_mixed(2, 0.2, 5, np.random.default_rng(42).random(n))[0]
     freq = np.bincount(draws, minlength=5) / n
     assert abs(freq[2] - 0.8) < 3 * np.sqrt(0.8 * 0.2 / n)
     for a in (0, 1, 3, 4):
@@ -47,20 +46,20 @@ def test_sample_mixed_zero_explore_still_draws():
     # explore=0 always returns base, but still takes one uniform per draw, so
     # populations with mixed agent kinds stay reproducible.
     u = np.random.default_rng(7).random(1000)
-    draws = sample_mixed(3, 0.0, 5, u)
+    draws = sample_mixed(3, 0.0, 5, u)[0]
     assert draws.shape == u.shape
     assert (draws == 3).all()
-    assert sample_mixed(3, 0.0, 5, 1.0 - 1e-16) == 3
+    assert sample_mixed(3, 0.0, 5, 1.0 - 1e-16)[0] == 3
 
 
 def test_sample_mixed_edge_of_unit_interval():
     # u -> 1 lands on the last non-base action, never out of range
-    assert sample_mixed(0, 0.5, 2, 1.0 - 1e-16) == 1
-    assert sample_mixed(4, 0.5, 5, 1.0 - 1e-16) == 3
+    assert sample_mixed(0, 0.5, 2, 1.0 - 1e-16)[0] == 1
+    assert sample_mixed(4, 0.5, 5, 1.0 - 1e-16)[0] == 3
 
 
 def test_sample_mixed_never_base_in_explore_branch():
-    draws = sample_mixed(1, 0.9999, 4, np.random.default_rng(0).random(2000))
+    draws = sample_mixed(1, 0.9999, 4, np.random.default_rng(0).random(2000))[0]
     explored = {int(a) for a in draws if a != 1}
     assert explored == {0, 2, 3}
 
@@ -73,7 +72,7 @@ def test_sample_mixed_matches_scalar_reference():
     explore = rng.choice([0.0, 0.05, 0.3, 0.99], size=40)
     u = rng.random((25, 40))
     u[0, :5] = 1.0 - 1e-16
-    draws = sample_mixed(bases, explore, k, u)
+    draws = sample_mixed(bases, explore, k, u)[0]
     expected = [[scalar_sample_mixed(b, e, k, x) for b, e, x in zip(bases, explore, row)]
                 for row in u]
     np.testing.assert_array_equal(draws, expected)
@@ -108,7 +107,7 @@ def test_sample_mixed_layout_matches_scalar_reference(layout):
     if layout == "sliced_u":
         assert not u.flags.c_contiguous
     shape = np.shape(u)
-    draws = sample_mixed(bases, explore, k, u)
+    draws = sample_mixed(bases, explore, k, u)[0]
     b, e, x = (np.broadcast_to(v, shape).ravel() for v in (bases, explore, u))
     expected = np.reshape([scalar_sample_mixed(int(bi), float(ei), k, float(xi))
                            for bi, ei, xi in zip(b, e, x)], shape)
@@ -127,7 +126,7 @@ def one_stage(table, base, explore, stage_len, rng):
     k = len(table)
     bases, sums, counts = np.array([base]), np.zeros((1, k)), np.zeros((1, k))
     base_sum = np.zeros(1)
-    acts, x = sample_explorers(bases, explore, k, rng.random((stage_len, 1)))
+    acts, x = sample_mixed(bases, explore, k, rng.random((stage_len, 1)))
     stage_tally(sums, counts, base_sum, acts, np.asarray(table)[acts], x)
     stage_end(bases, sums, counts, base_sum, stage_len)
     return int(bases[0]), sums, counts
@@ -154,6 +153,8 @@ def test_stage_learner_validation():
                                       ([0], 0.1, 0), ([-1], 0.1, 10), ([], 0.1, 10)):
         with pytest.raises(ValueError):
             run_stationary(game, rho, bases, explore, stage_len, rounds=10, seed=0)
+    with pytest.raises(ValueError, match="rounds: must cover at least one stage of 11"):
+        run_stationary(game, rho, [0], 0.1, 11, rounds=10, seed=0)
 
 
 def test_stage_learner_moves_to_best_average():
@@ -171,7 +172,7 @@ def test_stage_learner_keeps_base_on_tie():
 def test_stage_learner_average_values_mid_stage():
     rng = np.random.default_rng(3)
     sums, counts, base_sum = np.zeros((1, 3)), np.zeros((1, 3)), np.zeros(1)
-    acts, x = sample_explorers(0, 0.3, 3, rng.random((2, 1)))
+    acts, x = sample_mixed(0, 0.3, 3, rng.random((2, 1)))
     a, b = (int(v) for v in acts[:, 0])
     stage_tally(sums, counts, base_sum, acts, np.array([[4.0], [4.0 if b == a else -2.0]]), x)
     sums, counts = with_base(sums, counts, base_sum, np.array([0]), 2)
@@ -275,8 +276,8 @@ def test_stage_tally_matches_add_at_reference(m, nf, widths):
     r0 = 0
     for width in widths:
         block = slice(r0, r0 + width)
-        acts, x = sample_explorers(bases, 0.3, k, u[block])
-        stage_tally(sums, counts, base_sum, acts, payoffs[block].copy(), x[x % w >= nf])
+        acts, x = sample_mixed(bases, 0.3, k, u[block])
+        stage_tally(sums, counts, base_sum, acts, payoffs[block].copy(), x)
         add_at_tally(ref_sums, ref_counts, acts[:, nf:], payoffs[block, nf:])
         r0 += width
     got_sums, got_counts = with_base(sums, counts, base_sum, bases[nf:], rounds)
@@ -297,7 +298,7 @@ def test_stage_learner_unexplored_zero_shadows_negative_base():
     # With everything scoring below zero and no exploration, the learner
     # walks to the first unexplored action: absent samples count as 0.
     rng = np.random.default_rng(0)  # this seed never explores in 50 rounds
-    assert (sample_mixed(0, 0.001, 3, np.random.default_rng(0).random(50)) == 0).all()
+    assert (sample_mixed(0, 0.001, 3, np.random.default_rng(0).random(50))[0] == 0).all()
     base, _, _ = one_stage([-5.0, -1.0, -2.0], 0, 0.001, 50, rng)
     assert base == 1
 
