@@ -55,7 +55,7 @@ from .engine import (
     run_many,
     run_stationary,
 )
-from .streams import apply_churn
+from .streams import RawStream, apply_churn
 from .config import ConfigError, load_experiment, parse_config_text
 
 __version__ = "0.1.0"
@@ -71,6 +71,7 @@ __all__ = [
     "DimensionError",
     "MatrixGame",
     "MixedAction",
+    "RawStream",
     "RunConfig",
     "RunTrace",
     "abr_containment_threshold",

@@ -15,7 +15,7 @@ from .core import ActionDistribution, MatrixGame
 from .dynamics import best_reply_set
 from .games import PENALTY_N, build_game
 from .learners import regret_act, regret_observe, sample_mixed, stage_end, stage_tally
-from .streams import AgentStreams, apply_churn
+from .streams import AgentStreams, RawStream, apply_churn
 
 LEARNER_KINDS = ("stage", "regret")
 # Working-memory bounds for run: a block's (rounds, n) actions and (rounds, k)
@@ -227,9 +227,10 @@ def run(config: RunConfig) -> RunTrace:
     k, n, tau = game.k, config.n, config.resolved_stage_len
     streams = AgentStreams(config.seed, n)
     matching = config.mode == "matching"
-    # made only when used: the first default_rng imports numpy.random (~5 MB)
+    # made only when used: default_rng imports numpy.random (6.3 MB); churn's
+    # stream is computed, as the agents' are
     match_rng = np.random.default_rng([config.seed, 1]) if matching else None
-    churn_rng = np.random.default_rng([config.seed, 2]) if config.churn_rate > 0.0 else None
+    churn = RawStream([config.seed, 2]) if config.churn_rate > 0.0 else None
     regret = config.learner == "regret"
 
     nf = int(config.fixed_fraction * n)  # fixed agents hold slots 0..nf-1
@@ -291,7 +292,7 @@ def run(config: RunConfig) -> RunTrace:
         abr = list(best_reply_set(rho, config.metrics_eta, game))
         stage_br[s] = np.bincount(bases, minlength=k)[abr].sum() / n  # bases in ABR_eta(rho)
         if config.churn_rate > 0.0:
-            rows = apply_churn(bases, nf, config.churn_rate, churn_rng,
+            rows = apply_churn(bases, nf, config.churn_rate, churn,
                                None if regret else k) - nf
             if regret:
                 proxy[rows] = 0.0

@@ -4,11 +4,12 @@ draws as numpy does.
 Seeding layout: agent i draws from default_rng([seed, 0, i]) for its whole
 lifetime (so changing n never reshuffles other agents' draws), the matching
 shuffle from default_rng([seed, 1]), and churn (a coin per slot, then a base
-after each hit) from default_rng([seed, 2]).  AgentStreams computes all n
-agents' streams at once, bit for bit: numpy's PCG64 (a 128-bit LCG with the
-XSL-RR output) and its SeedSequence seeding are integer arithmetic on uint32
-and uint64 arrays, a 128-bit value a (hi, lo) pair of uint64 arrays.
-apply_churn reads the churn Generator's raw outputs and draws only the hits."""
+after each hit) from default_rng([seed, 2]).  None of these Generators but the
+matcher's is made: numpy's PCG64 (a 128-bit LCG with the XSL-RR output) and its
+SeedSequence seeding are integer arithmetic on uint32 and uint64 arrays, a
+128-bit value a (hi, lo) pair of uint64 arrays.  AgentStreams computes all n
+agents' streams at once, bit for bit, and RawStream churn's raw words, from
+which apply_churn draws the coins and only the hits' bases."""
 
 from __future__ import annotations
 
@@ -20,17 +21,21 @@ import numpy as np
 # of all n agents at a time, at most UCAP stream positions unless n is larger
 # (longer lanes save next to nothing per draw, and cost memory).  That is six
 # (L, n) arrays of 8-byte words: the lanes' two words, three scratch arrays
-# for the refill arithmetic and the uniforms.
+# for the refill arithmetic and the uniforms (a RawStream refill: five per word).
 UCAP = 1 << 13
 AHEAD = 128
+MULT, MASK = 0x2360ED051FC65DA44385DF649FCCF645, (1 << 128) - 1  # PCG64's multiplier
 
 
-def _seed_state(seed: int, n: int) -> list:
-    """SeedSequence([seed, 0, i]).generate_state(4, np.uint64) for i in
-    range(n), as four (n,) arrays.  An int enters as its little-endian uint32
-    words; the first four fill the pool, later ones are mixed in after."""
-    words = [seed >> s & 0xFFFFFFFF for s in range(0, max(seed.bit_length(), 1), 32)]
-    entropy = [np.array([w], np.uint32) for w in words + [0]] + [np.arange(n, dtype=np.uint32)]
+def _seed_state(entropy: list) -> list:
+    """SeedSequence(entropy).generate_state(4, np.uint64), as four uint64s or
+    arrays: entropy[0], the seed, enters as its little-endian uint32 words and
+    each later entry as one word (an array as one per element, one SeedSequence
+    each); the first four words fill the pool, later ones are mixed in after."""
+    if (seed := operator.index(entropy[0])) < 0:
+        raise ValueError(f"seed: must be nonnegative, got {seed}")
+    words = [np.uint32(seed >> s & 0xFFFFFFFF) for s in range(0, max(seed.bit_length(), 1), 32)]
+    words += [np.asarray(e, np.uint32) for e in entropy[1:]]
     const = [0x43B0D7E5, 0x931E8875]  # hashmix's running constant and its multiplier
 
     def hashmix(value):
@@ -39,14 +44,31 @@ def _seed_state(seed: int, n: int) -> list:
         value = value * const[0]
         return value ^ value >> 16
 
-    pool = [hashmix(w) for w in (entropy + [np.zeros(1, np.uint32)] * 4)[:4]]
-    for src, dst in [(s, d) for s in range(4) for d in range(4) if s != d] + [
-            (4 + w, d) for w in range(4, len(entropy)) for d in range(4)]:
-        x = 0xCA01F9DD * pool[dst] - 0x4973F715 * hashmix((pool + entropy)[src])
-        pool[dst] = x ^ x >> 16
-    const[:] = [0x8B51F9DD, 0x58F38DED]
-    out = [hashmix(pool[i % 4]).astype(np.uint64) for i in range(8)]
+    with np.errstate(over="ignore"):  # uint32 scalars warn where arrays wrap silently
+        pool = [hashmix(w) for w in (words + [np.uint32(0)] * 4)[:4]]
+        for src, dst in [(s, d) for s in range(4) for d in range(4) if s != d] + [
+                (4 + w, d) for w in range(4, len(words)) for d in range(4)]:
+            x = 0xCA01F9DD * pool[dst] - 0x4973F715 * hashmix((pool + words)[src])
+            pool[dst] = x ^ x >> 16
+        const[:] = [0x8B51F9DD, 0x58F38DED]
+        out = [hashmix(pool[i % 4]).astype(np.uint64) for i in range(8)]
     return [out[2 * j] | out[2 * j + 1] << 32 for j in range(4)]
+
+
+def _jumps(count: int) -> tuple:
+    """M**j and M**(j-1) + ... + 1 for j = 1..count, as ints: j steps take s
+    to M**j·s + (M**(j-1) + ... + 1)·inc."""
+    powers, sums = [MULT], [1]
+    for _ in range(count - 1):
+        powers.append(powers[-1] * MULT & MASK)
+        sums.append(sums[-1] * MULT + 1 & MASK)
+    return powers, sums
+
+
+def _words(values: list) -> np.ndarray:
+    """128-bit ints as a (2, len) array of their (hi, lo) uint64 words."""
+    return np.frombuffer(b"".join(v.to_bytes(16, "little") for v in values),
+                         np.uint64).reshape(-1, 2)[:, ::-1].T
 
 
 def _mul_add(a, b, c, out, tmp):
@@ -96,18 +118,9 @@ class AgentStreams:
     multiplier."""
 
     def __init__(self, seed: int, n: int):
-        if operator.index(seed) < 0:
-            raise ValueError(f"seed: must be nonnegative, got {seed}")
-        mult = 0x2360ED051FC65DA44385DF649FCCF645
-        powers, sums, mask = [mult], [1], (1 << 128) - 1  # M**j, M**(j-1) + ... + 1
-        for _ in range(min(AHEAD, max(1, UCAP // n)) - 1):  # j = 1..L
-            powers.append(powers[-1] * mult & mask)
-            sums.append(sums[-1] * mult + 1 & mask)
-        # (hi, lo) words of shape (L, 1), from each value's little-endian bytes
-        self._powers, self._sums = (
-            np.frombuffer(b"".join(v.to_bytes(16, "little") for v in t), "<u8")
-            .reshape(-1, 2)[:, ::-1].T[..., None] for t in (powers, sums))
-        v0, v1, v2, v3 = _seed_state(operator.index(seed), n)
+        powers, sums = _jumps(min(AHEAD, max(1, UCAP // n)))  # j = 1..L
+        self._powers, self._sums = _words(powers)[..., None], _words(sums)[..., None]
+        v0, v1, v2, v3 = _seed_state([seed, 0, np.arange(n, dtype=np.uint32)])
         self._inc = (v2 << 1 | v3 >> 63, v3 << 1 | 1)
         # numpy's seeding: the state is inc + v0·2**64 + v1, stepped once
         h, l = self._inc[0] + v0, self._inc[1] + v1
@@ -171,54 +184,89 @@ class AgentStreams:
         return out
 
 
-def apply_churn(bases, start: int, rate: float, rng, k: int | None = None) -> np.ndarray:
+class RawStream:
+    """default_rng(entropy).bit_generator.random_raw()'s words, in order.  A
+    refill computes AHEAD words from each of several block starts S at once,
+    word j of a block from M**j·S + (M**(j-1) + ... + 1)·inc.  half carries
+    numpy's buffered 32-bit half for the caller: a word's upper half, or None."""
+
+    def __init__(self, entropy: list):
+        v0, v1, v2, v3 = map(int, _seed_state(entropy))
+        powers, sums = _jumps(AHEAD)
+        inc = (v2 << 64 | v3) << 1 & MASK | 1
+        self._state = ((inc + (v0 << 64 | v1)) * MULT + inc) & MASK  # numpy's seeding
+        self._jump = powers[-1], sums[-1] * inc & MASK  # AHEAD steps
+        self._table = _words(powers), _words([v * inc & MASK for v in sums])
+        self._words, self.half = np.empty(0, np.uint64), None
+
+    def peek(self, count: int) -> np.ndarray:
+        """The next count words, unconsumed: a view valid until the next call."""
+        if count > self._words.size:
+            starts = [self._state]  # a loop on ints, a block at a time
+            for _ in range(-(-(count - self._words.size) // AHEAD)):
+                starts.append(starts[-1] * self._jump[0] + self._jump[1] & MASK)
+            self._state = starts.pop()
+            tmp = np.empty((5, len(starts), AHEAD), np.uint64)
+            _mul_add(self._table[0], _words(starts)[..., None], self._table[1], tmp[:2], tmp[2:])
+            x = _output(tmp[0], tmp[1], tmp[2], tmp[3:])
+            self._words = np.concatenate([self._words, x.reshape(-1)])
+        return self._words[:count]
+
+    def skip(self, count: int):
+        """Consume the next count words."""
+        self.peek(count)
+        self._words = self._words[count:]
+
+
+def apply_churn(bases, start: int, rate: float, stream, k: int | None = None) -> np.ndarray:
     """Replace each learner (slots start..n-1) independently with probability
     rate, and return the replaced slots.
 
     Fixed agents, in the slots below start, are never churned — their
     persistence is the point of having them.  Given k, a replaced slot gets a
-    uniform base in range(k) drawn from rng right after its coin, written into
-    bases; otherwise the caller resets the slot's state.
+    uniform base in range(k) drawn from stream right after its coin, written
+    into bases; otherwise the caller resets the slot's state.
 
-    The draws and rng's state after are a loop's, rng.random() per slot and
-    rng.integers(k) on a hit.  With k, rng must be a PCG64 Generator: one
-    compare on its raw outputs ((raw >> 11)·2**-53) finds the hits, and a base
-    is Lemire's method on 32-bit words, the buffered half or else the low half
-    of the next output (buffering its high half, so later coins shift by one).
+    The draws, and the stream's words and half after, are a loop's on its
+    Generator: rng.random() per slot, rng.integers(k) on a hit.  A coin is
+    (word >> 11)·2**-53, so one compare on a block of words finds the hits;
+    a base is Lemire's method on 32-bit words, stream.half or else the low half
+    of the next word (its high half left in stream.half, so later coins shift).
     """
     if not 0.0 <= rate <= 1.0:
         raise ValueError(f"churn rate must be in [0, 1], got {rate}")
     m = len(bases) - start
     if k is None:
-        return start + np.flatnonzero(rng.random(m) < rate)
-    if not isinstance(bg := rng.bit_generator, np.random.PCG64) or not 2 <= k < 1 << 32:
-        raise ValueError(f"apply_churn: need a PCG64 generator and 2 <= k < 2**32, got "
-                         f"{type(bg).__name__} and k={k}")
-    saved, raw, hits, out = bg.state, np.empty(0, np.uint64), [], []
-    has, half = saved["has_uint32"], saved["uinteger"]
+        hits = np.flatnonzero((stream.peek(m) >> 11) * 2.0**-53 < rate)
+        stream.skip(m)
+        return start + hits
+    if not 2 <= k < 1 << 32:
+        raise ValueError(f"apply_churn: need 2 <= k < 2**32, got k={k}")
+    raw, hits, out, half = stream.peek(0), [], [], stream.half
 
-    def read(end):  # outputs through raw[end], and which of them are hits as coins
+    def read(end):  # words through raw[end], and which of them are hits as coins
         nonlocal raw
         if end >= raw.size:
-            more = bg.random_raw(end - raw.size + int(rate * m) + 16)
-            hits.extend((raw.size + np.flatnonzero((more >> 11) * 2.0**-53 < rate)).tolist())
-            raw = np.concatenate([raw, more])
+            more = stream.peek(end + int(rate * m) + 16)
+            coins = (more[raw.size:] >> 11) * 2.0**-53
+            hits.extend((raw.size + np.flatnonzero(coins < rate)).tolist())
+            raw = more
 
     pos, slot, bar = 0, 0, ((1 << 32) - k) % k  # raw[pos] is slot's coin
     read(m)  # every coin
     for q in hits:  # read() appends to hits as the walk goes on
-        if not pos <= q < pos + m - slot:  # an output a base used, or past the last coin
+        if not pos <= q < pos + m - slot:  # a word a base used, or past the last coin
             continue
         slot, pos, lo = slot + q - pos + 1, q + 1, -1
         out.append(start + slot - 1)
         while lo < bar:
-            if has:
-                word, has = half, 0
+            if half is not None:
+                word, half = half, None
             else:
                 read(pos + m - slot)  # this word, and every coin left after it
-                word, half, has, pos = int(raw[pos]) & 0xFFFFFFFF, int(raw[pos]) >> 32, 1, pos + 1
+                word, half, pos = int(raw[pos]) & 0xFFFFFFFF, int(raw[pos]) >> 32, pos + 1
             hi, lo = divmod(word * k, 1 << 32)
         bases[out[-1]] = hi
-    bg.state = saved
-    bg.state = {**bg.advance(pos + m - slot).state, "has_uint32": has, "uinteger": half}
+    stream.skip(pos + m - slot)
+    stream.half = half
     return np.array(out, dtype=np.int64)

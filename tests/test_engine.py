@@ -20,6 +20,7 @@ from anonlearn import (
     ContributionGame,
     MatrixGame,
     MixedAction,
+    RawStream,
     RunConfig,
     RunTrace,
     apply_churn,
@@ -234,30 +235,37 @@ def test_matching_mean_approaches_meanfield():
 # churn
 
 
+def coin(stream):
+    """rng.random() on the stream's Generator: its next word as a double."""
+    word = stream.peek(1)[0]
+    stream.skip(1)
+    return float(word >> 11) * 2.0**-53
+
+
 def test_apply_churn_rate_zero_and_one():
     bases = np.full(10, 8)
-    assert apply_churn(bases, 0, 0.0, np.random.default_rng(0), k=20).size == 0
+    assert apply_churn(bases, 0, 0.0, RawStream([0]), k=20).size == 0
     assert (bases == 8).all()
     np.testing.assert_array_equal(
-        apply_churn(bases, 0, 1.0, np.random.default_rng(0), k=20), np.arange(10))
+        apply_churn(bases, 0, 1.0, RawStream([0]), k=20), np.arange(10))
 
 
 def test_apply_churn_spares_fixed_agents():
     bases = np.full(10, 8)
-    replaced = apply_churn(bases, 1, 1.0, np.random.default_rng(0), k=20)
+    replaced = apply_churn(bases, 1, 1.0, RawStream([0]), k=20)
     np.testing.assert_array_equal(replaced, np.arange(1, 10))
     assert bases[0] == 8
 
 
 def test_apply_churn_binomial_count():
-    replaced = apply_churn(np.full(2000, 8), 0, 0.3, np.random.default_rng(5), k=20)
+    replaced = apply_churn(np.full(2000, 8), 0, 0.3, RawStream([5]), k=20)
     assert abs(replaced.size - 600) < 3 * np.sqrt(2000 * 0.3 * 0.7)
 
 
 def test_apply_churn_replacements_copy_template():
     # each replaced slot draws its new base right after its coin
     bases = np.full(6, 8)
-    apply_churn(bases, 0, 1.0, np.random.default_rng(2), k=20)
+    apply_churn(bases, 0, 1.0, RawStream([2]), k=20)
     ref = np.random.default_rng(2)
     expected = []
     for _ in range(6):
@@ -265,12 +273,12 @@ def test_apply_churn_replacements_copy_template():
         expected.append(ref.integers(20))
     np.testing.assert_array_equal(bases, expected)
     # without k (regret matchers) only the coins are drawn; bases stay put
-    rng, ref = np.random.default_rng(2), np.random.default_rng(2)
+    stream, ref = RawStream([2]), np.random.default_rng(2)
     bases = np.full(6, 8)
-    replaced = apply_churn(bases, 0, 0.5, rng)
+    replaced = apply_churn(bases, 0, 0.5, stream)
     np.testing.assert_array_equal(replaced, np.flatnonzero(ref.random(6) < 0.5))
     assert 0 < replaced.size < 6 and (bases == 8).all()
-    assert rng.random() == ref.random()
+    assert coin(stream) == ref.random()
 
 
 def scalar_churn(bases, start, rate, rng, k=None):
@@ -285,20 +293,14 @@ def scalar_churn(bases, start, rate, rng, k=None):
     return np.array(out, dtype=np.int64)
 
 
-class CountingPCG64(np.random.PCG64):
-    """PCG64 that counts its random_raw calls."""
-
-    raw_calls = 0
-
-    def random_raw(self, size=None, output=True):
-        self.raw_calls += 1
-        return super().random_raw(size, output)
-
-
-def observable(rng):
-    # numpy leaves a stale uinteger once the buffered half is used
+def observable(stream, rng):
+    """The stream's half and next words, and what rng's state says they are
+    (numpy leaves a stale uinteger once the buffered half is used)."""
     s = rng.bit_generator.state
-    return s["state"], s["has_uint32"], s["uinteger"] if s["has_uint32"] else None
+    bg = np.random.PCG64()
+    bg.state = s
+    return ((stream.half, stream.peek(3).tolist()),
+            (s["uinteger"] if s["has_uint32"] else None, bg.random_raw(3).tolist()))
 
 
 @pytest.mark.parametrize("k", [None, 2, 3, 20, 1000, 2**31 + 7])
@@ -306,36 +308,32 @@ def observable(rng):
 def test_apply_churn_matches_scalar_loop(k, rate):
     # a buffered half going in, then three calls in a row, with and without
     # fixed agents below start
-    rng = np.random.Generator(CountingPCG64([17, 2]))
-    ref = np.random.default_rng([17, 2])
-    rng.integers(7)
-    ref.integers(7)
-    assert observable(rng) == observable(ref) and observable(ref)[1] == 1
+    stream, ref = RawStream([17, 2]), np.random.default_rng([17, 2])
+    ref.integers(7)  # its first word's low half settles it, buffering the high half
+    stream.half = int(stream.peek(1)[0]) >> 32
+    stream.skip(1)
+    got_state, want_state = observable(stream, ref)
+    assert got_state == want_state and want_state[0] is not None
     for n, start in [(700, 40), (501, 0), (3000, 300)]:
         got, want = np.full(n, 8), np.full(n, 8)
-        slots = apply_churn(got, start, rate, rng, k)
+        slots = apply_churn(got, start, rate, stream, k)
         assert slots.dtype == np.int64
         np.testing.assert_array_equal(slots, scalar_churn(want, start, rate, ref, k))
         np.testing.assert_array_equal(got, want)
-        assert observable(rng) == observable(ref)
-    assert rng.random() == ref.random()
-    if k == 2**31 + 7 and rate == 1.0:
-        # about half the words are rejected, so at this seed every call's
-        # first block of raw outputs ran out and was extended
-        assert rng.bit_generator.raw_calls == 6
+        got_state, want_state = observable(stream, ref)
+        assert got_state == want_state
+    assert coin(stream) == ref.random()
 
 
 def test_apply_churn_validates_rate():
     with pytest.raises(ValueError):
-        apply_churn(np.full(4, 8), 0, 1.5, np.random.default_rng(0), k=20)
+        apply_churn(np.full(4, 8), 0, 1.5, RawStream([0]), k=20)
 
 
-def test_apply_churn_with_k_needs_pcg64_and_a_32_bit_range():
-    with pytest.raises(ValueError, match="PCG64"):
-        apply_churn(np.full(4, 8), 0, 0.5, np.random.Generator(np.random.MT19937(0)), k=20)
+def test_apply_churn_with_k_needs_a_32_bit_range():
     for k in (1, 2**32):
         with pytest.raises(ValueError, match="2 <= k"):
-            apply_churn(np.full(4, 8), 0, 0.5, np.random.default_rng(0), k=k)
+            apply_churn(np.full(4, 8), 0, 0.5, RawStream([0]), k=k)
 
 
 # ---------------------------------------------------------------------------
@@ -469,15 +467,19 @@ def _fresh_python(code: str) -> list[str]:
 
 
 def test_meanfield_run_without_churn_leaves_numpy_random_unimported():
-    # only the matching shuffle and churn use numpy.random; a fresh process
-    # shows whether a run imported it
+    # only the matching shuffle uses numpy.random (churn's stream is computed);
+    # a fresh process shows whether a run imported it
     code = ("import sys; from anonlearn import RunConfig, run\n"
             "for learner in ('stage', 'regret'):\n"
             "    run(RunConfig(learner=learner, n=10, rounds=200, explore=0.1))\n"
             "print('numpy.random' in sys.modules)\n"
-            "run(RunConfig(n=10, rounds=200, explore=0.1, churn_rate=0.1))\n"
+            "for learner in ('stage', 'regret'):\n"
+            "    run(RunConfig(learner=learner, n=10, rounds=200, explore=0.1,\n"
+            "                  churn_rate=0.1, fixed_fraction=0.2))\n"
+            "print('numpy.random' in sys.modules)\n"
+            "run(RunConfig(mode='matching', n=10, rounds=200, explore=0.1))\n"
             "print('numpy.random' in sys.modules)\n")
-    assert _fresh_python(code) == ["False", "True"]
+    assert _fresh_python(code) == ["False", "False", "True"]
 
 
 def test_import_leaves_concurrent_futures_and_multiprocessing_unimported():

@@ -1,12 +1,13 @@
-"""AgentStreams against numpy itself: agent i's draws must be, bit for bit,
-what np.random.default_rng([seed, 0, i]) draws."""
+"""AgentStreams and RawStream against numpy itself: agent i's draws must be,
+bit for bit, what np.random.default_rng([seed, 0, i]) draws, and churn's words
+what default_rng([seed, 2]) outputs."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from anonlearn.streams import AHEAD, UCAP, AgentStreams
+from anonlearn.streams import AHEAD, UCAP, AgentStreams, RawStream, _seed_state
 
 SEEDS = [0, 7, 2**32 + 1, 2**70]  # one, one, two and three entropy words
 TAKES = [1, 13, 200, 1, 13]
@@ -110,3 +111,28 @@ def test_warm_take_that_fits_its_refill_copies_nothing():
     finally:
         tracemalloc.stop()
     assert peak < 8 * n
+
+
+CHURN_SEEDS = [0, 12345, 2**40 + 3]  # one, one and two entropy words
+
+
+@pytest.mark.parametrize("seed", CHURN_SEEDS)
+def test_seed_state_matches_seed_sequence(seed):
+    got = [int(v) for v in _seed_state([seed, 2])]
+    assert got == np.random.SeedSequence([seed, 2]).generate_state(4, np.uint64).tolist()
+
+
+@pytest.mark.parametrize("seed", CHURN_SEEDS)
+def test_raw_stream_matches_random_raw(seed):
+    # reads within a block of AHEAD words, across blocks and across refills,
+    # each after a peek further ahead; then a skip past every word computed
+    stream, ref = RawStream([seed, 2]), np.random.default_rng([seed, 2]).bit_generator
+    for count in [1, AHEAD - 2, AHEAD + 1, 5 * AHEAD, 3, 3 * AHEAD - 7]:
+        ahead = stream.peek(count + AHEAD).copy()
+        got = stream.peek(count).copy()
+        stream.skip(count)
+        want = ref.random_raw(count)
+        assert got.dtype == np.uint64 and got.tolist() == want.tolist()
+        assert ahead[:count].tolist() == want.tolist()
+    stream.skip(5 * AHEAD)
+    assert stream.peek(2).tolist() == ref.random_raw(5 * AHEAD + 2)[-2:].tolist()
