@@ -2,10 +2,11 @@
 
 Finite-action games whose payoffs depend only on an agent's own action and
 the population's action distribution, plus the machinery to study how simple
-payoff-driven learners behave in them: best-reply dynamics, stage-based
-epsilon-greedy learners and payoff-only regret matching (array kernels over
-a whole population), mean-field and random-matching payoff realization,
-churn, and a deterministic experiment engine with a CLI.
+payoff-driven learners behave in them: best-reply dynamics, stage learners
+and regret matching, mean-field and matching payoffs, churn, and a
+deterministic experiment engine with a CLI.  These names are the user API;
+the array kernels over a population are in anonlearn.learners, the random
+streams and churn's draws in anonlearn.streams.
 """
 
 from .core import (
@@ -41,13 +42,6 @@ from .games import (
     load_matrix,
     prisoners_dilemma,
 )
-from .learners import (
-    regret_act,
-    regret_observe,
-    sample_mixed,
-    stage_end,
-    stage_tally,
-)
 from .engine import (
     RunConfig,
     RunTrace,
@@ -55,7 +49,6 @@ from .engine import (
     run_many,
     run_stationary,
 )
-from .streams import RawStream, apply_churn
 from .config import ConfigError, load_experiment, parse_config_text
 
 __version__ = "0.1.0"
@@ -71,11 +64,9 @@ __all__ = [
     "DimensionError",
     "MatrixGame",
     "MixedAction",
-    "RawStream",
     "RunConfig",
     "RunTrace",
     "abr_containment_threshold",
-    "apply_churn",
     "as_strategy_vector",
     "best_reply_set",
     "br_sequence",
@@ -93,14 +84,9 @@ __all__ = [
     "parse_config_text",
     "prisoners_dilemma",
     "pure_profile_distribution",
-    "regret_act",
-    "regret_observe",
     "run",
     "run_many",
     "run_stationary",
-    "sample_mixed",
-    "stage_end",
-    "stage_tally",
     "utility",
     "verify_close",
 ]

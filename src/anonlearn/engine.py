@@ -5,6 +5,7 @@ seeding layout, the agents' streams and churn's draws live in streams."""
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import pickle
 from dataclasses import dataclass, fields
@@ -52,6 +53,10 @@ class RunConfig:
     metrics_eta: float = 1.0
 
     def __post_init__(self):
+        for key in ("penalty_n", "n", "rounds", "stage_len", "fixed_base", "seed", "target"):
+            v = getattr(self, key)
+            if not (isinstance(v, numbers.Integral) or key == "stage_len" and v is None):
+                raise ValueError(f"{key}: must be an integer, got {v!r}")
         if self.mode not in ("meanfield", "matching"):
             raise ValueError(f"mode: must be meanfield or matching, got {self.mode!r}")
         if self.learner not in LEARNER_KINDS:
@@ -291,9 +296,8 @@ def run(config: RunConfig) -> RunTrace:
         stage_distance[s] = rho.weights @ np.abs(np.arange(k) - config.target)
         abr = list(best_reply_set(rho, config.metrics_eta, game))
         stage_br[s] = np.bincount(bases, minlength=k)[abr].sum() / n  # bases in ABR_eta(rho)
-        if config.churn_rate > 0.0:
-            rows = apply_churn(bases, nf, config.churn_rate, churn,
-                               None if regret else k) - nf
+        if config.churn_rate > 0.0:  # fixed agents are never churned: only learners
+            rows = apply_churn(bases[nf:], config.churn_rate, churn, None if regret else k)
             if regret:
                 proxy[rows] = 0.0
                 probs[rows] = 1.0 / k

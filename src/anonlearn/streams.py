@@ -9,7 +9,7 @@ matcher's is made: numpy's PCG64 (a 128-bit LCG with the XSL-RR output) and its
 SeedSequence seeding are integer arithmetic on uint32 and uint64 arrays, a
 128-bit value a (hi, lo) pair of uint64 arrays.  AgentStreams computes all n
 agents' streams at once, bit for bit, and RawStream churn's raw words, from
-which apply_churn draws the coins and only the hits' bases."""
+which apply_churn draws a coin per entry it is handed and only the hits' bases."""
 
 from __future__ import annotations
 
@@ -218,28 +218,25 @@ class RawStream:
         self._words = self._words[count:]
 
 
-def apply_churn(bases, start: int, rate: float, stream, k: int | None = None) -> np.ndarray:
-    """Replace each learner (slots start..n-1) independently with probability
-    rate, and return the replaced slots.
-
-    Fixed agents, in the slots below start, are never churned — their
-    persistence is the point of having them.  Given k, a replaced slot gets a
-    uniform base in range(k) drawn from stream right after its coin, written
-    into bases; otherwise the caller resets the slot's state.
+def apply_churn(bases, rate: float, stream, k: int | None = None) -> np.ndarray:
+    """Replace each entry of bases independently with probability rate, and
+    return the replaced indices.  Given k, a replaced entry gets a uniform
+    base in range(k) drawn from stream right after its coin, written into
+    bases; otherwise the caller resets its state.
 
     The draws, and the stream's words and half after, are a loop's on its
-    Generator: rng.random() per slot, rng.integers(k) on a hit.  A coin is
+    Generator: rng.random() per entry, rng.integers(k) on a hit.  A coin is
     (word >> 11)·2**-53, so one compare on a block of words finds the hits;
     a base is Lemire's method on 32-bit words, stream.half or else the low half
     of the next word (its high half left in stream.half, so later coins shift).
     """
     if not 0.0 <= rate <= 1.0:
         raise ValueError(f"churn rate must be in [0, 1], got {rate}")
-    m = len(bases) - start
+    m = len(bases)
     if k is None:
         hits = np.flatnonzero((stream.peek(m) >> 11) * 2.0**-53 < rate)
         stream.skip(m)
-        return start + hits
+        return hits
     if not 2 <= k < 1 << 32:
         raise ValueError(f"apply_churn: need 2 <= k < 2**32, got k={k}")
     raw, hits, out, half = stream.peek(0), [], [], stream.half
@@ -258,7 +255,7 @@ def apply_churn(bases, start: int, rate: float, stream, k: int | None = None) ->
         if not pos <= q < pos + m - slot:  # a word a base used, or past the last coin
             continue
         slot, pos, lo = slot + q - pos + 1, q + 1, -1
-        out.append(start + slot - 1)
+        out.append(slot - 1)
         while lo < bar:
             if half is not None:
                 word, half = half, None

@@ -72,3 +72,13 @@ def test_line_counts_per_module_sum_to_src_lines(tmp_path):
     assert bench_pairs.module_lines(tmp_path) == {"a.py": 1, "b.py": 2}
     assert list(bench_pairs.module_lines(tmp_path)) == ["a.py", "b.py"]
     assert bench_pairs.src_lines(tmp_path) == 3
+
+
+def test_failures_name_each_workload_and_side_with_a_bad_run():
+    doc = {"workloads": {
+        "a/seed0": {"runs": {"parent": [ok(1.0), ok(2.0)], "change": [ok(1.0), failed()]}},
+        "b/seed0": {"runs": {"parent": [{**ok(1.0), "failed": 1}], "change": [ok(1.0)]}},
+        "c/seed0": {"runs": {"parent": [ok(1.0)], "change": [ok(1.0)]}},
+    }}
+    assert bench_pairs.failures(doc) == ["a/seed0 change", "b/seed0 parent"]
+    assert bench_pairs.failures({"workloads": {}}) == []

@@ -116,6 +116,19 @@ def test_failed_cell_keeps_finished_cells(tiny_cfg, tmp_path, monkeypatch, capsy
     assert not list(out.glob("*.tmp"))
 
 
+def test_failed_write_leaves_no_temp_file(tiny_cfg, tmp_path, monkeypatch, capsys):
+    # a CSV writer that fails partway: its temp file is removed, nothing renamed
+    def half_written(trace, path):
+        Path(path).write_text("round,stage\r\n0,")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(engine.RunTrace, "to_csv", half_written)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(tiny_cfg), "--out", str(out)]) == EXIT_IO
+    assert "failed cell: run_n4_stage_seed0\n" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("error,code", [(ValueError, EXIT_CONFIG), (OSError, EXIT_IO)])
 def test_failed_cell_is_named(tiny_cfg, tmp_path, monkeypatch, capsys, threads, error, code):
@@ -316,6 +329,9 @@ def test_analyze_rho_validation(capsys):
     assert main(["analyze", "--mode", "nash", "--rho", "0.5,0.5"]) == EXIT_CONFIG
     assert "expected 20 weights" in capsys.readouterr().err
     assert main(["analyze", "--mode", "nash", "--rho", "a,b"]) == EXIT_CONFIG
+    capsys.readouterr()
+    assert main(["analyze", "--mode", "nash", "--rho", " ".join(["0.1"] * 20)]) == EXIT_CONFIG
+    assert "--rho: weights sum to" in capsys.readouterr().err
 
 
 def test_analyze_lipschitz(capsys):
@@ -377,7 +393,8 @@ def test_gnuplot_unknown_metric_exits_2(tiny_cfg, tmp_path, capsys):
 
 def test_gnuplot_mismatched_rounds_exit_2(tmp_path, capsys):
     # every column is labelled with one end_round axis, so the series must
-    # share it: neither a shorter series nor one at other rounds is pivoted
+    # share it: neither a shorter series nor one at other rounds is pivoted,
+    # and an aggregate with no rows has no axis at all
     for other in ((250, 500, 750), (250, 500)):
         agg = tmp_path / "aggregate.csv"
         rows = [(10, r, 0.5) for r in (400, 800)] + [(100, r, 0.25) for r in other]
@@ -387,6 +404,10 @@ def test_gnuplot_mismatched_rounds_exit_2(tmp_path, capsys):
         assert main(["gnuplot", "--aggregate", str(agg), "--out", str(dat)]) == EXIT_CONFIG
         assert "unequal stage counts" in capsys.readouterr().err
         assert not dat.exists()
+    agg.write_text("n,learner,end_round,mean_distance\n")
+    assert main(["gnuplot", "--aggregate", str(agg), "--out", str(dat)]) == EXIT_CONFIG
+    assert "no data rows" in capsys.readouterr().err
+    assert not dat.exists()
 
 
 def test_gnuplot_missing_aggregate_exits_3(tmp_path):

@@ -52,6 +52,10 @@ def test_distribution_rejects_bad_weights():
         ActionDistribution([0.4, 0.4])  # sums to 0.8
     with pytest.raises(DimensionError):
         ActionDistribution([1.0])  # single action is not a game
+    with pytest.raises(ValueError, match="finite"):
+        ActionDistribution([0.5, float("nan"), 0.5])
+    with pytest.raises(ValueError, match="positive total"):
+        ActionDistribution.from_counts([0, 0, 0])
 
 
 def test_distribution_renormalizes_float_dust():
@@ -211,6 +215,8 @@ def test_estimate_lipschitz_bounds_and_determinism():
     # Never exceeds the analytic constant, but gets within reach of it.
     assert 0.0 < est1 <= game.lipschitz + 1e-9
     assert est1 > 0.25 * game.lipschitz
+    with pytest.raises(ValueError, match="samples must be >= 2"):
+        estimate_lipschitz(game, samples=1)
 
 
 def test_payoff_channel_degenerate_for_meanfield():

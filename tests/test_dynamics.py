@@ -122,6 +122,8 @@ def test_br_sequence_cycle_detected_as_nonconvergence():
     assert not seq.converged
     assert seq.fixed_point_index is None
     assert len(seq) == 21  # initial point plus max_steps iterates
+    with pytest.raises(ValueError, match="max_steps must be >= 1"):
+        br_sequence(ActionDistribution.point_mass(0, 2), 0.0, anti, max_steps=0)
 
 
 # ---------------------------------------------------------------------------
@@ -175,6 +177,8 @@ def test_close_witness_validation():
         CloseWitness(g=(0, 1), gprime=(0,), ghat=(MixedAction(0),), e=0.1, eps=0.1)
     with pytest.raises(ValueError):
         CloseWitness(g=(0,), gprime=(0,), ghat=(MixedAction(0),), e=1.5, eps=0.1)
+    with pytest.raises(ValueError, match="eps must be in"):
+        CloseWitness(g=(0,), gprime=(0,), ghat=(MixedAction(0),), e=0.1, eps=1.5)
     w = _witness()
     assert w.n == 5
     assert isinstance(w.g[0], int)

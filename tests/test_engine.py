@@ -20,10 +20,8 @@ from anonlearn import (
     ContributionGame,
     MatrixGame,
     MixedAction,
-    RawStream,
     RunConfig,
     RunTrace,
-    apply_churn,
     best_reply_set,
     build_game,
     engine,
@@ -34,6 +32,7 @@ from anonlearn import (
     run_stationary,
 )
 from anonlearn.engine import pool_map, pool_size
+from anonlearn.streams import RawStream, apply_churn
 from test_core import meanfield
 from test_golden import GOLDEN, random_configs
 
@@ -82,6 +81,15 @@ def test_run_config_defaults_and_stage_resolution():
 def test_run_config_validation_names_offending_key(kwargs, needle):
     with pytest.raises(ValueError, match=needle):
         RunConfig(**kwargs)
+
+
+@pytest.mark.parametrize("key,value", [("penalty_n", 20.5), ("n", 100.0), ("rounds", 3000.0),
+                                       ("stage_len", 100.0), ("fixed_base", 0.5), ("seed", 1.0),
+                                       ("target", 8.5)])
+def test_run_config_rejects_non_integral_int_fields(key, value):
+    with pytest.raises(ValueError, match=f"^{key}: must be an integer, got {value}$"):
+        RunConfig(**{key: value})
+    assert RunConfig(**{key: np.int64(value)}).items() == RunConfig(**{key: int(value)}).items()
 
 
 def test_run_config_items_echoes_resolved_values():
@@ -244,28 +252,31 @@ def coin(stream):
 
 def test_apply_churn_rate_zero_and_one():
     bases = np.full(10, 8)
-    assert apply_churn(bases, 0, 0.0, RawStream([0]), k=20).size == 0
+    assert apply_churn(bases, 0.0, RawStream([0]), k=20).size == 0
     assert (bases == 8).all()
     np.testing.assert_array_equal(
-        apply_churn(bases, 0, 1.0, RawStream([0]), k=20), np.arange(10))
+        apply_churn(bases, 1.0, RawStream([0]), k=20), np.arange(10))
 
 
 def test_apply_churn_spares_fixed_agents():
-    bases = np.full(10, 8)
-    replaced = apply_churn(bases, 1, 1.0, RawStream([0]), k=20)
-    np.testing.assert_array_equal(replaced, np.arange(1, 10))
-    assert bases[0] == 8
+    # run hands churn only the learners: every stage's base row keeps the nf
+    # fixed agents' base, though every learner is replaced at every stage end
+    cfg = RunConfig(n=20, rounds=600, explore=0.1, churn_rate=1.0, fixed_fraction=0.5,
+                    fixed_base=19, seed=4)
+    trace = run(cfg)
+    assert (trace.stage_base[:, 19] >= 10).all()
+    assert (trace.stage_base[1:, 19] < 20).all()
 
 
 def test_apply_churn_binomial_count():
-    replaced = apply_churn(np.full(2000, 8), 0, 0.3, RawStream([5]), k=20)
+    replaced = apply_churn(np.full(2000, 8), 0.3, RawStream([5]), k=20)
     assert abs(replaced.size - 600) < 3 * np.sqrt(2000 * 0.3 * 0.7)
 
 
 def test_apply_churn_replacements_copy_template():
     # each replaced slot draws its new base right after its coin
     bases = np.full(6, 8)
-    apply_churn(bases, 0, 1.0, RawStream([2]), k=20)
+    apply_churn(bases, 1.0, RawStream([2]), k=20)
     ref = np.random.default_rng(2)
     expected = []
     for _ in range(6):
@@ -275,7 +286,7 @@ def test_apply_churn_replacements_copy_template():
     # without k (regret matchers) only the coins are drawn; bases stay put
     stream, ref = RawStream([2]), np.random.default_rng(2)
     bases = np.full(6, 8)
-    replaced = apply_churn(bases, 0, 0.5, stream)
+    replaced = apply_churn(bases, 0.5, stream)
     np.testing.assert_array_equal(replaced, np.flatnonzero(ref.random(6) < 0.5))
     assert 0 < replaced.size < 6 and (bases == 8).all()
     assert coin(stream) == ref.random()
@@ -316,7 +327,7 @@ def test_apply_churn_matches_scalar_loop(k, rate):
     assert got_state == want_state and want_state[0] is not None
     for n, start in [(700, 40), (501, 0), (3000, 300)]:
         got, want = np.full(n, 8), np.full(n, 8)
-        slots = apply_churn(got, start, rate, stream, k)
+        slots = start + apply_churn(got[start:], rate, stream, k)
         assert slots.dtype == np.int64
         np.testing.assert_array_equal(slots, scalar_churn(want, start, rate, ref, k))
         np.testing.assert_array_equal(got, want)
@@ -327,13 +338,13 @@ def test_apply_churn_matches_scalar_loop(k, rate):
 
 def test_apply_churn_validates_rate():
     with pytest.raises(ValueError):
-        apply_churn(np.full(4, 8), 0, 1.5, RawStream([0]), k=20)
+        apply_churn(np.full(4, 8), 1.5, RawStream([0]), k=20)
 
 
 def test_apply_churn_with_k_needs_a_32_bit_range():
     for k in (1, 2**32):
         with pytest.raises(ValueError, match="2 <= k"):
-            apply_churn(np.full(4, 8), 0, 0.5, RawStream([0]), k=k)
+            apply_churn(np.full(4, 8), 0.5, RawStream([0]), k=k)
 
 
 # ---------------------------------------------------------------------------

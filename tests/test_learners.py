@@ -9,14 +9,10 @@ from anonlearn import (
     ActionDistribution,
     ContributionGame,
     RunConfig,
-    regret_act,
-    regret_observe,
     run,
     run_stationary,
-    sample_mixed,
-    stage_end,
-    stage_tally,
 )
+from anonlearn.learners import regret_act, regret_observe, sample_mixed, stage_end, stage_tally
 
 
 def scalar_sample_mixed(base, explore, k, u):

@@ -21,7 +21,9 @@ reports no metrics; it lowers those counts and shows in `correct`.  Each side
 also records its `src_sha256`, `src_lines` (the total of
 `wc -l src/anonlearn/*.py`) and `module_lines`, each module's share of it.
 --traced adds one `--trace 1` run per side and workload (parent first) under
-"traced".
+"traced".  The exit status is 1, after --out is written, when any measured run
+in it is not `correct` or has failed cells; each such workload and side is
+printed to stderr.
 """
 
 from __future__ import annotations
@@ -141,6 +143,13 @@ def summarize(entry: dict, end_to_end: list):
     entry["correct"] = {side: all(r["correct"] for r in runs[side]) for side in SIDES}
 
 
+def failures(doc: dict) -> list[str]:
+    """"W/seedS side" for each side of each entry with a run that is not
+    correct or has failed cells."""
+    return [f"{key} {side}" for key, entry in doc["workloads"].items() for side in SIDES
+            if any(not r["correct"] or r["failed"] for r in entry["runs"][side])]
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.partition("\n\n")[0])
     parser.add_argument("--parent", required=True, help="the parent commit (any git revision)")
@@ -196,7 +205,10 @@ def main() -> int:
                 args.out.write_text(json.dumps(doc, indent=1) + "\n")
     finally:
         shutil.rmtree(work, ignore_errors=True)
-    return 0
+    bad = failures(doc)
+    for name in bad:
+        print(f"not correct or with failed cells: {name}", file=sys.stderr)
+    return 1 if bad else 0
 
 
 if __name__ == "__main__":
