@@ -3,6 +3,9 @@ defaults for every key, unknown keys rejected."""
 
 from __future__ import annotations
 
+__all__ = ["ConfigError", "parse_config_text", "load_experiment"]
+
+import os
 from dataclasses import fields, replace
 
 from .engine import RunConfig
@@ -106,7 +109,10 @@ def cells_from_values(values: dict, seed: int | None = None) -> list[RunConfig]:
 
 def load_experiment(path, seed: int | None = None) -> list[RunConfig]:
     """Parse a config file into its grid of runs; every cell is validated.
-    seed, if given, makes the grid that one master seed's cells."""
+    seed, if given, makes the grid that one master seed's cells.  A relative
+    game.matrix_path is read from the config file's directory."""
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    return cells_from_values(parse_config_text(text, source=str(path)), seed)
+        values = parse_config_text(fh.read(), source=str(path))
+    if values["game.matrix_path"] is not None:
+        values["game.matrix_path"] = os.path.join(os.path.dirname(path), values["game.matrix_path"])
+    return cells_from_values(values, seed)

@@ -9,6 +9,11 @@ MatrixGame: a two-player payoff matrix played against the population.
 
 from __future__ import annotations
 
+__all__ = [
+    "NORM_TOL", "DimensionError", "ActionDistribution", "MixedAction", "MatrixGame",
+    "as_strategy_vector", "utility", "l1_distance", "estimate_lipschitz",
+]
+
 from dataclasses import dataclass
 
 import numpy as np

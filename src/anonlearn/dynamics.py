@@ -3,6 +3,12 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "best_reply_set", "br_step", "BestReplySequence", "br_sequence", "is_eta_nash",
+    "pure_profile_distribution", "mixed_profile_distribution",
+    "CloseWitness", "verify_close", "close_l1_bound", "abr_containment_threshold",
+]
+
 from dataclasses import dataclass
 
 import numpy as np

@@ -4,6 +4,8 @@ seeding layout, the agents' streams and churn's draws live in streams."""
 
 from __future__ import annotations
 
+__all__ = ["RunConfig", "RunTrace", "run", "run_stationary", "run_many"]
+
 import math
 import numbers
 import os
@@ -322,6 +324,9 @@ def run_stationary(game: MatrixGame, rho: ActionDistribution, bases, explore: fl
     is the learners' own exploration.  Learner i draws from
     default_rng([seed, 0, i]).
     """
+    for key, v in (("stage_len", stage_len), ("rounds", rounds), ("seed", seed)):
+        if not isinstance(v, numbers.Integral):
+            raise ValueError(f"{key}: must be an integer, got {v!r}")
     bases = np.array(bases, dtype=np.int64)
     if not 0.0 < explore < 1.0:
         raise ValueError(f"explore must be in (0, 1), got {explore}")

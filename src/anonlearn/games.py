@@ -3,6 +3,11 @@ matrix games, and build_game, which builds any of them by name."""
 
 from __future__ import annotations
 
+__all__ = [
+    "CONTRIBUTION_LEVELS", "contribution_cost", "ContributionGame",
+    "load_matrix", "prisoners_dilemma", "climbing_game", "build_game",
+]
+
 import numpy as np
 
 from .core import ActionDistribution, MatrixGame

@@ -83,6 +83,15 @@ def test_run_builds_each_cell_once(tmp_path, monkeypatch):
     assert len(calls) == 3  # two cells, stage and regret
 
 
+def test_run_reads_matrix_path_from_config_directory(tmp_path, monkeypatch):
+    # matrix.cfg names its matrix file relative to its own directory, so it
+    # runs by its full path from anywhere
+    monkeypatch.chdir(tmp_path)
+    cfg = Path(__file__).parent / "golden" / "matrix.cfg"
+    assert main(["run", "--config", str(cfg), "--out", "out"]) == EXIT_OK
+    assert (tmp_path / "out" / "aggregate.csv").exists()
+
+
 def test_run_seed_builds_only_its_own_cells(tiny_cfg, tmp_path, monkeypatch):
     # the base config and the one seed-5 cell; not the file's seeds, nor run
     calls = []

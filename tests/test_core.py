@@ -27,6 +27,36 @@ def test_public_names_resolve():
     assert [name for name in anonlearn.__all__ if name not in namespace] == []
 
 
+API = [
+    "NORM_TOL", "ActionDistribution", "BestReplySequence", "CloseWitness", "ConfigError",
+    "CONTRIBUTION_LEVELS", "ContributionGame", "DimensionError", "MatrixGame", "MixedAction",
+    "RunConfig", "RunTrace", "abr_containment_threshold", "as_strategy_vector", "best_reply_set",
+    "br_sequence", "br_step", "build_game", "climbing_game", "close_l1_bound",
+    "contribution_cost", "estimate_lipschitz", "is_eta_nash", "l1_distance", "load_experiment",
+    "load_matrix", "mixed_profile_distribution", "parse_config_text", "prisoners_dilemma",
+    "pure_profile_distribution", "run", "run_many", "run_stationary", "utility", "verify_close",
+]
+
+
+def test_public_names_are_declared_once_in_their_modules():
+    # the top level republishes five modules' __all__, each name from the
+    # module that defines it; the kernels and stream helpers stay off it
+    assert sorted(anonlearn.__all__) == sorted(API)
+    modules = [anonlearn.core, anonlearn.dynamics, anonlearn.games, anonlearn.engine,
+               anonlearn.config]
+    for module in modules:
+        for name in module.__all__:
+            obj = getattr(module, name)
+            if callable(obj):  # not the constants
+                assert obj.__module__ == module.__name__, name
+    joined = [name for module in modules for name in module.__all__]
+    assert len(set(joined)) == len(joined)
+    assert joined == anonlearn.__all__
+    for name in ("sample_mixed", "stage_tally", "stage_end", "regret_act", "regret_observe",
+                 "AgentStreams", "RawStream", "apply_churn"):
+        assert not hasattr(anonlearn, name), name
+
+
 def test_action_set_basics():
     game = MatrixGame(np.eye(3))
     assert (game.k, game.labels) == (3, None)

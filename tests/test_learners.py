@@ -151,6 +151,11 @@ def test_stage_learner_validation():
             run_stationary(game, rho, bases, explore, stage_len, rounds=10, seed=0)
     with pytest.raises(ValueError, match="rounds: must cover at least one stage of 11"):
         run_stationary(game, rho, [0], 0.1, 11, rounds=10, seed=0)
+    for key, stage_len, rounds, seed in (("stage_len", 100.0, 200, 0), ("rounds", 100, 200.0, 0),
+                                         ("seed", 100, 200, 1.0)):
+        with pytest.raises(ValueError, match=f"{key}: must be an integer, got "):
+            run_stationary(game, rho, [8] * 10, 0.1, stage_len, rounds, seed)
+    assert run_stationary(game, rho, [8], 0.1, np.int64(10), np.int64(20), np.int64(1)).shape == (1,)
 
 
 def test_stage_learner_moves_to_best_average():
