@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import inspect
 import os
 import sys
@@ -222,6 +223,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command after gc.freeze(): the collections at exit and in forked
+    workers skip the heap alive then (numpy, the package), and an in-process
+    caller's objects alive then stay frozen, never collected."""
+    gc.freeze()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

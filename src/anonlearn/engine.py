@@ -366,9 +366,13 @@ def pool_map(fn, items, threads: int):
     os.fork is missing); only results and the exceptions fn raises must be
     picklable.  Worker w runs items w, w + W, ... up to its first failure, which
     is raised when its item is reached.  Every worker is reaped, on a failed
-    fork too: one still running ends at its next write."""
+    fork too: one still running ends at its next write.  CPUs are those this
+    process may run on.  Workers forked under cli.main inherit its frozen heap,
+    which their collections skip, so they do not copy its pages."""
     items = list(items)
-    workers = pool_size(threads, len(items), (os.cpu_count() or 1) if hasattr(os, "fork") else 1)
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    workers = pool_size(threads, len(items), cpus if hasattr(os, "fork") else 1)
     if workers == 1:
         return map(fn, items)
     results = _forked_map(fn, items, workers)

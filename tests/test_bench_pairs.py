@@ -82,3 +82,43 @@ def test_failures_name_each_workload_and_side_with_a_bad_run():
     }}
     assert bench_pairs.failures(doc) == ["a/seed0 change", "b/seed0 parent"]
     assert bench_pairs.failures({"workloads": {}}) == []
+
+
+def test_gain_rule_needs_ten_pairs_nine_wins_and_more_than_the_parent_iqr():
+    def met(parent, change, better="lower"):
+        entry = summary([ok(v) for v in parent], [ok(v) for v in change], better)
+        return entry["summary"]["wall_ref_s"]["gain_rule_met"]
+
+    parent = [1.0 + 0.01 * i for i in range(10)]  # median 1.045, q1 1.0225, q3 1.0675
+    assert met(parent, [v - 0.1 for v in parent])  # 10/10, medians 0.1 apart
+    assert not met(parent[:9], [v - 0.1 for v in parent[:9]])  # 9/9: too few pairs
+    assert met(parent, [v - 0.1 for v in parent[:9]] + [2.0])  # 9/10
+    assert not met(parent, [v - 0.1 for v in parent[:8]] + [2.0, 2.0])  # 8/10
+    assert not met(parent, [v - 0.04 for v in parent])  # 10/10, within the IQR 0.045
+    assert not met(parent, [v + 0.1 for v in parent])  # worse, by more than the IQR
+    assert met(parent, [v + 0.1 for v in parent], "higher")
+    entry = summary([ok(v) for v in parent], [ok(v - 0.1) for v in parent[:9]] + [failed()])
+    assert entry["summary"]["wall_ref_s"]["change_wins"] == "9/9"
+    assert entry["summary"]["wall_ref_s"]["gain_rule_met"]  # 9 of the 10 pairs run
+    entry = summary([ok(v) for v in parent], [ok(v - 0.1) for v in parent[:8]] + [failed()] * 2)
+    assert not entry["summary"]["wall_ref_s"]["gain_rule_met"]  # 8 of 10
+    assert summary([], [])["summary"]["wall_ref_s"]["gain_rule_met"] is False
+
+
+def test_environment_records_machine_once_and_bytecode_writes(monkeypatch):
+    env = {"cpu_model": "x", "nproc": 2, "python": "3.11.7", "numpy": "2.4.6", "other": 1}
+    doc = {}
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    bench_pairs.record_environment(doc, env)
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE")
+    bench_pairs.record_environment(doc, {**env, "nproc": 4})  # a later run's line
+    assert doc == {"machine": {"cpu_model": "x", "nproc": 2}, "PYTHONDONTWRITEBYTECODE": True,
+                   "python": "3.11.7", "numpy": "2.4.6"}
+    for value, was_set in ((None, False), ("", False), ("x", True)):
+        if value is None:
+            monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+        else:
+            monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", value)
+        doc = {}
+        bench_pairs.record_environment(doc, env)
+        assert doc["PYTHONDONTWRITEBYTECODE"] is was_set

@@ -2,13 +2,17 @@
 
 import argparse
 import csv
+import gc
 import os
 import signal
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import anonlearn
 from anonlearn import ConfigError, cli, engine, load_experiment
 from anonlearn.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
 
@@ -155,7 +159,7 @@ def test_failed_cell_is_named(tiny_cfg, tmp_path, monkeypatch, capsys, threads, 
 
 def test_killed_worker_cell_is_named(tiny_cfg, tmp_path, monkeypatch, capsys):
     # seed 1's worker SIGKILLs itself; the parent names the cell and re-raises
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     parent, real = os.getpid(), cli.run
 
     def second_dies(cfg):
@@ -179,7 +183,7 @@ def test_failed_fork_names_no_cell(tmp_path, monkeypatch, capsys):
     # the second fork fails after the first worker may have run its cell
     cfg = tmp_path / "three.cfg"
     cfg.write_text(TINY.replace("sweep.seeds = 0 1", "sweep.seeds = 0 1 2"))
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     fork, calls = os.fork, []
 
     def second_fails():
@@ -429,21 +433,41 @@ def test_gnuplot_missing_aggregate_exits_3(tmp_path):
 # packaging
 
 
-def test_module_entry_point():
-    import os
-    import subprocess
-    import sys
-
-    import anonlearn
-
-    # the child imports the package this suite imported, installed or not
+def _fresh_python(*args):
+    """A fresh interpreter run on args, importing the package this suite
+    imported, installed or not."""
     src = str(Path(anonlearn.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "anonlearn", "analyze", "--mode", "lipschitz", "--samples", "10"],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-    )
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+
+
+def test_module_entry_point():
+    proc = _fresh_python("-m", "anonlearn", "analyze", "--mode", "lipschitz", "--samples", "10")
     assert proc.returncode == EXIT_OK
     assert "declared K" in proc.stdout
+
+
+def test_main_freezes_the_heap_it_starts_with(tiny_cfg, tmp_path):
+    # so that exit's collections skip numpy and the package
+    out = tmp_path / "out"
+    code = ("import gc, sys\n"
+            "from anonlearn import cli\n"
+            "rc = cli.main(['run', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
+            "print(rc, gc.get_freeze_count())\n")
+    proc = _fresh_python("-c", code, str(tiny_cfg), str(out))
+    assert proc.returncode == 0, proc.stderr
+    rc, frozen = map(int, proc.stdout.splitlines()[-1].split())
+    assert rc == EXIT_OK
+    assert sorted(f.name for f in out.iterdir()) == [
+        "aggregate.csv", "run_n4_stage_seed0.csv", "run_n4_stage_seed0.summary.txt",
+        "run_n4_stage_seed1.csv", "run_n4_stage_seed1.summary.txt"]
+    assert frozen > 0
+
+
+def test_library_runs_leave_the_collector_alone(tiny_cfg):
+    # only the CLI entry freezes; run_many and its forked pool do not
+    cfgs = load_experiment(str(tiny_cfg))
+    frozen = gc.get_freeze_count()
+    assert len(engine.run_many(cfgs, threads=2)) == 2
+    assert gc.get_freeze_count() == frozen

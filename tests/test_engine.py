@@ -699,7 +699,7 @@ def test_run_many_matches_sequential_and_preserves_order():
 
 @pytest.fixture
 def three_cpus(monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
 
 
 def test_pool_map_keeps_order_and_deals_items_round_robin(three_cpus):
@@ -778,10 +778,22 @@ def test_pool_map_runs_in_process_without_fork(three_cpus, monkeypatch):
     assert out == [(x, os.getpid()) for x in range(7)]
 
 
+def test_pool_map_sizes_by_cpu_affinity_else_cpu_count(monkeypatch):
+    # `taskset -c 0 anonlearn run --threads 2`: one CPU of the machine's many
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert list(pool_map(lambda x: os.getpid(), range(4), 2)) == [os.getpid()] * 4
+    monkeypatch.delattr(os, "sched_getaffinity")  # as where the platform lacks it
+    pids = list(pool_map(lambda x: os.getpid(), range(4), 2))
+    assert len(set(pids)) == 2 and os.getpid() not in pids
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert list(pool_map(lambda x: os.getpid(), range(4), 2)) == [os.getpid()] * 4
+
+
 # a fresh interpreter's pool of 3 whose second fork fails, and its fd count
 SECOND_FORK_FAILS = ("import os\n"
                      "from anonlearn.engine import pool_map\n"
-                     "os.cpu_count = lambda: 3\n"
+                     "os.sched_getaffinity = lambda pid: {0, 1, 2}\n"
                      "fork, calls = os.fork, []\n"
                      "def second_fails():\n"
                      "    calls.append(None)\n"
@@ -827,7 +839,7 @@ def test_pool_map_forks_every_worker_when_called():
 def test_pool_map_leaves_no_child_after_success_failure_or_kill():
     code = ("import os, signal\n"
             "from anonlearn.engine import pool_map\n"
-            "os.cpu_count = lambda: 3\n"
+            "os.sched_getaffinity = lambda pid: {0, 1, 2}\n"
             "def fail(x):\n"
             "    if x == 2:\n"
             "        raise ValueError(x)\n"

@@ -16,10 +16,14 @@ workloads and seeds can be run in separate calls.  Each entry's summary is
 then recomputed: for every end-to-end metric in BENCHMARK.json, each side's
 median and quartiles (numpy's linear percentiles) over the runs that report it,
 with their count, the pairs the change won among the pairs where both runs
-report it (ties count for neither) and the ratio of the medians.  A failed run
-reports no metrics; it lowers those counts and shows in `correct`.  Each side
-also records its `src_sha256`, `src_lines` (the total of
-`wc -l src/anonlearn/*.py`) and `module_lines`, each module's share of it.
+report it (ties count for neither), the ratio of the medians and
+`gain_rule_met`: whether at least ten pairs ran, the change won at least nine
+tenths of them and its median is better than the parent's by more than the
+parent's q3 - q1.  A failed run reports no metrics; it lowers those counts and
+shows in `correct`.  Each side also records its `src_sha256`, `src_lines` (the
+total of `wc -l src/anonlearn/*.py`) and `module_lines`, each module's share of
+it.  Beside `machine`, `PYTHONDONTWRITEBYTECODE` records whether that variable
+was set: with it, each launch in the fresh copies compiles the package.
 --traced adds one `--trace 1` run per side and workload (parent first) under
 "traced".  The exit status is 1, after --out is written, when any measured run
 in it is not `correct` or has failed cells; each such workload and side is
@@ -31,6 +35,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -130,17 +135,30 @@ def summarize(entry: dict, end_to_end: list):
         sign = 1.0 if metric["better"] == "lower" else -1.0
         wins = sum(sign * (c - p) < 0.0 for p, c in both)
         s = {side: stats([v for v in vals[side] if v is not None]) for side in SIDES}
-        ratio = (s["change"]["median"] / s["parent"]["median"]
-                 if s["change"]["runs"] and s["parent"]["runs"] else None)
+        ps, cs = s["parent"], s["change"]
+        measured = bool(ps["runs"] and cs["runs"])
+        pairs = min(len(vals["parent"]), len(vals["change"]))
         summary[name] = {
             "unit": metric["unit"], "better": metric["better"], **s,
             "change_wins": f"{wins}/{len(both)}",
-            "median_ratio_change_over_parent": ratio,
+            "median_ratio_change_over_parent": cs["median"] / ps["median"] if measured else None,
+            "gain_rule_met": (measured and pairs >= 10 and 10 * wins >= 9 * pairs
+                              and sign * (ps["median"] - cs["median"]) > ps["q3"] - ps["q1"]),
         }
     entry["summary"] = summary
     entry["cells_failed"] = {side: f"{sum(r['failed'] for r in runs[side])}/"
                                    f"{sum(r['attempted'] for r in runs[side])}" for side in SIDES}
     entry["correct"] = {side: all(r["correct"] for r in runs[side]) for side in SIDES}
+
+
+def record_environment(doc: dict, env: dict):
+    """Set doc's machine, python and numpy from the first perfbench environment
+    line, and whether PYTHONDONTWRITEBYTECODE is set (perfbench inherits it)."""
+    doc.setdefault("machine", {k: env[k] for k in (
+        "cpu_model", "nproc", "cpu_affinity", "bench_cpus", "ref_cal_s") if k in env})
+    doc.setdefault("PYTHONDONTWRITEBYTECODE", bool(os.environ.get("PYTHONDONTWRITEBYTECODE")))
+    doc.setdefault("python", env.get("python"))
+    doc.setdefault("numpy", env.get("numpy"))
 
 
 def failures(doc: dict) -> list[str]:
@@ -190,11 +208,7 @@ def main() -> int:
                 for side in order:
                     line, env = perfbench(trees[side], workload, args.seed, seconds, 0)
                     entry["runs"][side].append(line)
-                    doc.setdefault("machine", {k: env[k] for k in (
-                        "cpu_model", "nproc", "cpu_affinity", "bench_cpus", "ref_cal_s")
-                        if k in env})
-                    doc.setdefault("python", env.get("python"))
-                    doc.setdefault("numpy", env.get("numpy"))
+                    record_environment(doc, env)
                     print(f"{key} pair {entry['pairs']} {side}: {json.dumps(line)}", flush=True)
                 summarize(entry, bench["end_to_end"])
                 args.out.write_text(json.dumps(doc, indent=1) + "\n")
