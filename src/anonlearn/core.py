@@ -14,6 +14,7 @@ __all__ = [
     "as_strategy_vector", "utility", "l1_distance", "estimate_lipschitz",
 ]
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,20 @@ NORM_TOL = 1e-9
 
 class DimensionError(ValueError):
     """Action or payoff vectors disagree in size."""
+
+
+def _actions(a, k, name: str):
+    """An action (an integer in range(k), not a bool; k = inf before the game is known) as an
+    int, an integer array of them as a new int64 array; else DimensionError naming `name`."""
+    try:  # a scalar skips numpy: an ABC isinstance alone would cost more than this
+        if 0 <= operator.index(a) < k and not isinstance(a, bool):
+            return operator.index(a)
+    except TypeError:  # an array, or no action
+        arr = np.asarray(a)
+        if not arr.size or arr.dtype.kind in "iu" and not ((arr < 0) | (arr >= k)).any():
+            return arr.astype(np.int64)
+        a = next((x for x in arr.ravel().tolist() if type(x) is not int or not 0 <= x < k), a)
+    raise DimensionError(f"{name}: action {a} out of range for {k} actions")
 
 
 class ActionDistribution:
@@ -64,7 +79,7 @@ class ActionDistribution:
     @classmethod
     def point_mass(cls, a: int, k: int) -> "ActionDistribution":
         w = np.zeros(k)
-        w[a] = 1.0
+        w[_actions(a, k, "a")] = 1.0
         return cls(w)
 
     @classmethod
@@ -79,7 +94,7 @@ class ActionDistribution:
         return np.flatnonzero(self.weights > 0.0)
 
     def __getitem__(self, a: int) -> float:
-        return float(self.weights[a])
+        return float(self.weights[_actions(a, self.k, "a")])
 
     def __eq__(self, other) -> bool:
         return isinstance(other, ActionDistribution) and np.array_equal(
@@ -103,14 +118,11 @@ class MixedAction:
     def __post_init__(self):
         if not 0.0 <= self.explore < 1.0:
             raise ValueError(f"explore must be in [0, 1), got {self.explore}")
-        if self.base < 0:
-            raise ValueError("base action must be a nonnegative index")
+        _actions(self.base, np.inf, "base")
 
     def vector(self, k: int) -> np.ndarray:
-        if not self.base < k:
-            raise DimensionError(f"base action {self.base} out of range for {k} actions")
         w = np.full(k, self.explore / (k - 1))
-        w[self.base] = 1.0 - self.explore
+        w[_actions(self.base, k, "base")] = 1.0 - self.explore
         return w
 
     def distribution(self, k: int) -> ActionDistribution:
@@ -211,11 +223,7 @@ def as_strategy_vector(s, k: int) -> np.ndarray:
             raise DimensionError(f"strategy over {s.k} actions, expected {k}")
         return s.weights
     if isinstance(s, (int, np.integer)):
-        if not 0 <= s < k:
-            raise DimensionError(f"action {s} out of range for {k} actions")
-        w = np.zeros(k)
-        w[s] = 1.0
-        return w
+        return ActionDistribution.point_mass(s, k).weights
     return ActionDistribution(s).weights
 
 
@@ -241,6 +249,8 @@ def estimate_lipschitz(game: MatrixGame, samples: int = 200, rng_seed: int = 0) 
     simplex and returns the largest observed |u(a,rho)-u(a,rho')| / L1 ratio.
     Deterministic given the seed.
     """
+    if not isinstance(samples, (int, np.integer)):
+        raise ValueError(f"samples: must be an integer, got {samples!r}")
     if samples < 2:
         raise ValueError(f"samples must be >= 2, got {samples}")
     rng = np.random.default_rng(rng_seed)

@@ -9,18 +9,13 @@ __all__ = [
     "CloseWitness", "verify_close", "close_l1_bound", "abr_containment_threshold",
 ]
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    ActionDistribution,
-    DimensionError,
-    MatrixGame,
-    MixedAction,
-    NORM_TOL,
-    l1_distance,
-)
+from .core import (ActionDistribution, DimensionError, MatrixGame, MixedAction, NORM_TOL,
+                   _actions, l1_distance)
 
 BR_RULES = ("pointmass", "uniform")
 
@@ -81,6 +76,8 @@ def br_sequence(
     exact repeat.  Non-convergence is data, not an error: the truncated
     trajectory comes back with converged=False.
     """
+    if not isinstance(max_steps, numbers.Integral):
+        raise ValueError(f"max_steps: must be an integer, got {max_steps!r}")
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
     steps = [rho0]
@@ -100,11 +97,9 @@ def is_eta_nash(rho: ActionDistribution, eta: float, game: MatrixGame) -> bool:
 
 def pure_profile_distribution(actions, k: int) -> ActionDistribution:
     """Empirical action distribution of a finite pure-action profile."""
-    a = np.asarray(actions, dtype=int)
-    if a.ndim != 1 or a.size == 0:
+    a = _actions(actions, k, "actions")
+    if np.ndim(a) != 1 or np.size(a) == 0:
         raise DimensionError("profile must be a nonempty 1-d action vector")
-    if (a < 0).any() or (a >= k).any():
-        raise ValueError(f"profile actions out of range 0..{k - 1}")
     return ActionDistribution.from_counts(np.bincount(a, minlength=k))
 
 
@@ -116,10 +111,8 @@ def mixed_profile_distribution(strategies, k: int) -> ActionDistribution:
     """
     if len(strategies) == 0:
         raise DimensionError("profile must be nonempty")
-    bases = np.array([s.base for s in strategies])
+    bases = _actions([s.base for s in strategies], k, "strategies")
     explore = np.array([s.explore for s in strategies])
-    if bases.max() >= k:
-        raise DimensionError(f"base action {bases.max()} out of range for {k} actions")
     w = np.bincount(bases, weights=1.0 - explore * k / (k - 1), minlength=k)
     return ActionDistribution((w + explore.sum() / (k - 1)) / len(strategies))
 
@@ -129,8 +122,8 @@ class CloseWitness:
     """Candidate evidence that one distribution is (e, eps)-close to another.
 
     g and gprime assign a pure action to each agent; ghat assigns a mixed
-    action.  Construction checks only shapes; whether the profiles satisfy
-    the closeness conditions is verify_close's job.
+    action.  Construction checks shapes and that g and gprime hold actions of
+    some game; the game's k and the closeness conditions are verify_close's job.
     """
 
     g: tuple[int, ...]
@@ -140,18 +133,18 @@ class CloseWitness:
     eps: float
 
     def __post_init__(self):
-        object.__setattr__(self, "g", tuple(int(a) for a in self.g))
-        object.__setattr__(self, "gprime", tuple(int(a) for a in self.gprime))
+        for key in ("g", "gprime"):  # tuple() takes any iterable and rejects a scalar
+            actions = _actions(tuple(getattr(self, key)), np.inf, key)
+            object.__setattr__(self, key, tuple(actions.tolist()))
         object.__setattr__(self, "ghat", tuple(self.ghat))
         if not (len(self.g) == len(self.gprime) == len(self.ghat) > 0):
             raise DimensionError(
                 f"profiles must cover one population: sizes {len(self.g)}, "
                 f"{len(self.gprime)}, {len(self.ghat)}"
             )
-        if not 0.0 <= self.e <= 1.0:
-            raise ValueError(f"e must be in [0, 1], got {self.e}")
-        if not 0.0 <= self.eps <= 1.0:
-            raise ValueError(f"eps must be in [0, 1], got {self.eps}")
+        for key in ("e", "eps"):
+            if not 0.0 <= getattr(self, key) <= 1.0:
+                raise ValueError(f"{key} must be in [0, 1], got {getattr(self, key)}")
 
     @property
     def n(self) -> int:
@@ -172,19 +165,13 @@ def verify_close(
     and float comparisons get NORM_TOL of slack.  The relation is
     deliberately asymmetric: swap rho and rhohat and it generally fails.
     """
-    if rho.k != rhohat.k:
-        raise DimensionError(f"dimension mismatch: {rho.k} vs {rhohat.k}")
-    k = rho.k
-    if max(witness.g) >= k or max(witness.gprime) >= k:
-        raise DimensionError(f"witness actions out of range for {k} actions")
+    rho_g = pure_profile_distribution(witness.g, rho.k)
+    rho_gp = pure_profile_distribution(witness.gprime, rho.k)
+    rho_ghat = mixed_profile_distribution(witness.ghat, rho.k)
 
-    rho_g = pure_profile_distribution(witness.g, k)
-    rho_gp = pure_profile_distribution(witness.gprime, k)
-    rho_ghat = mixed_profile_distribution(witness.ghat, k)
-
-    if l1_distance(rho_g, rho) > NORM_TOL:
+    if l1_distance(rho_ghat, rhohat) > NORM_TOL:  # DimensionError if rhohat.k != rho.k
         return False
-    if l1_distance(rho_ghat, rhohat) > NORM_TOL:
+    if l1_distance(rho_g, rho) > NORM_TOL:
         return False
     if l1_distance(rho_g, rho_gp) > 2.0 * witness.e + NORM_TOL:
         return False

@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import ActionDistribution, MatrixGame
+from .core import ActionDistribution, MatrixGame, _actions
 from .dynamics import best_reply_set
 from .games import PENALTY_N, build_game
 from .learners import regret_act, regret_observe, sample_mixed, stage_end, stage_tally
@@ -59,6 +59,11 @@ class RunConfig:
             v = getattr(self, key)
             if not (isinstance(v, numbers.Integral) or key == "stage_len" and v is None):
                 raise ValueError(f"{key}: must be an integer, got {v!r}")
+        for key in ("explore", "delta", "mu", "churn_rate", "fixed_fraction", "fixed_explore",
+                    "metrics_eta"):  # float first: an ABC isinstance is several times slower
+            v = getattr(self, key)
+            if not (isinstance(v, (float, numbers.Real)) or key == "mu" and v is None):
+                raise ValueError(f"{key}: must be a real number, got {v!r}")
         if self.mode not in ("meanfield", "matching"):
             raise ValueError(f"mode: must be meanfield or matching, got {self.mode!r}")
         if self.learner not in LEARNER_KINDS:
@@ -97,9 +102,7 @@ class RunConfig:
             raise ValueError(f"metrics_eta: must be finite and >= 0, got {self.metrics_eta}")
         game = build_game(self.game, self.penalty_n, self.matrix_path)
         for key in ("target", "fixed_base"):
-            a = getattr(self, key)
-            if not 0 <= a < game.k:
-                raise ValueError(f"{key}: action {a} out of range for {game.k} actions")
+            _actions(getattr(self, key), game.k, key)
         object.__setattr__(self, "_game", game)
 
     @property
@@ -327,15 +330,15 @@ def run_stationary(game: MatrixGame, rho: ActionDistribution, bases, explore: fl
     for key, v in (("stage_len", stage_len), ("rounds", rounds), ("seed", seed)):
         if not isinstance(v, numbers.Integral):
             raise ValueError(f"{key}: must be an integer, got {v!r}")
-    bases = np.array(bases, dtype=np.int64)
+    bases = _actions(bases, game.k, "bases")
     if not 0.0 < explore < 1.0:
         raise ValueError(f"explore must be in (0, 1), got {explore}")
     if stage_len < 1:
         raise ValueError(f"stage_len must be >= 1, got {stage_len}")
     if rounds < stage_len:
         raise ValueError(f"rounds: must cover at least one stage of {stage_len}, got {rounds}")
-    if bases.size == 0 or bases.min() < 0 or bases.max() >= game.k:
-        raise ValueError(f"bases must be one or more actions in range({game.k})")
+    if np.ndim(bases) != 1 or np.size(bases) == 0:
+        raise ValueError("bases must be a nonempty 1-d vector of actions")
     payoffs = game.utilities(rho)
     n = bases.size
     streams = AgentStreams(seed, n)

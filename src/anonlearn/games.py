@@ -10,7 +10,7 @@ __all__ = [
 
 import numpy as np
 
-from .core import ActionDistribution, MatrixGame
+from .core import ActionDistribution, MatrixGame, _actions
 
 GAME_KINDS = ("contribution", "prisoners_dilemma", "climbing", "matrix")
 CONTRIBUTION_LEVELS = 20
@@ -24,8 +24,7 @@ def contribution_cost(x: int, penalty_n: int = PENALTY_N) -> float:
     Zero at 0, one at 1, (x-1)^2 through level 8, then x^2 plus a flat
     penalty of 2*penalty_n for over-contribution.
     """
-    if not 0 <= x < CONTRIBUTION_LEVELS:
-        raise ValueError(f"contribution level {x} out of range 0..{CONTRIBUTION_LEVELS - 1}")
+    x = _actions(x, CONTRIBUTION_LEVELS, "x")
     if penalty_n < 0:
         raise ValueError(f"penalty_n must be nonnegative, got {penalty_n}")
     if x == 0:

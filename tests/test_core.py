@@ -6,15 +6,20 @@ import pytest
 import anonlearn
 from anonlearn import (
     ActionDistribution,
+    CloseWitness,
     ContributionGame,
     DimensionError,
     MatrixGame,
     MixedAction,
+    RunConfig,
     as_strategy_vector,
+    contribution_cost,
     estimate_lipschitz,
     l1_distance,
+    mixed_profile_distribution,
     prisoners_dilemma,
     pure_profile_distribution,
+    run_stationary,
     utility,
 )
 
@@ -107,6 +112,16 @@ def test_uniform_point_mass_counts():
     rho = ActionDistribution.from_counts([2, 0, 2])
     np.testing.assert_array_equal(rho.weights, [0.5, 0.0, 0.5])
     np.testing.assert_array_equal(rho.support(), [0, 2])
+    assert repr(ActionDistribution.uniform(3)) == "ActionDistribution([0.3333 0.3333 0.3333])"
+
+
+@pytest.mark.parametrize("a", [-1, 3])
+def test_point_mass_rejects_an_index_outside_its_actions(a):
+    # -1 once wrapped round to the last action and 3 raised IndexError
+    with pytest.raises(DimensionError, match=f"^a: action {a} out of range for 3 actions$"):
+        ActionDistribution.point_mass(a, 3)
+    with pytest.raises(DimensionError, match=f"^a: action {a} out of range for 3 actions$"):
+        ActionDistribution.uniform(3)[a]
 
 
 def test_distribution_equality_is_exact():
@@ -133,6 +148,38 @@ def test_mixed_action_validation():
         MixedAction(base=-1, explore=0.1)
     with pytest.raises(DimensionError):
         MixedAction(base=5, explore=0.1).vector(3)
+
+
+@pytest.mark.parametrize("base", [1.5, True])
+def test_mixed_action_base_must_be_an_integer(base):
+    with pytest.raises(DimensionError, match=f"^base: action {base} out of range"):
+        MixedAction(base)
+
+
+def test_numpy_integer_actions_match_python_ints():
+    # every entry point takes numpy integers and integer arrays as it takes Python ints
+    i8, game, rho = np.int64(2), ContributionGame(), ActionDistribution.uniform(20)
+    assert ActionDistribution.point_mass(i8, 3) == ActionDistribution.point_mass(2, 3)
+    assert MixedAction(i8, 0.1) == MixedAction(2, 0.1)
+    np.testing.assert_array_equal(MixedAction(i8, 0.1).vector(3), MixedAction(2, 0.1).vector(3))
+    np.testing.assert_array_equal(as_strategy_vector(i8, 3), as_strategy_vector(2, 3))
+    assert contribution_cost(np.int64(9)) == contribution_cost(9)
+    assert RunConfig(target=i8, fixed_base=i8).items() == RunConfig(target=2, fixed_base=2).items()
+    profile = [0, 2, 2, 1]
+    for dtype in (np.int32, np.uint8):
+        arr = np.array(profile, dtype=dtype)
+        assert pure_profile_distribution(arr, 3) == pure_profile_distribution(profile, 3)
+        assert mixed_profile_distribution([MixedAction(a, 0.1) for a in arr], 3) == \
+            mixed_profile_distribution([MixedAction(a, 0.1) for a in profile], 3)
+        w = CloseWitness(g=arr, gprime=arr, ghat=[MixedAction(a) for a in profile], e=0.0, eps=0.0)
+        assert w.g == w.gprime == tuple(profile) and all(type(a) is int for a in w.g)
+        np.testing.assert_array_equal(
+            run_stationary(game, rho, np.array([8, 3, 19], dtype=dtype), 0.1, 10, 30, 0),
+            run_stationary(game, rho, [8, 3, 19], 0.1, 10, 30, 0))
+    bases = np.zeros(3, dtype=np.int64)  # the bases run_stationary moves are its own copy
+    assert run_stationary(prisoners_dilemma(), ActionDistribution.uniform(2), bases, 0.5, 10, 30,
+                          0).tolist() == [1, 1, 1]
+    assert bases.tolist() == [0, 0, 0]
 
 
 def test_as_strategy_vector_forms():
@@ -247,6 +294,13 @@ def test_estimate_lipschitz_bounds_and_determinism():
     assert est1 > 0.25 * game.lipschitz
     with pytest.raises(ValueError, match="samples must be >= 2"):
         estimate_lipschitz(game, samples=1)
+
+
+def test_estimate_lipschitz_samples_must_be_an_integer():
+    game = prisoners_dilemma()
+    with pytest.raises(ValueError, match="^samples: must be an integer, got 2.5$"):
+        estimate_lipschitz(game, samples=2.5)
+    assert estimate_lipschitz(game, samples=np.int64(5)) == estimate_lipschitz(game, samples=5)
 
 
 def test_payoff_channel_degenerate_for_meanfield():

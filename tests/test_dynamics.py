@@ -126,6 +126,13 @@ def test_br_sequence_cycle_detected_as_nonconvergence():
         br_sequence(ActionDistribution.point_mass(0, 2), 0.0, anti, max_steps=0)
 
 
+def test_br_sequence_max_steps_must_be_an_integer():
+    rho, game = ActionDistribution.uniform(2), prisoners_dilemma()
+    with pytest.raises(ValueError, match="^max_steps: must be an integer, got 2.5$"):
+        br_sequence(rho, 0.0, game, max_steps=2.5)
+    assert br_sequence(rho, 0.0, game, max_steps=np.int64(3)) == br_sequence(rho, 0.0, game, 3)
+
+
 # ---------------------------------------------------------------------------
 # profile aggregation
 
@@ -137,6 +144,12 @@ def test_pure_profile_distribution():
         pure_profile_distribution([], 20)
     with pytest.raises(ValueError):
         pure_profile_distribution([0, 21], 20)
+
+
+def test_pure_profile_distribution_rejects_non_integer_actions():
+    # [1.5, 0] was once truncated to [1, 0]
+    with pytest.raises(DimensionError, match="^actions: action 1.5 out of range for 2 actions$"):
+        pure_profile_distribution([1.5, 0], 2)
 
 
 def test_mixed_profile_distribution():
@@ -182,6 +195,14 @@ def test_close_witness_validation():
     w = _witness()
     assert w.n == 5
     assert isinstance(w.g[0], int)
+
+
+@pytest.mark.parametrize("key", ["g", "gprime"])
+def test_close_witness_rejects_non_integer_actions(key):
+    # g=(1.7,) was once truncated to (1,)
+    profiles = {"g": (0,), "gprime": (0,), key: (1.7,)}
+    with pytest.raises(DimensionError, match=f"^{key}: action 1.7 out of range"):
+        CloseWitness(**profiles, ghat=(MixedAction(0),), e=0.1, eps=0.1)
 
 
 def test_verify_close_accepts_valid_witness():

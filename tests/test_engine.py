@@ -18,6 +18,7 @@ import pytest
 from anonlearn import (
     ActionDistribution,
     ContributionGame,
+    DimensionError,
     MatrixGame,
     MixedAction,
     RunConfig,
@@ -90,6 +91,15 @@ def test_run_config_rejects_non_integral_int_fields(key, value):
     with pytest.raises(ValueError, match=f"^{key}: must be an integer, got {value}$"):
         RunConfig(**{key: value})
     assert RunConfig(**{key: np.int64(value)}).items() == RunConfig(**{key: int(value)}).items()
+
+
+@pytest.mark.parametrize("key,value,real", [
+    ("explore", "0.1", 0.1), ("delta", "0.05", 0.2), ("mu", "1", 1.0), ("churn_rate", None, 0.1),
+    ("fixed_fraction", None, 0.5), ("fixed_explore", "0", 0.1), ("metrics_eta", None, 2.0)])
+def test_run_config_rejects_non_real_float_fields(key, value, real):
+    with pytest.raises(ValueError, match=f"^{key}: must be a real number, got {value!r}$"):
+        RunConfig(**{key: value})
+    assert RunConfig(**{key: np.float64(real)}).items() == RunConfig(**{key: real}).items()
 
 
 def test_run_config_items_echoes_resolved_values():
@@ -900,3 +910,10 @@ def test_run_stationary_is_per_learner_deterministic():
     np.testing.assert_array_equal(a, b)
     # learner i's path depends on its own stream only
     assert run_stationary(game, rho, [0], 0.2, 25, rounds=100, seed=5)[0] == a[0]
+
+
+def test_run_stationary_rejects_non_integer_bases():
+    # [8.7, 3.2] was once played as bases [8, 3]
+    game, rho = ContributionGame(), ActionDistribution.uniform(20)
+    with pytest.raises(DimensionError, match="^bases: action 8.7 out of range for 20 actions$"):
+        run_stationary(game, rho, [8.7, 3.2], 0.1, 10, rounds=20, seed=0)

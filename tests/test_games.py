@@ -39,6 +39,12 @@ def test_contribution_cost_penalty_scaling():
         contribution_cost(-1)
 
 
+def test_contribution_cost_rejects_a_fractional_level():
+    # 8.5 was once costed as 8.5**2 + 40
+    with pytest.raises(DimensionError, match="^x: action 8.5 out of range for 20 actions$"):
+        contribution_cost(8.5)
+
+
 def _contribution_utility(x, y, penalty_n=20):
     """Utility of contributing x when every other agent contributes y."""
     return ContributionGame(penalty_n).utilities(ActionDistribution.point_mass(y, 20))[x]
