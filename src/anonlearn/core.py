@@ -14,6 +14,8 @@ __all__ = [
     "as_strategy_vector", "utility", "l1_distance", "estimate_lipschitz",
 ]
 
+import functools
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -40,6 +42,26 @@ def _actions(a, k, name: str):
             return arr.astype(np.int64)
         a = next((x for x in arr.ravel().tolist() if type(x) is not int or not 0 <= x < k), a)
     raise DimensionError(f"{name}: action {a} out of range for {k} actions")
+
+
+@functools.cache
+def _interval(text: str):
+    """An interval written as "(0, 1)" or "[2, inf)": (lo, hi, lo open, hi open)."""
+    lo, hi = map(float, text[1:-1].split(","))
+    return lo, hi, text[0] == "(", text[-1] == ")"
+
+
+def _number(v, name: str, interval: str, integer: bool = False):
+    """v unchanged if it is a real number (an integer, not a bool, if `integer`)
+    in `interval`, written as "(0, 1)" or "[2, inf)"; NaN is in none.  Else
+    ValueError naming `name`."""
+    if type(v) is int or (isinstance(v, numbers.Integral) and not isinstance(v, bool) if integer
+                          else isinstance(v, (float, numbers.Real))):  # int, float: no ABC call
+        lo, hi, lo_open, hi_open = _interval(interval)
+        if (lo < v if lo_open else lo <= v) and (v < hi if hi_open else v <= hi):
+            return v
+        raise ValueError(f"{name}: must be in {interval}, got {v}")
+    raise ValueError(f"{name}: must be {'an integer' if integer else 'a real number'}, got {v!r}")
 
 
 class ActionDistribution:
@@ -116,8 +138,7 @@ class MixedAction:
     explore: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 <= self.explore < 1.0:
-            raise ValueError(f"explore must be in [0, 1), got {self.explore}")
+        _number(self.explore, "explore", "[0, 1)")
         _actions(self.base, np.inf, "base")
 
     def vector(self, k: int) -> np.ndarray:
@@ -249,10 +270,7 @@ def estimate_lipschitz(game: MatrixGame, samples: int = 200, rng_seed: int = 0) 
     simplex and returns the largest observed |u(a,rho)-u(a,rho')| / L1 ratio.
     Deterministic given the seed.
     """
-    if not isinstance(samples, (int, np.integer)):
-        raise ValueError(f"samples: must be an integer, got {samples!r}")
-    if samples < 2:
-        raise ValueError(f"samples must be >= 2, got {samples}")
+    _number(samples, "samples", "[2, inf)", integer=True)
     rng = np.random.default_rng(rng_seed)
     alpha = np.ones(game.k)
     best = 0.0

@@ -9,13 +9,12 @@ __all__ = [
     "CloseWitness", "verify_close", "close_l1_bound", "abr_containment_threshold",
 ]
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (ActionDistribution, DimensionError, MatrixGame, MixedAction, NORM_TOL,
-                   _actions, l1_distance)
+                   _actions, _number, l1_distance)
 
 BR_RULES = ("pointmass", "uniform")
 
@@ -26,8 +25,7 @@ def best_reply_set(rho: ActionDistribution, eta: float, game: MatrixGame) -> set
     Comparison is raw double arithmetic: eta is the intended slack, no extra
     epsilon is layered on.
     """
-    if not eta >= 0:
-        raise ValueError(f"eta must be >= 0, got {eta}")
+    _number(eta, "eta", "[0, inf]")
     u = game.utilities(rho)
     best = u.max()
     return {int(a) for a in np.flatnonzero(u + eta >= best)}
@@ -76,10 +74,7 @@ def br_sequence(
     exact repeat.  Non-convergence is data, not an error: the truncated
     trajectory comes back with converged=False.
     """
-    if not isinstance(max_steps, numbers.Integral):
-        raise ValueError(f"max_steps: must be an integer, got {max_steps!r}")
-    if max_steps < 1:
-        raise ValueError(f"max_steps must be >= 1, got {max_steps}")
+    _number(max_steps, "max_steps", "[1, inf)", integer=True)
     steps = [rho0]
     for _ in range(max_steps):
         nxt = br_step(steps[-1], eta, game, rule)
@@ -143,8 +138,7 @@ class CloseWitness:
                 f"{len(self.gprime)}, {len(self.ghat)}"
             )
         for key in ("e", "eps"):
-            if not 0.0 <= getattr(self, key) <= 1.0:
-                raise ValueError(f"{key} must be in [0, 1], got {getattr(self, key)}")
+            _number(getattr(self, key), key, "[0, 1]")
 
     @property
     def n(self) -> int:
@@ -165,6 +159,9 @@ def verify_close(
     and float comparisons get NORM_TOL of slack.  The relation is
     deliberately asymmetric: swap rho and rhohat and it generally fails.
     """
+    for key, actions in (("g", witness.g), ("gprime", witness.gprime),
+                         ("ghat", [m.base for m in witness.ghat])):
+        _actions(actions, rho.k, key)  # the profile at fault, by its field's name
     rho_g = pure_profile_distribution(witness.g, rho.k)
     rho_gp = pure_profile_distribution(witness.gprime, rho.k)
     rho_ghat = mixed_profile_distribution(witness.ghat, rho.k)
@@ -186,16 +183,10 @@ def verify_close(
 
 def close_l1_bound(e: float, eps: float) -> float:
     """L1 guarantee for an (e, eps)-close pair: 2(e + eps)."""
-    if not 0.0 <= e <= 1.0 or not 0.0 <= eps <= 1.0:
-        raise ValueError(f"e and eps must be in [0, 1], got {e}, {eps}")
-    return 2.0 * (e + eps)
+    return 2.0 * (_number(e, "e", "[0, 1]") + _number(eps, "eps", "[0, 1]"))
 
 
 def abr_containment_threshold(eta: float, K: float) -> float:
     """Closeness budget d_eta = eta/(8K) under which ABR_{eta/2} of the noisy
     distribution stays inside ABR_eta of the clean one."""
-    if not K > 0.0:
-        raise ValueError(f"need a positive Lipschitz bound, got K={K}")
-    if not eta > 0.0:
-        raise ValueError(f"eta must be positive, got {eta}")
-    return eta / (8.0 * K)
+    return _number(eta, "eta", "(0, inf]") / (8.0 * _number(K, "K", "(0, inf]"))

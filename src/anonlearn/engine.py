@@ -7,14 +7,13 @@ from __future__ import annotations
 __all__ = ["RunConfig", "RunTrace", "run", "run_stationary", "run_many"]
 
 import math
-import numbers
 import os
 import pickle
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import ActionDistribution, MatrixGame, _actions
+from .core import ActionDistribution, MatrixGame, _actions, _number
 from .dynamics import best_reply_set
 from .games import PENALTY_N, build_game
 from .learners import regret_act, regret_observe, sample_mixed, stage_end, stage_tally
@@ -27,6 +26,17 @@ LEARNER_KINDS = ("stage", "regret")
 # AHEAD); RunTrace.to_csv formats and writes CSV_ROWS rows at a time.
 CAP = 1 << 12
 CSV_ROWS = 512
+# Each numeric RunConfig field's interval and whether it is an integer;
+# run_stationary checks its arguments against the same entries.  The game
+# checks target and fixed_base as actions.
+_NUMBERS = {
+    "penalty_n": ("[0, inf)", True), "n": ("[2, inf)", True), "rounds": ("[1, inf)", True),
+    "stage_len": ("[1, inf)", True), "fixed_base": ("(-inf, inf)", True),
+    "seed": ("[0, inf)", True), "target": ("(-inf, inf)", True),
+    "explore": ("(0, 1)", False), "delta": ("(0, 1)", False), "mu": ("(0, inf)", False),
+    "churn_rate": ("[0, 1]", False), "fixed_fraction": ("[0, 1]", False),
+    "fixed_explore": ("[0, 1)", False), "metrics_eta": ("[0, inf)", False),
+}
 
 
 @dataclass(frozen=True)
@@ -55,51 +65,26 @@ class RunConfig:
     metrics_eta: float = 1.0
 
     def __post_init__(self):
-        for key in ("penalty_n", "n", "rounds", "stage_len", "fixed_base", "seed", "target"):
+        for key, (interval, integer) in _NUMBERS.items():
             v = getattr(self, key)
-            if not (isinstance(v, numbers.Integral) or key == "stage_len" and v is None):
-                raise ValueError(f"{key}: must be an integer, got {v!r}")
-        for key in ("explore", "delta", "mu", "churn_rate", "fixed_fraction", "fixed_explore",
-                    "metrics_eta"):  # float first: an ABC isinstance is several times slower
-            v = getattr(self, key)
-            if not (isinstance(v, (float, numbers.Real)) or key == "mu" and v is None):
-                raise ValueError(f"{key}: must be a real number, got {v!r}")
+            if v is not None or key not in ("stage_len", "mu"):  # None: the derived default
+                _number(v, key, interval, integer)
         if self.mode not in ("meanfield", "matching"):
             raise ValueError(f"mode: must be meanfield or matching, got {self.mode!r}")
         if self.learner not in LEARNER_KINDS:
             raise ValueError(f"learner: must be one of {LEARNER_KINDS}, got {self.learner!r}")
-        if not 0.0 < self.explore < 1.0:
-            raise ValueError(f"explore: must be in (0, 1), got {self.explore}")
-        if self.stage_len is not None and self.stage_len < 1:
-            raise ValueError(f"stage_len: must be >= 1, got {self.stage_len}")
-        if self.mu is not None and not 0 < self.mu < math.inf:
-            raise ValueError(f"mu: must be positive and finite, got {self.mu}")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError(f"delta: must be in (0, 1), got {self.delta}")
-        if self.n < 2:
-            raise ValueError(f"n: need at least 2 agents, got {self.n}")
         if self.mode == "matching" and self.n % 2:
             raise ValueError(f"n: matching mode needs an even population, got {self.n}")
-        for key in ("churn_rate", "fixed_fraction"):
-            v = getattr(self, key)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{key}: must be in [0, 1], got {v}")
         if self.churn_rate > 0.0 and int(self.fixed_fraction * self.n) == self.n:
             raise ValueError(
                 f"churn_rate: churn replaces learners, and fixed_fraction="
                 f"{self.fixed_fraction} leaves none among {self.n} agents"
             )
-        if not 0.0 <= self.fixed_explore < 1.0:
-            raise ValueError(f"fixed_explore: must be in [0, 1), got {self.fixed_explore}")
         if self.rounds < self.resolved_stage_len:
             raise ValueError(
                 f"rounds: must cover at least one stage of {self.resolved_stage_len}, "
                 f"got {self.rounds}"
             )
-        if self.seed < 0:
-            raise ValueError(f"seed: must be nonnegative, got {self.seed}")
-        if not 0 <= self.metrics_eta < math.inf:
-            raise ValueError(f"metrics_eta: must be finite and >= 0, got {self.metrics_eta}")
         game = build_game(self.game, self.penalty_n, self.matrix_path)
         for key in ("target", "fixed_base"):
             _actions(getattr(self, key), game.k, key)
@@ -327,14 +312,10 @@ def run_stationary(game: MatrixGame, rho: ActionDistribution, bases, explore: fl
     is the learners' own exploration.  Learner i draws from
     default_rng([seed, 0, i]).
     """
-    for key, v in (("stage_len", stage_len), ("rounds", rounds), ("seed", seed)):
-        if not isinstance(v, numbers.Integral):
-            raise ValueError(f"{key}: must be an integer, got {v!r}")
+    for key, v in (("explore", explore), ("stage_len", stage_len), ("rounds", rounds),
+                   ("seed", seed)):
+        _number(v, key, *_NUMBERS[key])
     bases = _actions(bases, game.k, "bases")
-    if not 0.0 < explore < 1.0:
-        raise ValueError(f"explore must be in (0, 1), got {explore}")
-    if stage_len < 1:
-        raise ValueError(f"stage_len must be >= 1, got {stage_len}")
     if rounds < stage_len:
         raise ValueError(f"rounds: must cover at least one stage of {stage_len}, got {rounds}")
     if np.ndim(bases) != 1 or np.size(bases) == 0:
@@ -358,8 +339,7 @@ def run_stationary(game: MatrixGame, rho: ActionDistribution, bases, explore: fl
 def pool_size(threads: int, cells: int, cpus: int) -> int:
     """Worker processes for cells runs at a requested thread count: no more
     than there are cells or CPUs to run them; 1 means in-process."""
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
+    _number(threads, "threads", "[1, inf)", integer=True)
     return max(1, min(threads, cells, cpus))
 
 

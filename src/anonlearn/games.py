@@ -10,30 +10,25 @@ __all__ = [
 
 import numpy as np
 
-from .core import ActionDistribution, MatrixGame, _actions
+from .core import ActionDistribution, MatrixGame, _actions, _number
 
 GAME_KINDS = ("contribution", "prisoners_dilemma", "climbing", "matrix")
 CONTRIBUTION_LEVELS = 20
 # The contribution game's default over-contribution penalty scale.
 PENALTY_N = 20
+_COST = np.array([x if x <= 1 else (x - 1) ** 2 if x <= 8 else x * x
+                  for x in range(CONTRIBUTION_LEVELS)], dtype=float)  # c(x) at penalty_n = 0
 
 
-def contribution_cost(x: int, penalty_n: int = PENALTY_N) -> float:
-    """Cost of contributing at level x.
+def contribution_cost(x, penalty_n: int = PENALTY_N):
+    """Cost of contributing at level x (a float), or at each level of an array.
 
     Zero at 0, one at 1, (x-1)^2 through level 8, then x^2 plus a flat
     penalty of 2*penalty_n for over-contribution.
     """
     x = _actions(x, CONTRIBUTION_LEVELS, "x")
-    if penalty_n < 0:
-        raise ValueError(f"penalty_n must be nonnegative, got {penalty_n}")
-    if x == 0:
-        return 0.0
-    if x == 1:
-        return 1.0
-    if x <= 8:
-        return float((x - 1) ** 2)
-    return float(x * x + 2 * penalty_n)
+    cost = _COST[x] + 2.0 * _number(penalty_n, "penalty_n", "[0, inf)", integer=True) * (x > 8)
+    return float(cost) if np.ndim(cost) == 0 else cost
 
 
 class ContributionGame(MatrixGame):
@@ -47,9 +42,7 @@ class ContributionGame(MatrixGame):
     def __init__(self, penalty_n: int = PENALTY_N):
         self.penalty_n = penalty_n
         self._levels = np.arange(CONTRIBUTION_LEVELS, dtype=float)
-        self._costs = np.array(
-            [contribution_cost(x, penalty_n) for x in range(CONTRIBUTION_LEVELS)]
-        )
+        self._costs = contribution_cost(np.arange(CONTRIBUTION_LEVELS), penalty_n)
         x = self._levels
         super().__init__(2.0 * x[:, None] * x[None, :] - self._costs[:, None])
         # |u(a,rho)-u(a,rho')| = 2a|mean(rho)-mean(rho')| and the mean moves by

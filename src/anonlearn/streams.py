@@ -17,6 +17,8 @@ import operator
 
 import numpy as np
 
+from .core import _number
+
 # Working memory: the streams advance L = min(AHEAD, max(1, UCAP // n)) rounds
 # of all n agents at a time, at most UCAP stream positions unless n is larger
 # (longer lanes save next to nothing per draw, and cost memory).  That is six
@@ -24,6 +26,7 @@ import numpy as np
 # for the refill arithmetic and the uniforms (a RawStream refill: five per word).
 UCAP = 1 << 13
 AHEAD = 128
+_K = "[2, 4294967296)"  # a draw's range: Lemire's method on 32-bit words
 MULT, MASK = 0x2360ED051FC65DA44385DF649FCCF645, (1 << 128) - 1  # PCG64's multiplier
 
 
@@ -32,8 +35,7 @@ def _seed_state(entropy: list) -> list:
     arrays: entropy[0], the seed, enters as its little-endian uint32 words and
     each later entry as one word (an array as one per element, one SeedSequence
     each); the first four words fill the pool, later ones are mixed in after."""
-    if (seed := operator.index(entropy[0])) < 0:
-        raise ValueError(f"seed: must be nonnegative, got {seed}")
+    seed = operator.index(_number(entropy[0], "seed", "[0, inf)", integer=True))
     words = [np.uint32(seed >> s & 0xFFFFFFFF) for s in range(0, max(seed.bit_length(), 1), 32)]
     words += [np.asarray(e, np.uint32) for e in entropy[1:]]
     const = [0x43B0D7E5, 0x931E8875]  # hashmix's running constant and its multiplier
@@ -134,8 +136,9 @@ class AgentStreams:
         take: Lemire's method on the low 32 bits of the next output, retried
         on the upper half (which PCG64 buffers) and then on a fresh output.
         take starts at the next output, as random() does after integers."""
-        if not 2 <= k < 1 << 32 or self._lanes is not None:
-            raise ValueError(f"integers: need 2 <= k < 2**32 before any take, got k={k}")
+        _number(k, "k", _K, integer=True)
+        if self._lanes is not None:
+            raise ValueError("integers: must come before any take")
         (h, l), (ih, il) = self._state, self._inc
         out = np.empty(self.n - start, dtype=np.int64)
         todo, half = np.arange(start, self.n), None
@@ -230,15 +233,13 @@ def apply_churn(bases, rate: float, stream, k: int | None = None) -> np.ndarray:
     a base is Lemire's method on 32-bit words, stream.half or else the low half
     of the next word (its high half left in stream.half, so later coins shift).
     """
-    if not 0.0 <= rate <= 1.0:
-        raise ValueError(f"churn rate must be in [0, 1], got {rate}")
+    _number(rate, "rate", "[0, 1]")
     m = len(bases)
     if k is None:
         hits = np.flatnonzero((stream.peek(m) >> 11) * 2.0**-53 < rate)
         stream.skip(m)
         return hits
-    if not 2 <= k < 1 << 32:
-        raise ValueError(f"apply_churn: need 2 <= k < 2**32, got k={k}")
+    _number(k, "k", _K, integer=True)
     raw, hits, out, half = stream.peek(0), [], [], stream.half
 
     def read(end):  # words through raw[end], and which of them are hits as coins

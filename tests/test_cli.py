@@ -204,7 +204,7 @@ def test_failed_fork_names_no_cell(tmp_path, monkeypatch, capsys):
 def test_run_zero_threads_is_a_config_error_not_a_failed_cell(tiny_cfg, tmp_path, capsys):
     argv = ["run", "--config", str(tiny_cfg), "--out", str(tmp_path / "out"), "--threads", "0"]
     assert main(argv) == EXIT_CONFIG
-    assert capsys.readouterr().err == "config error: threads must be >= 1, got 0\n"
+    assert capsys.readouterr().err == "config error: threads: must be in [1, inf), got 0\n"
 
 
 SLOW = """\
@@ -263,6 +263,7 @@ def test_run_bad_value_exits_2(tmp_path):
         ("sim.fixed_base = 25\n", "fixed_base"),
         ("sim.churn_rate = 0.1\nsim.fixed_fraction = 1.0\n", "churn_rate"),
         ("learner.kind = regret\nlearner.mu = nan\n", "mu"),
+        ("game.kind = climbing\nsim.target = 0\ngame.penalty_n = -1\n", "penalty_n"),
     ],
 )
 def test_run_rejects_bad_config_at_load(tmp_path, capsys, text, key):
@@ -325,7 +326,7 @@ def test_analyze_nan_eta_exits_2(capsys):
     rho = ",".join(["0"] * 8 + ["1"] + ["0"] * 11)
     for mode in (["nash", "--rho", rho], ["brs"]):
         assert main(["analyze", "--eta", "nan", "--mode", *mode]) == EXIT_CONFIG
-        assert "eta must be >= 0" in capsys.readouterr().err
+        assert "eta: must be in [0, inf], got nan" in capsys.readouterr().err
 
 
 def test_analyze_has_no_payoff_mode(capsys):
@@ -435,11 +436,11 @@ def test_gnuplot_missing_aggregate_exits_3(tmp_path):
 
 def _fresh_python(*args):
     """A fresh interpreter run on args, importing the package this suite
-    imported, installed or not."""
+    imported, installed or not; a warning is an error there, as it is here."""
     src = str(Path(anonlearn.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path})
+                          env={**os.environ, "PYTHONPATH": path, "PYTHONWARNINGS": "error"})
 
 
 def test_module_entry_point():

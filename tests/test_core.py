@@ -1,5 +1,7 @@
 """Primitives: distributions, mixed actions, utilities."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -150,6 +152,30 @@ def test_mixed_action_validation():
         MixedAction(base=5, explore=0.1).vector(3)
 
 
+def test_mixed_action_explore_must_be_a_real_number():
+    with pytest.raises(ValueError, match="^explore: must be a real number, got '0.1'$"):
+        MixedAction(0, explore="0.1")
+
+
+def test_number_checks_a_type_and_an_interval():
+    from anonlearn.core import _number
+    i8 = np.int64(3)
+    assert _number(i8, "n", "[3, 3]", integer=True) is i8  # returned unchanged
+    assert _number(3, "x", "(2, 4)") == 3  # an integer is a real number
+    assert _number(0.0, "x", "[0, 1)") == 0.0 and _number(1.0, "x", "(0, 1]") == 1.0
+    assert _number(float("inf"), "x", "[0, inf]") == float("inf")
+    for v, interval in ((0.0, "(0, 1)"), (1.0, "[0, 1)"), (float("inf"), "[0, inf)"),
+                        (float("nan"), "(-inf, inf)")):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'x: must be in {interval}, got {v}')}$"):
+            _number(v, "x", interval)
+    for v in (True, 2.0, np.float64(2.0), "2", None):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'n: must be an integer, got {v!r}')}$"):
+            _number(v, "n", "[0, inf)", integer=True)
+    for v in ("0.5", None, np.array(0.5), 1j):
+        with pytest.raises(ValueError, match="^x: must be a real number, got "):
+            _number(v, "x", "[0, 1]")
+
+
 @pytest.mark.parametrize("base", [1.5, True])
 def test_mixed_action_base_must_be_an_integer(base):
     with pytest.raises(DimensionError, match=f"^base: action {base} out of range"):
@@ -292,7 +318,7 @@ def test_estimate_lipschitz_bounds_and_determinism():
     # Never exceeds the analytic constant, but gets within reach of it.
     assert 0.0 < est1 <= game.lipschitz + 1e-9
     assert est1 > 0.25 * game.lipschitz
-    with pytest.raises(ValueError, match="samples must be >= 2"):
+    with pytest.raises(ValueError, match=r"samples: must be in \[2, inf\), got 1"):
         estimate_lipschitz(game, samples=1)
 
 

@@ -65,7 +65,7 @@ def test_best_reply_set_rejects_negative_eta():
 
 def test_best_reply_set_rejects_nan_eta():
     # every comparison with NaN is false: the set would come out empty
-    with pytest.raises(ValueError, match="eta must be >= 0"):
+    with pytest.raises(ValueError, match=r"eta: must be in \[0, inf\], got nan"):
         best_reply_set(ActionDistribution.uniform(2), float("nan"), prisoners_dilemma())
 
 
@@ -122,7 +122,7 @@ def test_br_sequence_cycle_detected_as_nonconvergence():
     assert not seq.converged
     assert seq.fixed_point_index is None
     assert len(seq) == 21  # initial point plus max_steps iterates
-    with pytest.raises(ValueError, match="max_steps must be >= 1"):
+    with pytest.raises(ValueError, match=r"max_steps: must be in \[1, inf\), got 0"):
         br_sequence(ActionDistribution.point_mass(0, 2), 0.0, anti, max_steps=0)
 
 
@@ -190,7 +190,7 @@ def test_close_witness_validation():
         CloseWitness(g=(0, 1), gprime=(0,), ghat=(MixedAction(0),), e=0.1, eps=0.1)
     with pytest.raises(ValueError):
         CloseWitness(g=(0,), gprime=(0,), ghat=(MixedAction(0),), e=1.5, eps=0.1)
-    with pytest.raises(ValueError, match="eps must be in"):
+    with pytest.raises(ValueError, match=r"eps: must be in \[0, 1\], got 1.5"):
         CloseWitness(g=(0,), gprime=(0,), ghat=(MixedAction(0),), e=0.1, eps=1.5)
     w = _witness()
     assert w.n == 5
@@ -265,6 +265,16 @@ def test_verify_close_dimension_errors():
         verify_close(big, rho, rho)
 
 
+@pytest.mark.parametrize("key", ["g", "gprime", "ghat"])
+def test_verify_close_names_the_profile_out_of_range(key):
+    # the profile functions it calls would name their own argument instead
+    profiles = {"g": (0, 1), "gprime": (0, 1), "ghat": (MixedAction(0), MixedAction(1))}
+    profiles[key] = (MixedAction(0), MixedAction(5)) if key == "ghat" else (0, 5)
+    rho = ActionDistribution.uniform(2)
+    with pytest.raises(DimensionError, match=f"^{key}: action 5 out of range for 2 actions$"):
+        verify_close(CloseWitness(**profiles, e=0.1, eps=0.0), rho, rho)
+
+
 def _random_witness(rng, k, n, e, eps):
     """Construct a witness that is valid by design."""
     g = rng.integers(k, size=n)
@@ -301,6 +311,24 @@ def test_close_l1_bound_values():
 
 # ---------------------------------------------------------------------------
 # best replies under perturbation
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: best_reply_set(ActionDistribution.uniform(2), "0.5", prisoners_dilemma()),
+     "^eta: must be a real number, got '0.5'$"),
+    (lambda: br_sequence(ActionDistribution.uniform(2), 0.0, prisoners_dilemma(), True),
+     "^max_steps: must be an integer, got True$"),
+    (lambda: CloseWitness(g=(0,), gprime=(0,), ghat=(MixedAction(0),), e=None, eps=0.1),
+     "^e: must be a real number, got None$"),
+    (lambda: close_l1_bound("0.1", 0), "^e: must be a real number, got '0.1'$"),
+    (lambda: close_l1_bound(float("nan"), 0.0), r"^e: must be in \[0, 1\], got nan$"),
+    (lambda: close_l1_bound(0.0, float("nan")), r"^eps: must be in \[0, 1\], got nan$"),
+    (lambda: abr_containment_threshold(1.0, "2"), "^K: must be a real number, got '2'$"),
+], ids=["best_reply_set-eta", "br_sequence-max_steps", "CloseWitness-e", "close_l1_bound-e",
+        "close_l1_bound-nan-e", "close_l1_bound-nan-eps", "abr_containment_threshold-K"])
+def test_numeric_arguments_raise_value_error_naming_them(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_abr_containment_threshold_values():

@@ -77,6 +77,7 @@ def test_run_config_defaults_and_stage_resolution():
         (dict(mu=float("inf")), "mu"),
         (dict(metrics_eta=float("nan")), "metrics_eta"),
         (dict(metrics_eta=float("inf")), "metrics_eta"),
+        (dict(game="climbing", penalty_n=-1, target=0), "penalty_n"),  # checked for every game
     ],
 )
 def test_run_config_validation_names_offending_key(kwargs, needle):
@@ -100,6 +101,31 @@ def test_run_config_rejects_non_real_float_fields(key, value, real):
     with pytest.raises(ValueError, match=f"^{key}: must be a real number, got {value!r}$"):
         RunConfig(**{key: value})
     assert RunConfig(**{key: np.float64(real)}).items() == RunConfig(**{key: real}).items()
+
+
+@pytest.mark.parametrize("key", ["penalty_n", "n", "rounds", "stage_len", "fixed_base", "seed",
+                                 "target"])
+def test_run_config_rejects_a_bool_for_an_int_field(key):
+    with pytest.raises(ValueError, match=f"^{key}: must be an integer, got True$"):
+        RunConfig(**{key: True})
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: run_stationary(ContributionGame(), ActionDistribution.uniform(20), [0], "0.1", 10,
+                            20, 0), "^explore: must be a real number, got '0.1'$"),
+    (lambda: run_stationary(ContributionGame(), ActionDistribution.uniform(20), [0], 0.1, True,
+                            20, 0), "^stage_len: must be an integer, got True$"),
+    (lambda: pool_size("2", 3, 2), "^threads: must be an integer, got '2'$"),
+    (lambda: pool_size(2.5, 3, 2), "^threads: must be an integer, got 2.5$"),
+    (lambda: pool_size(float("nan"), 3, 2), "^threads: must be an integer, got nan$"),
+    (lambda: pool_size(True, 3, 2), "^threads: must be an integer, got True$"),
+    (lambda: apply_churn(np.full(4, 8), "0.1", RawStream([0]), 20),
+     "^rate: must be a real number, got '0.1'$"),
+], ids=["run_stationary-explore", "run_stationary-stage_len", "pool_size-str",
+        "pool_size-float", "pool_size-nan", "pool_size-bool", "apply_churn-rate"])
+def test_numeric_arguments_raise_value_error_naming_them(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_run_config_items_echoes_resolved_values():
@@ -353,7 +379,7 @@ def test_apply_churn_validates_rate():
 
 def test_apply_churn_with_k_needs_a_32_bit_range():
     for k in (1, 2**32):
-        with pytest.raises(ValueError, match="2 <= k"):
+        with pytest.raises(ValueError, match=r"k: must be in \[2, 4294967296\), got "):
             apply_churn(np.full(4, 8), 0.5, RawStream([0]), k=k)
 
 
@@ -478,11 +504,12 @@ def test_run_pays_through_the_games_payoff_methods(mode, method):
 
 def _fresh_python(code: str) -> list[str]:
     """The words a fresh interpreter prints running code, with anonlearn on
-    its path."""
+    its path; a warning is an error there, as it is here."""
     src = str(Path(engine.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
+                          env={**os.environ, "PYTHONPATH": path, "PYTHONWARNINGS": "error"},
+                          timeout=120)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.split()
 

@@ -45,6 +45,23 @@ def test_contribution_cost_rejects_a_fractional_level():
         contribution_cost(8.5)
 
 
+def test_contribution_cost_penalty_n_must_be_an_integer():
+    # 2.5 was once costed as 3 - 1 squared, 4.0
+    with pytest.raises(ValueError, match="^penalty_n: must be an integer, got 2.5$"):
+        contribution_cost(3, 2.5)
+
+
+@pytest.mark.parametrize("penalty_n", [0, 20, 100])
+def test_contribution_cost_of_an_array_is_its_levels_costs(penalty_n):
+    levels = np.arange(20)
+    costs = contribution_cost(levels, penalty_n)
+    assert costs.dtype == np.float64 and costs.shape == (20,)
+    scalar = [contribution_cost(x, penalty_n) for x in range(20)]
+    assert all(type(c) is float for c in scalar)
+    assert costs.tobytes() == np.array(scalar).tobytes()
+    np.testing.assert_array_equal(ContributionGame(penalty_n)._costs, costs)
+
+
 def _contribution_utility(x, y, penalty_n=20):
     """Utility of contributing x when every other agent contributes y."""
     return ContributionGame(penalty_n).utilities(ActionDistribution.point_mass(y, 20))[x]

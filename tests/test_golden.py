@@ -168,9 +168,11 @@ def _trace_digest(idx: int, config: RunConfig) -> dict:
 
 
 def _demo_digest(stem: str) -> dict:
+    # a warning fails the demo as filterwarnings fails this suite; it goes to stderr
     proc = subprocess.run([sys.executable, str(ROOT / "demos" / f"{stem}.py")],
                           capture_output=True, cwd=ROOT,
-                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src"),
+                               "PYTHONWARNINGS": "error"})
     assert proc.returncode == 0, proc.stderr.decode()
     return {f"demo/{stem}": _sha(proc.stdout)}
 

@@ -59,7 +59,7 @@ def test_integers_then_take_matches_default_rng(seed, k):
 def test_rejects_negative_seed_k_out_of_range_and_late_integers():
     with pytest.raises(ValueError, match="seed"):
         AgentStreams(-1, 4)
-    with pytest.raises(ValueError, match="k=1"):
+    with pytest.raises(ValueError, match=r"k: must be in \[2, 4294967296\), got 1"):
         AgentStreams(0, 4).integers(1, 0)
     streams = AgentStreams(0, 4)
     streams.take(1)
