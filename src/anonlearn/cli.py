@@ -19,10 +19,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, load_experiment
+from .config import ConfigError, RunConfig, load_experiment
 from .core import ActionDistribution, estimate_lipschitz
 from .dynamics import BR_RULES, best_reply_set, br_sequence, is_eta_nash
-from .engine import RunConfig, pool_map, run
+from .engine import pool_map, run
 from .games import GAME_KINDS, build_game
 
 EXIT_OK = 0

@@ -52,11 +52,11 @@ def _interval(text: str):
 
 
 def _number(v, name: str, interval: str, integer: bool = False):
-    """v unchanged if it is a real number (an integer, not a bool, if `integer`)
+    """v unchanged if it is a real number, not a bool (an integer if `integer`),
     in `interval`, written as "(0, 1)" or "[2, inf)"; NaN is in none.  Else
     ValueError naming `name`."""
-    if type(v) is int or (isinstance(v, numbers.Integral) and not isinstance(v, bool) if integer
-                          else isinstance(v, (float, numbers.Real))):  # int, float: no ABC call
+    if type(v) is int or (not integer and isinstance(v, float)) or (  # no ABC call, no bool
+            not isinstance(v, bool) and isinstance(v, numbers.Integral if integer else numbers.Real)):
         lo, hi, lo_open, hi_open = _interval(interval)
         if (lo < v if lo_open else lo <= v) and (v < hi if hi_open else v <= hi):
             return v
@@ -96,11 +96,11 @@ class ActionDistribution:
 
     @classmethod
     def uniform(cls, k: int) -> "ActionDistribution":
-        return cls(np.full(k, 1.0 / k))
+        return cls(np.full(_number(k, "k", "[2, inf)", integer=True), 1.0 / k))
 
     @classmethod
     def point_mass(cls, a: int, k: int) -> "ActionDistribution":
-        w = np.zeros(k)
+        w = np.zeros(_number(k, "k", "[2, inf)", integer=True))
         w[_actions(a, k, "a")] = 1.0
         return cls(w)
 
@@ -142,7 +142,7 @@ class MixedAction:
         _actions(self.base, np.inf, "base")
 
     def vector(self, k: int) -> np.ndarray:
-        w = np.full(k, self.explore / (k - 1))
+        w = np.full(_number(k, "k", "[2, inf)", integer=True), self.explore / (k - 1))
         w[_actions(self.base, k, "base")] = 1.0 - self.explore
         return w
 
@@ -239,13 +239,13 @@ def as_strategy_vector(s, k: int) -> np.ndarray:
     """Coerce a strategy (action index, MixedAction, or distribution) to a weight vector."""
     if isinstance(s, MixedAction):
         return s.vector(k)
-    if isinstance(s, ActionDistribution):
-        if s.k != k:
-            raise DimensionError(f"strategy over {s.k} actions, expected {k}")
-        return s.weights
     if isinstance(s, (int, np.integer)):
         return ActionDistribution.point_mass(s, k).weights
-    return ActionDistribution(s).weights
+    if not isinstance(s, ActionDistribution):
+        s = ActionDistribution(s)
+    if s.k != k:
+        raise DimensionError(f"strategy over {s.k} actions, expected {k}")
+    return s.weights
 
 
 def utility(s, rho: ActionDistribution, game: MatrixGame) -> float:

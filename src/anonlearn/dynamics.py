@@ -92,7 +92,7 @@ def is_eta_nash(rho: ActionDistribution, eta: float, game: MatrixGame) -> bool:
 
 def pure_profile_distribution(actions, k: int) -> ActionDistribution:
     """Empirical action distribution of a finite pure-action profile."""
-    a = _actions(actions, k, "actions")
+    a = _actions(actions, _number(k, "k", "[2, inf)", integer=True), "actions")
     if np.ndim(a) != 1 or np.size(a) == 0:
         raise DimensionError("profile must be a nonempty 1-d action vector")
     return ActionDistribution.from_counts(np.bincount(a, minlength=k))
@@ -106,6 +106,7 @@ def mixed_profile_distribution(strategies, k: int) -> ActionDistribution:
     """
     if len(strategies) == 0:
         raise DimensionError("profile must be nonempty")
+    _number(k, "k", "[2, inf)", integer=True)
     bases = _actions([s.base for s in strategies], k, "strategies")
     explore = np.array([s.explore for s in strategies])
     w = np.bincount(bases, weights=1.0 - explore * k / (k - 1), minlength=k)

@@ -1,115 +1,30 @@
-"""Round loop over a finite population: run configs, the block loop (the
-game pays the actions, the learners update) and the stage metrics.  The
-seeding layout, the agents' streams and churn's draws live in streams."""
+"""Round loop over a finite population: the block loop (the game pays the
+actions, the learners update), the stage metrics, RunTrace and the fork pool.
+The seeding layout, the agents' streams and churn's draws live in streams."""
 
 from __future__ import annotations
 
-__all__ = ["RunConfig", "RunTrace", "run", "run_stationary", "run_many"]
+__all__ = ["RunTrace", "run", "run_stationary", "run_many"]
 
 import math
 import os
 import pickle
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
+from .config import SETTINGS, RunConfig
 from .core import ActionDistribution, MatrixGame, _actions, _number
 from .dynamics import best_reply_set
-from .games import PENALTY_N, build_game
 from .learners import regret_act, regret_observe, sample_mixed, stage_end, stage_tally
 from .streams import AgentStreams, RawStream, apply_churn
 
-LEARNER_KINDS = ("stage", "regret")
 # Working-memory bounds for run: a block's (rounds, n) actions and (rounds, k)
 # histogram hold at most CAP entries, unless n + k alone exceeds CAP, when a
 # block is one round (the agents' streams are bounded by streams.UCAP and
 # AHEAD); RunTrace.to_csv formats and writes CSV_ROWS rows at a time.
 CAP = 1 << 12
 CSV_ROWS = 512
-# Each numeric RunConfig field's interval and whether it is an integer;
-# run_stationary checks its arguments against the same entries.  The game
-# checks target and fixed_base as actions.
-_NUMBERS = {
-    "penalty_n": ("[0, inf)", True), "n": ("[2, inf)", True), "rounds": ("[1, inf)", True),
-    "stage_len": ("[1, inf)", True), "fixed_base": ("(-inf, inf)", True),
-    "seed": ("[0, inf)", True), "target": ("(-inf, inf)", True),
-    "explore": ("(0, 1)", False), "delta": ("(0, 1)", False), "mu": ("(0, inf)", False),
-    "churn_rate": ("[0, 1]", False), "fixed_fraction": ("[0, 1]", False),
-    "fixed_explore": ("[0, 1)", False), "metrics_eta": ("[0, inf)", False),
-}
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything one run needs; validation happens at construction, against
-    the game itself (so game=matrix reads its matrix file then), which the
-    config keeps outside its fields for run to play, pickled copies too."""
-
-    game: str = "contribution"
-    penalty_n: int = PENALTY_N
-    matrix_path: str | None = None
-    mode: str = "meanfield"
-    learner: str = "stage"
-    explore: float = 0.05
-    stage_len: int | None = None  # None -> ceil(1/explore^2)
-    mu: float | None = None  # None -> the game-derived default, see resolved_mu
-    delta: float = 0.05
-    n: int = 100
-    rounds: int = 3000
-    churn_rate: float = 0.0
-    fixed_fraction: float = 0.0
-    fixed_base: int = 0
-    fixed_explore: float = 0.0
-    seed: int = 0
-    target: int = 8
-    metrics_eta: float = 1.0
-
-    def __post_init__(self):
-        for key, (interval, integer) in _NUMBERS.items():
-            v = getattr(self, key)
-            if v is not None or key not in ("stage_len", "mu"):  # None: the derived default
-                _number(v, key, interval, integer)
-        if self.mode not in ("meanfield", "matching"):
-            raise ValueError(f"mode: must be meanfield or matching, got {self.mode!r}")
-        if self.learner not in LEARNER_KINDS:
-            raise ValueError(f"learner: must be one of {LEARNER_KINDS}, got {self.learner!r}")
-        if self.mode == "matching" and self.n % 2:
-            raise ValueError(f"n: matching mode needs an even population, got {self.n}")
-        if self.churn_rate > 0.0 and int(self.fixed_fraction * self.n) == self.n:
-            raise ValueError(
-                f"churn_rate: churn replaces learners, and fixed_fraction="
-                f"{self.fixed_fraction} leaves none among {self.n} agents"
-            )
-        if self.rounds < self.resolved_stage_len:
-            raise ValueError(
-                f"rounds: must cover at least one stage of {self.resolved_stage_len}, "
-                f"got {self.rounds}"
-            )
-        game = build_game(self.game, self.penalty_n, self.matrix_path)
-        for key in ("target", "fixed_base"):
-            _actions(getattr(self, key), game.k, key)
-        object.__setattr__(self, "_game", game)
-
-    @property
-    def resolved_stage_len(self) -> int:
-        if self.stage_len is not None:
-            return self.stage_len
-        return math.ceil(1.0 / self.explore**2)
-
-    @property
-    def resolved_mu(self) -> float:
-        """The regret matcher's damping: mu, or else 2·max(hi−lo, 1)·(k−1)
-        from the game's k actions and payoff bounds [lo, hi]."""
-        if self.mu is not None:
-            return self.mu
-        lo, hi = self._game.payoff_bounds()
-        return 2.0 * max(hi - lo, 1.0) * (self._game.k - 1)
-
-    def items(self):
-        """(key, value) pairs of the fully-resolved config, for echoing."""
-        out = [(f.name, getattr(self, f.name)) for f in fields(self)]
-        out.append(("resolved_stage_len", self.resolved_stage_len))
-        return out
 
 
 @dataclass
@@ -314,7 +229,7 @@ def run_stationary(game: MatrixGame, rho: ActionDistribution, bases, explore: fl
     """
     for key, v in (("explore", explore), ("stage_len", stage_len), ("rounds", rounds),
                    ("seed", seed)):
-        _number(v, key, *_NUMBERS[key])
+        _number(v, key, SETTINGS[key][2], SETTINGS[key][1] is int)
     bases = _actions(bases, game.k, "bases")
     if rounds < stage_len:
         raise ValueError(f"rounds: must cover at least one stage of {stage_len}, got {rounds}")

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import anonlearn
-from anonlearn import ConfigError, cli, engine, load_experiment
+from anonlearn import ConfigError, cli, config, engine, load_experiment
 from anonlearn.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
 
 TINY = """\
@@ -79,8 +79,8 @@ def test_run_builds_each_cell_once(tmp_path, monkeypatch):
     # base config and once per cell at load; each cell's run plays its
     # config's game
     calls = []
-    real = engine.build_game
-    monkeypatch.setattr(engine, "build_game", lambda *args: calls.append(args) or real(*args))
+    real = config.build_game
+    monkeypatch.setattr(config, "build_game", lambda *args: calls.append(args) or real(*args))
     monkeypatch.chdir(Path(__file__).parent / "golden")
     out = tmp_path / "out"
     assert main(["run", "--config", "matrix.cfg", "--out", str(out)]) == EXIT_OK
@@ -99,8 +99,8 @@ def test_run_reads_matrix_path_from_config_directory(tmp_path, monkeypatch):
 def test_run_seed_builds_only_its_own_cells(tiny_cfg, tmp_path, monkeypatch):
     # the base config and the one seed-5 cell; not the file's seeds, nor run
     calls = []
-    real = engine.build_game
-    monkeypatch.setattr(engine, "build_game", lambda *args: calls.append(args) or real(*args))
+    real = config.build_game
+    monkeypatch.setattr(config, "build_game", lambda *args: calls.append(args) or real(*args))
     out = tmp_path / "out"
     assert main(["run", "--config", str(tiny_cfg), "--out", str(out), "--seed", "5"]) == EXIT_OK
     assert len(calls) == 2

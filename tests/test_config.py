@@ -1,9 +1,14 @@
 """Config file parsing and experiment grids."""
 
+import ast
+from dataclasses import fields
+from pathlib import Path
+
 import pytest
 
-from anonlearn import ConfigError, load_experiment, parse_config_text
-from anonlearn.config import CONFIG_KEYS, cells_from_values
+import anonlearn
+from anonlearn import ConfigError, RunConfig, load_experiment, parse_config_text
+from anonlearn.config import CONFIG_KEYS, SETTINGS, cells_from_values
 
 
 SAMPLE = """\
@@ -136,3 +141,31 @@ def test_bundled_configs_parse():
         cells = load_experiment(root / "configs" / name)
         assert len(cells) == 30  # 3 populations x 10 seeds
         assert {c.game for c in cells} == {"contribution"}
+
+
+def test_every_run_config_field_has_one_settings_row():
+    assert list(SETTINGS) == [f.name for f in fields(RunConfig)]
+    keys = [key for key, _, _ in SETTINGS.values()]
+    assert len(set(keys)) == len(keys)
+    assert {CONFIG_KEYS[key] for key in keys} == set(SETTINGS)
+
+
+@pytest.mark.parametrize("field", [f.name for f in fields(RunConfig)])
+def test_a_default_written_under_its_key_parses_back(field):
+    # "" stands for a None default, the derived one
+    default = getattr(RunConfig, field)
+    key = SETTINGS[field][0]
+    value = parse_config_text(f"{key} = {'' if default is None else default}\n")[key]
+    assert value == default and type(value) is type(default)
+
+
+def test_config_imports_nothing_from_the_run_loop():
+    tree = ast.parse(Path(anonlearn.config.__file__).read_text(encoding="utf-8"))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names.update((node.module or "").split("."))
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(part for alias in node.names for part in alias.name.split("."))
+    assert names.isdisjoint({"engine", "learners", "streams"})
+    assert anonlearn.engine.RunConfig is anonlearn.config.RunConfig is RunConfig

@@ -24,6 +24,7 @@ from anonlearn import (
     run_stationary,
     utility,
 )
+from anonlearn.core import _number
 
 PD = [[3.0, 0.0], [5.0, 1.0]]
 
@@ -174,6 +175,31 @@ def test_number_checks_a_type_and_an_interval():
     for v in ("0.5", None, np.array(0.5), 1j):
         with pytest.raises(ValueError, match="^x: must be a real number, got "):
             _number(v, "x", "[0, 1]")
+
+
+K_AT_LEAST_2 = r"^k: must be in \[2, inf\), got "
+WRONG_LENGTH = "^strategy over 2 actions, expected 20$"
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: _number(True, "x", "[0, 1]"), "^x: must be a real number, got True$"),
+    (lambda: MixedAction(0, False), "^explore: must be a real number, got False$"),
+    (lambda: ActionDistribution.uniform(0), K_AT_LEAST_2 + "0$"),
+    (lambda: ActionDistribution.uniform(1), K_AT_LEAST_2 + "1$"),
+    (lambda: ActionDistribution.uniform(2.5), "^k: must be an integer, got 2.5$"),
+    (lambda: ActionDistribution.uniform(True), "^k: must be an integer, got True$"),
+    (lambda: ActionDistribution.point_mass(0, 2.5), "^k: must be an integer, got 2.5$"),
+    (lambda: MixedAction(0, 0.1).vector(1), K_AT_LEAST_2 + "1$"),
+    (lambda: MixedAction(0, 0.1).distribution(1), K_AT_LEAST_2 + "1$"),
+    (lambda: as_strategy_vector([0.5, 0.5], 20), WRONG_LENGTH),
+    (lambda: utility([0.5, 0.5], ActionDistribution.uniform(20), ContributionGame()),
+     WRONG_LENGTH),
+], ids=["_number-bool", "MixedAction-explore-bool", "uniform-0", "uniform-1", "uniform-float",
+        "uniform-bool", "point_mass-float", "vector-1", "distribution-1",
+        "as_strategy_vector-length", "utility-length"])
+def test_bad_arguments_raise_value_error_naming_them(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 @pytest.mark.parametrize("base", [1.5, True])

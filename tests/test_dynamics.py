@@ -324,8 +324,18 @@ def test_close_l1_bound_values():
     (lambda: close_l1_bound(float("nan"), 0.0), r"^e: must be in \[0, 1\], got nan$"),
     (lambda: close_l1_bound(0.0, float("nan")), r"^eps: must be in \[0, 1\], got nan$"),
     (lambda: abr_containment_threshold(1.0, "2"), "^K: must be a real number, got '2'$"),
+    (lambda: best_reply_set(ActionDistribution.uniform(20), True, ContributionGame()),
+     "^eta: must be a real number, got True$"),
+    (lambda: pure_profile_distribution([0], 1), r"^k: must be in \[2, inf\), got 1$"),
+    (lambda: pure_profile_distribution([0], 2.5), "^k: must be an integer, got 2.5$"),
+    (lambda: mixed_profile_distribution([MixedAction(0, 0.1)], 1),
+     r"^k: must be in \[2, inf\), got 1$"),
+    (lambda: mixed_profile_distribution([MixedAction(0, 0.1)], True),
+     "^k: must be an integer, got True$"),
 ], ids=["best_reply_set-eta", "br_sequence-max_steps", "CloseWitness-e", "close_l1_bound-e",
-        "close_l1_bound-nan-e", "close_l1_bound-nan-eps", "abr_containment_threshold-K"])
+        "close_l1_bound-nan-e", "close_l1_bound-nan-eps", "abr_containment_threshold-K",
+        "best_reply_set-eta-bool", "pure_profile-k-1", "pure_profile-k-float",
+        "mixed_profile-k-1", "mixed_profile-k-bool"])
 def test_numeric_arguments_raise_value_error_naming_them(call, message):
     with pytest.raises(ValueError, match=message):
         call()

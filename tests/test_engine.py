@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import os
 import pickle
+import re
 import signal
 import subprocess
 import sys
@@ -25,6 +26,7 @@ from anonlearn import (
     RunTrace,
     best_reply_set,
     build_game,
+    config,
     engine,
     load_matrix,
     prisoners_dilemma,
@@ -32,6 +34,7 @@ from anonlearn import (
     run_many,
     run_stationary,
 )
+from anonlearn.config import SETTINGS
 from anonlearn.engine import pool_map, pool_size
 from anonlearn.streams import RawStream, apply_churn
 from test_core import meanfield
@@ -108,6 +111,21 @@ def test_run_config_rejects_non_real_float_fields(key, value, real):
 def test_run_config_rejects_a_bool_for_an_int_field(key):
     with pytest.raises(ValueError, match=f"^{key}: must be an integer, got True$"):
         RunConfig(**{key: True})
+
+
+@pytest.mark.parametrize("key", ["explore", "mu", "delta", "churn_rate", "fixed_fraction",
+                                 "fixed_explore", "metrics_eta"])
+def test_run_config_rejects_a_bool_for_a_float_field(key):
+    with pytest.raises(ValueError, match=f"^{key}: must be a real number, got True$"):
+        RunConfig(**{key: True})
+
+
+@pytest.mark.parametrize("key,value", [("mode", "tournament"), ("mode", None),
+                                       ("learner", "ficticious"), ("learner", 0)])
+def test_run_config_choices_share_one_message(key, value):
+    message = f"{key}: must be one of {SETTINGS[key][2]}, got {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        RunConfig(**{key: value})
 
 
 @pytest.mark.parametrize("call,message", [
@@ -459,8 +477,8 @@ def test_run_plays_the_configs_game(monkeypatch):
     copy = pickle.loads(pickle.dumps(cfg))
     assert copy == cfg and repr(copy) == repr(cfg) and copy.items() == cfg.items()
     calls = []
-    real = engine.build_game
-    monkeypatch.setattr(engine, "build_game", lambda *args: calls.append(args) or real(*args))
+    real = config.build_game
+    monkeypatch.setattr(config, "build_game", lambda *args: calls.append(args) or real(*args))
     a, b = run(cfg), run(copy)
     assert calls == []
     assert a.k == b.k == 3
