@@ -9,7 +9,7 @@ import math
 import os
 from dataclasses import dataclass, fields, replace
 
-from .core import _actions, _number
+from .core import _action, _number
 from .games import PENALTY_N, build_game
 
 LEARNER_KINDS = ("stage", "regret")
@@ -45,6 +45,12 @@ class ConfigError(ValueError):
     """Malformed config text, unknown key, or bad value."""
 
 
+def _cover_stage(rounds: int, stage_len: int):
+    """A run of `rounds` rounds plays at least one stage of `stage_len`; else ValueError."""
+    if rounds < stage_len:
+        raise ValueError(f"rounds: must cover at least one stage of {stage_len}, got {rounds}")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Everything one run needs; validation happens at construction, against
@@ -73,12 +79,7 @@ class RunConfig:
     def __post_init__(self):
         for key, (_, kind, allowed) in SETTINGS.items():
             v = getattr(self, key)
-            if allowed is None or v is None and _DEFAULTS[key] is None:
-                continue
-            if isinstance(allowed, tuple):
-                if v not in allowed:
-                    raise ValueError(f"{key}: must be one of {allowed}, got {v!r}")
-            else:
+            if allowed is not None and (v is not None or _DEFAULTS[key] is not None):
                 _number(v, key, allowed, kind is int)
         if self.mode == "matching" and self.n % 2:
             raise ValueError(f"n: matching mode needs an even population, got {self.n}")
@@ -87,14 +88,10 @@ class RunConfig:
                 f"churn_rate: churn replaces learners, and fixed_fraction="
                 f"{self.fixed_fraction} leaves none among {self.n} agents"
             )
-        if self.rounds < self.resolved_stage_len:
-            raise ValueError(
-                f"rounds: must cover at least one stage of {self.resolved_stage_len}, "
-                f"got {self.rounds}"
-            )
+        _cover_stage(self.rounds, self.resolved_stage_len)
         game = build_game(self.game, self.penalty_n, self.matrix_path)
         for key in ("target", "fixed_base"):
-            _actions(getattr(self, key), game.k, key)
+            _action(getattr(self, key), game.k, key)
         object.__setattr__(self, "_game", game)
 
     @property

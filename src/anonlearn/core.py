@@ -30,18 +30,27 @@ class DimensionError(ValueError):
     """Action or payoff vectors disagree in size."""
 
 
-def _actions(a, k, name: str):
-    """An action (an integer in range(k), not a bool; k = inf before the game is known) as an
-    int, an integer array of them as a new int64 array; else DimensionError naming `name`."""
+def _action(a, k, name: str) -> int:
+    """One action, an integer in range(k) (k = inf before the game is known),
+    never a bool or an array, as an int; else DimensionError naming `name`."""
     try:  # a scalar skips numpy: an ABC isinstance alone would cost more than this
         if 0 <= operator.index(a) < k and not isinstance(a, bool):
             return operator.index(a)
-    except TypeError:  # an array, or no action
-        arr = np.asarray(a)
-        if not arr.size or arr.dtype.kind in "iu" and not ((arr < 0) | (arr >= k)).any():
-            return arr.astype(np.int64)
-        a = next((x for x in arr.ravel().tolist() if type(x) is not int or not 0 <= x < k), a)
+    except TypeError:  # an array, or no integer
+        pass
     raise DimensionError(f"{name}: action {a} out of range for {k} actions")
+
+
+def _profile(actions, k, name: str) -> np.ndarray:
+    """A pure profile, a nonempty 1-d vector of actions (k = inf before the
+    game is known), as a new int64 array; else DimensionError naming `name`."""
+    arr = np.asarray(actions)
+    if arr.ndim != 1 or not arr.size:
+        raise DimensionError(f"{name}: must be a nonempty 1-d action vector, got shape {arr.shape}")
+    if arr.dtype.kind not in "iu" or ((arr < 0) | (arr >= k)).any():
+        for a in arr.tolist():  # the first entry that is no action is named
+            _action(a, k, name)
+    return arr.astype(np.int64)
 
 
 @functools.cache
@@ -51,16 +60,20 @@ def _interval(text: str):
     return lo, hi, text[0] == "(", text[-1] == ")"
 
 
-def _number(v, name: str, interval: str, integer: bool = False):
-    """v unchanged if it is a real number, not a bool (an integer if `integer`),
-    in `interval`, written as "(0, 1)" or "[2, inf)"; NaN is in none.  Else
-    ValueError naming `name`."""
+def _number(v, name: str, allowed, integer: bool = False):
+    """v unchanged if it is one of `allowed`, a tuple of choices, or else a real
+    number, not a bool (an integer if `integer`), in the interval `allowed`,
+    written as "(0, 1)" or "[2, inf)"; NaN is in none.  Else ValueError naming `name`."""
+    if type(allowed) is tuple:
+        if v in allowed:
+            return v
+        raise ValueError(f"{name}: must be one of {allowed}, got {v!r}")
     if type(v) is int or (not integer and isinstance(v, float)) or (  # no ABC call, no bool
             not isinstance(v, bool) and isinstance(v, numbers.Integral if integer else numbers.Real)):
-        lo, hi, lo_open, hi_open = _interval(interval)
+        lo, hi, lo_open, hi_open = _interval(allowed)
         if (lo < v if lo_open else lo <= v) and (v < hi if hi_open else v <= hi):
             return v
-        raise ValueError(f"{name}: must be in {interval}, got {v}")
+        raise ValueError(f"{name}: must be in {allowed}, got {v}")
     raise ValueError(f"{name}: must be {'an integer' if integer else 'a real number'}, got {v!r}")
 
 
@@ -101,7 +114,7 @@ class ActionDistribution:
     @classmethod
     def point_mass(cls, a: int, k: int) -> "ActionDistribution":
         w = np.zeros(_number(k, "k", "[2, inf)", integer=True))
-        w[_actions(a, k, "a")] = 1.0
+        w[_action(a, k, "a")] = 1.0
         return cls(w)
 
     @classmethod
@@ -116,7 +129,7 @@ class ActionDistribution:
         return np.flatnonzero(self.weights > 0.0)
 
     def __getitem__(self, a: int) -> float:
-        return float(self.weights[_actions(a, self.k, "a")])
+        return float(self.weights[_action(a, self.k, "a")])
 
     def __eq__(self, other) -> bool:
         return isinstance(other, ActionDistribution) and np.array_equal(
@@ -139,11 +152,11 @@ class MixedAction:
 
     def __post_init__(self):
         _number(self.explore, "explore", "[0, 1)")
-        _actions(self.base, np.inf, "base")
+        _action(self.base, np.inf, "base")
 
     def vector(self, k: int) -> np.ndarray:
         w = np.full(_number(k, "k", "[2, inf)", integer=True), self.explore / (k - 1))
-        w[_actions(self.base, k, "base")] = 1.0 - self.explore
+        w[_action(self.base, k, "base")] = 1.0 - self.explore
         return w
 
     def distribution(self, k: int) -> ActionDistribution:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (ActionDistribution, DimensionError, MatrixGame, MixedAction, NORM_TOL,
-                   _actions, _number, l1_distance)
+                   _number, _profile, l1_distance)
 
 BR_RULES = ("pointmass", "uniform")
 
@@ -39,10 +39,8 @@ def br_step(
     pointmass puts everything on the lowest-index best reply; uniform spreads
     evenly over the whole set.
     """
-    if rule not in BR_RULES:
-        raise ValueError(f"rule must be one of {BR_RULES}, got {rule!r}")
     abr = best_reply_set(rho, eta, game)
-    if rule == "pointmass":
+    if _number(rule, "rule", BR_RULES) == "pointmass":
         return ActionDistribution.point_mass(min(abr), game.k)
     w = np.zeros(game.k)
     w[sorted(abr)] = 1.0 / len(abr)
@@ -92,9 +90,7 @@ def is_eta_nash(rho: ActionDistribution, eta: float, game: MatrixGame) -> bool:
 
 def pure_profile_distribution(actions, k: int) -> ActionDistribution:
     """Empirical action distribution of a finite pure-action profile."""
-    a = _actions(actions, _number(k, "k", "[2, inf)", integer=True), "actions")
-    if np.ndim(a) != 1 or np.size(a) == 0:
-        raise DimensionError("profile must be a nonempty 1-d action vector")
+    a = _profile(actions, _number(k, "k", "[2, inf)", integer=True), "actions")
     return ActionDistribution.from_counts(np.bincount(a, minlength=k))
 
 
@@ -104,10 +100,8 @@ def mixed_profile_distribution(strategies, k: int) -> ActionDistribution:
     Agent (base b, explore e) puts e/(k-1) on every action and
     1 - e*k/(k-1) more on b, so the sum is one bincount over the bases.
     """
-    if len(strategies) == 0:
-        raise DimensionError("profile must be nonempty")
     _number(k, "k", "[2, inf)", integer=True)
-    bases = _actions([s.base for s in strategies], k, "strategies")
+    bases = _profile([s.base for s in strategies], k, "strategies")
     explore = np.array([s.explore for s in strategies])
     w = np.bincount(bases, weights=1.0 - explore * k / (k - 1), minlength=k)
     return ActionDistribution((w + explore.sum() / (k - 1)) / len(strategies))
@@ -129,11 +123,10 @@ class CloseWitness:
     eps: float
 
     def __post_init__(self):
-        for key in ("g", "gprime"):  # tuple() takes any iterable and rejects a scalar
-            actions = _actions(tuple(getattr(self, key)), np.inf, key)
-            object.__setattr__(self, key, tuple(actions.tolist()))
+        for key in ("g", "gprime"):
+            object.__setattr__(self, key, tuple(_profile(getattr(self, key), np.inf, key).tolist()))
         object.__setattr__(self, "ghat", tuple(self.ghat))
-        if not (len(self.g) == len(self.gprime) == len(self.ghat) > 0):
+        if not len(self.g) == len(self.gprime) == len(self.ghat):
             raise DimensionError(
                 f"profiles must cover one population: sizes {len(self.g)}, "
                 f"{len(self.gprime)}, {len(self.ghat)}"
@@ -162,7 +155,7 @@ def verify_close(
     """
     for key, actions in (("g", witness.g), ("gprime", witness.gprime),
                          ("ghat", [m.base for m in witness.ghat])):
-        _actions(actions, rho.k, key)  # the profile at fault, by its field's name
+        _profile(actions, rho.k, key)  # the profile at fault, by its field's name
     rho_g = pure_profile_distribution(witness.g, rho.k)
     rho_gp = pure_profile_distribution(witness.gprime, rho.k)
     rho_ghat = mixed_profile_distribution(witness.ghat, rho.k)

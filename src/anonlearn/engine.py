@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import SETTINGS, RunConfig
-from .core import ActionDistribution, MatrixGame, _actions, _number
+from .config import SETTINGS, RunConfig, _cover_stage
+from .core import ActionDistribution, MatrixGame, _number, _profile
 from .dynamics import best_reply_set
 from .learners import regret_act, regret_observe, sample_mixed, stage_end, stage_tally
 from .streams import AgentStreams, RawStream, apply_churn
@@ -230,11 +230,8 @@ def run_stationary(game: MatrixGame, rho: ActionDistribution, bases, explore: fl
     for key, v in (("explore", explore), ("stage_len", stage_len), ("rounds", rounds),
                    ("seed", seed)):
         _number(v, key, SETTINGS[key][2], SETTINGS[key][1] is int)
-    bases = _actions(bases, game.k, "bases")
-    if rounds < stage_len:
-        raise ValueError(f"rounds: must cover at least one stage of {stage_len}, got {rounds}")
-    if np.ndim(bases) != 1 or np.size(bases) == 0:
-        raise ValueError("bases must be a nonempty 1-d vector of actions")
+    bases = _profile(bases, game.k, "bases")
+    _cover_stage(rounds, stage_len)
     payoffs = game.utilities(rho)
     n = bases.size
     streams = AgentStreams(seed, n)

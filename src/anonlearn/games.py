@@ -10,7 +10,7 @@ __all__ = [
 
 import numpy as np
 
-from .core import ActionDistribution, MatrixGame, _actions, _number
+from .core import ActionDistribution, MatrixGame, _action, _number, _profile
 
 GAME_KINDS = ("contribution", "prisoners_dilemma", "climbing", "matrix")
 CONTRIBUTION_LEVELS = 20
@@ -21,14 +21,15 @@ _COST = np.array([x if x <= 1 else (x - 1) ** 2 if x <= 8 else x * x
 
 
 def contribution_cost(x, penalty_n: int = PENALTY_N):
-    """Cost of contributing at level x (a float), or at each level of an array.
+    """Cost of contributing at level x (a float), or at each level of a
+    profile of levels (an array).
 
     Zero at 0, one at 1, (x-1)^2 through level 8, then x^2 plus a flat
     penalty of 2*penalty_n for over-contribution.
     """
-    x = _actions(x, CONTRIBUTION_LEVELS, "x")
+    x = (_action if np.ndim(x) == 0 else _profile)(x, CONTRIBUTION_LEVELS, "x")
     cost = _COST[x] + 2.0 * _number(penalty_n, "penalty_n", "[0, inf)", integer=True) * (x > 8)
-    return float(cost) if np.ndim(cost) == 0 else cost
+    return float(cost) if type(x) is int else cost
 
 
 class ContributionGame(MatrixGame):
@@ -99,7 +100,7 @@ def climbing_game() -> MatrixGame:
 
 def build_game(kind: str, penalty_n: int, matrix_path: str | None) -> MatrixGame:
     """The game named by kind, one of GAME_KINDS."""
-    if matrix_path and kind != "matrix":
+    if _number(kind, "game", GAME_KINDS) != "matrix" and matrix_path:
         raise ValueError(f"matrix_path: only game=matrix reads a matrix file, got game={kind!r}")
     if kind == "contribution":
         return ContributionGame(penalty_n)
@@ -107,8 +108,6 @@ def build_game(kind: str, penalty_n: int, matrix_path: str | None) -> MatrixGame
         return prisoners_dilemma()
     if kind == "climbing":
         return climbing_game()
-    if kind != "matrix":
-        raise ValueError(f"game: must be one of {GAME_KINDS}, got {kind!r}")
     if not matrix_path:
         raise ValueError("matrix_path: required when game=matrix")
     return MatrixGame(load_matrix(matrix_path))

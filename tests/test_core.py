@@ -15,6 +15,8 @@ from anonlearn import (
     MixedAction,
     RunConfig,
     as_strategy_vector,
+    br_step,
+    build_game,
     contribution_cost,
     estimate_lipschitz,
     l1_distance,
@@ -118,12 +120,14 @@ def test_uniform_point_mass_counts():
     assert repr(ActionDistribution.uniform(3)) == "ActionDistribution([0.3333 0.3333 0.3333])"
 
 
-@pytest.mark.parametrize("a", [-1, 3])
+@pytest.mark.parametrize("a", [-1, 3, [0, 1]])
 def test_point_mass_rejects_an_index_outside_its_actions(a):
-    # -1 once wrapped round to the last action and 3 raised IndexError
-    with pytest.raises(DimensionError, match=f"^a: action {a} out of range for 3 actions$"):
+    # -1 once wrapped round to the last action and 3 raised IndexError; [0, 1]
+    # once made weights summing to 2, and indexed two weights at once
+    message = f"^{re.escape(f'a: action {a} out of range for 3 actions')}$"
+    with pytest.raises(DimensionError, match=message):
         ActionDistribution.point_mass(a, 3)
-    with pytest.raises(DimensionError, match=f"^a: action {a} out of range for 3 actions$"):
+    with pytest.raises(DimensionError, match=message):
         ActionDistribution.uniform(3)[a]
 
 
@@ -179,6 +183,8 @@ def test_number_checks_a_type_and_an_interval():
 
 K_AT_LEAST_2 = r"^k: must be in \[2, inf\), got "
 WRONG_LENGTH = "^strategy over 2 actions, expected 20$"
+NO_PROFILE = "must be a nonempty 1-d action vector, got shape "
+UNIFORM_20 = ActionDistribution.uniform(20)
 
 
 @pytest.mark.parametrize("call,message", [
@@ -194,17 +200,33 @@ WRONG_LENGTH = "^strategy over 2 actions, expected 20$"
     (lambda: as_strategy_vector([0.5, 0.5], 20), WRONG_LENGTH),
     (lambda: utility([0.5, 0.5], ActionDistribution.uniform(20), ContributionGame()),
      WRONG_LENGTH),
+    (lambda: pure_profile_distribution([], 3), rf"^actions: {NO_PROFILE}\(0,\)$"),
+    (lambda: pure_profile_distribution([[0, 1]], 3), rf"^actions: {NO_PROFILE}\(1, 2\)$"),
+    (lambda: mixed_profile_distribution([], 3), rf"^strategies: {NO_PROFILE}\(0,\)$"),
+    (lambda: run_stationary(ContributionGame(), UNIFORM_20, [], 0.1, 10, 20, 0),
+     rf"^bases: {NO_PROFILE}\(0,\)$"),
+    (lambda: run_stationary(ContributionGame(), UNIFORM_20, [[0, 1]], 0.1, 10, 20, 0),
+     rf"^bases: {NO_PROFILE}\(1, 2\)$"),
+    (lambda: CloseWitness(g=[], gprime=[], ghat=[], e=0.1, eps=0.1), rf"^g: {NO_PROFILE}\(0,\)$"),
+    (lambda: CloseWitness(g=[[0, 1]], gprime=[0, 1], ghat=[MixedAction(0)] * 2, e=0.1, eps=0.1),
+     rf"^g: {NO_PROFILE}\(1, 2\)$"),
+    (lambda: br_step(UNIFORM_20, 0.0, ContributionGame(), rule="x"),
+     r"^rule: must be one of \('pointmass', 'uniform'\), got 'x'$"),
+    (lambda: build_game("x", 20, None), r"^game: must be one of \('contribution', .*\), got 'x'$"),
 ], ids=["_number-bool", "MixedAction-explore-bool", "uniform-0", "uniform-1", "uniform-float",
         "uniform-bool", "point_mass-float", "vector-1", "distribution-1",
-        "as_strategy_vector-length", "utility-length"])
+        "as_strategy_vector-length", "utility-length", "pure_profile-empty", "pure_profile-2d",
+        "mixed_profile-empty", "run_stationary-empty", "run_stationary-2d", "CloseWitness-empty",
+        "CloseWitness-2d", "br_step-rule", "build_game-kind"])
 def test_bad_arguments_raise_value_error_naming_them(call, message):
     with pytest.raises(ValueError, match=message):
         call()
 
 
-@pytest.mark.parametrize("base", [1.5, True])
+@pytest.mark.parametrize("base", [1.5, True, [1, 2]])
 def test_mixed_action_base_must_be_an_integer(base):
-    with pytest.raises(DimensionError, match=f"^base: action {base} out of range"):
+    # [1, 2] was once accepted, and its vector(3) summed to 1.85
+    with pytest.raises(DimensionError, match=f"^{re.escape(f'base: action {base} out of range')}"):
         MixedAction(base)
 
 

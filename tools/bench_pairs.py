@@ -24,10 +24,9 @@ shows in `correct`.  Each side also records its `src_sha256`, `src_lines` (the
 total of `wc -l src/anonlearn/*.py`) and `module_lines`, each module's share of
 it.  Beside `machine`, `PYTHONDONTWRITEBYTECODE` records whether that variable
 was set: with it, each launch in the fresh copies compiles the package.
---traced adds one `--trace 1` run per side and workload (parent first) under
-"traced".  The exit status is 1, after --out is written, when any measured run
-in it is not `correct` or has failed cells; each such workload and side is
-printed to stderr.
+The exit status is 1, after --out is written, when any measured run in it is
+not `correct` or has failed cells; each such workload and side is printed to
+stderr.
 """
 
 from __future__ import annotations
@@ -52,9 +51,6 @@ WHAT = ("perfbench end-to-end metrics, `python3 perfbench/run.py --workload <w> 
         "even pairs change first), each side from a fresh copy without bytecode caches; "
         "runs[side] lists each run's final JSON line in pair order; quartiles are numpy's "
         "linear percentiles")
-TRACED_WHAT = ("final JSON line of `python3 perfbench/run.py --workload <w> --seed <s> "
-               "--trace 1` (one untraced and one traced iteration; times include the "
-               "tracer's cost and are neither paused nor scaled for CPU speed), parent first")
 
 
 def git(*args: str) -> str:
@@ -99,11 +95,11 @@ def src_lines(tree: Path) -> int:
     return sum(module_lines(tree).values())
 
 
-def perfbench(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> tuple:
+def perfbench(tree: Path, workload: str, seed: int, seconds: float) -> tuple:
     """One perfbench run in tree: its final JSON line and its environment line."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", str(trace)],
+         "--seconds", str(seconds), "--trace", "0"],
         cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     env = next((json.loads(line.partition(": ")[2]) for line in lines
@@ -175,7 +171,6 @@ def main() -> int:
     parser.add_argument("--workload", action="append", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--traced", action="store_true", help="add one traced run per side")
     parser.add_argument("--workdir", type=Path, default=None,
                         help="where the two copies go (default: the system's temporary dir)")
     args = parser.parse_args()
@@ -206,16 +201,11 @@ def main() -> int:
                 entry["pairs"] += 1
                 order = SIDES if entry["pairs"] % 2 else SIDES[::-1]
                 for side in order:
-                    line, env = perfbench(trees[side], workload, args.seed, seconds, 0)
+                    line, env = perfbench(trees[side], workload, args.seed, seconds)
                     entry["runs"][side].append(line)
                     record_environment(doc, env)
                     print(f"{key} pair {entry['pairs']} {side}: {json.dumps(line)}", flush=True)
                 summarize(entry, bench["end_to_end"])
-                args.out.write_text(json.dumps(doc, indent=1) + "\n")
-            if args.traced:
-                traced = doc.setdefault("traced", {"what": TRACED_WHAT})
-                traced[key] = {side: perfbench(trees[side], workload, args.seed, seconds, 1)[0]
-                               for side in SIDES}
                 args.out.write_text(json.dumps(doc, indent=1) + "\n")
     finally:
         shutil.rmtree(work, ignore_errors=True)
