@@ -1,44 +1,27 @@
-"""RunConfig, one row per setting, and experiment config files: flat
+"""RunConfig, one field per setting, and experiment config files: flat
 `section.key = value` text, documented defaults for every key, unknown keys rejected."""
 
 from __future__ import annotations
 
 __all__ = ["RunConfig", "ConfigError", "parse_config_text", "load_experiment"]
 
+import itertools
 import math
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
+from typing import get_args, get_type_hints
 
 from .core import _action, _number
 from .games import PENALTY_N, build_game
 
 LEARNER_KINDS = ("stage", "regret")
-# RunConfig field -> (config key, type, what it may hold): an interval for a
-# number, the choices for a string, None where build_game checks it.  A field
-# whose default is None (a derived default) may hold None, written "".  The game
-# checks target and fixed_base as actions; run_stationary reads the same rows.
-SETTINGS = {
-    "game": ("game.kind", str, None),
-    "penalty_n": ("game.penalty_n", int, "[0, inf)"),
-    "matrix_path": ("game.matrix_path", str, None),
-    "mode": ("sim.mode", str, ("meanfield", "matching")),
-    "learner": ("learner.kind", str, LEARNER_KINDS),
-    "explore": ("learner.explore", float, "(0, 1)"),
-    "stage_len": ("learner.stage_len", int, "[1, inf)"),
-    "mu": ("learner.mu", float, "(0, inf)"),
-    "delta": ("learner.delta", float, "(0, 1)"),
-    "n": ("sim.n", int, "[2, inf)"),
-    "rounds": ("sim.rounds", int, "[1, inf)"),
-    "churn_rate": ("sim.churn_rate", float, "[0, 1]"),
-    "fixed_fraction": ("sim.fixed_fraction", float, "[0, 1]"),
-    "fixed_base": ("sim.fixed_base", int, "(-inf, inf)"),
-    "fixed_explore": ("sim.fixed_explore", float, "[0, 1)"),
-    "seed": ("sim.seed", int, "[0, inf)"),
-    "target": ("sim.target", int, "(-inf, inf)"),
-    "metrics_eta": ("sim.metrics_eta", float, "[0, inf)"),
-}
-# Sweep axis -> the type of its list's entries; an axis defaults to None.
-SWEEPS = {"sweep.populations": int, "sweep.seeds": int, "sweep.learners": str}
+
+
+def _setting(key: str, default, allowed=None):
+    """A RunConfig field read from config key `key`.  `allowed` is what it may hold: an
+    interval for a number, the choices for a string, None where build_game checks it.  A
+    None default is derived (see resolved_stage_len, resolved_mu) and may be kept, written ""."""
+    return field(default=default, metadata={"key": key, "allowed": allowed})
 
 
 class ConfigError(ValueError):
@@ -57,24 +40,24 @@ class RunConfig:
     the game itself (so game=matrix reads its matrix file then), which the
     config keeps outside its fields for run to play, pickled copies too."""
 
-    game: str = "contribution"
-    penalty_n: int = PENALTY_N
-    matrix_path: str | None = None
-    mode: str = "meanfield"
-    learner: str = "stage"
-    explore: float = 0.05
-    stage_len: int | None = None  # None -> ceil(1/explore^2)
-    mu: float | None = None  # None -> the game-derived default, see resolved_mu
-    delta: float = 0.05
-    n: int = 100
-    rounds: int = 3000
-    churn_rate: float = 0.0
-    fixed_fraction: float = 0.0
-    fixed_base: int = 0
-    fixed_explore: float = 0.0
-    seed: int = 0
-    target: int = 8
-    metrics_eta: float = 1.0
+    game: str = _setting("game.kind", "contribution")
+    penalty_n: int = _setting("game.penalty_n", PENALTY_N, "[0, inf)")
+    matrix_path: str | None = _setting("game.matrix_path", None)
+    mode: str = _setting("sim.mode", "meanfield", ("meanfield", "matching"))
+    learner: str = _setting("learner.kind", "stage", LEARNER_KINDS)
+    explore: float = _setting("learner.explore", 0.05, "(0, 1)")
+    stage_len: int | None = _setting("learner.stage_len", None, "[1, inf)")
+    mu: float | None = _setting("learner.mu", None, "(0, inf)")
+    delta: float = _setting("learner.delta", 0.05, "(0, 1)")
+    n: int = _setting("sim.n", 100, "[2, inf)")
+    rounds: int = _setting("sim.rounds", 3000, "[1, inf)")
+    churn_rate: float = _setting("sim.churn_rate", 0.0, "[0, 1]")
+    fixed_fraction: float = _setting("sim.fixed_fraction", 0.0, "[0, 1]")
+    fixed_base: int = _setting("sim.fixed_base", 0, "(-inf, inf)")
+    fixed_explore: float = _setting("sim.fixed_explore", 0.0, "[0, 1)")
+    seed: int = _setting("sim.seed", 0, "[0, inf)")
+    target: int = _setting("sim.target", 8, "(-inf, inf)")
+    metrics_eta: float = _setting("sim.metrics_eta", 1.0, "[0, inf)")
 
     def __post_init__(self):
         for key, (_, kind, allowed) in SETTINGS.items():
@@ -117,13 +100,20 @@ class RunConfig:
 
 
 _DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
+# RunConfig field -> (config key, type, what it may hold), in field order; the
+# type is the field's annotation (int for int | None).  run_stationary reads it too.
+_TYPES = {name: (get_args(t) or (t,))[0] for name, t in get_type_hints(RunConfig).items()}
+SETTINGS = {f.name: (f.metadata["key"], _TYPES[f.name], f.metadata["allowed"])
+            for f in fields(RunConfig)}
+# Sweep axis -> the field its list's entries set, in grid order; an axis defaults to None.
+SWEEPS = {"sweep.populations": "n", "sweep.learners": "learner", "sweep.seeds": "seed"}
 # config key -> RunConfig field; a sweep axis has none.
-CONFIG_KEYS = {key: field for field, (key, _, _) in SETTINGS.items()} | dict.fromkeys(SWEEPS)
+CONFIG_KEYS = {key: name for name, (key, _, _) in SETTINGS.items()} | dict.fromkeys(SWEEPS)
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict:
     """key -> parsed value for every key in CONFIG_KEYS, defaults filled in.
-    A value parses as its row's type; a sweep axis as a list of its type."""
+    A value parses as its row's type; a sweep axis as a list of its field's type."""
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -138,17 +128,17 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
             raise ConfigError(f"{source}:{lineno}: unknown config key {key!r}")
         if key in values:
             raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
-        field = CONFIG_KEYS[key]
+        name = CONFIG_KEYS[key]
         try:
-            if field is None:
-                values[key] = [SWEEPS[key](tok) for tok in val.replace(",", " ").split()]
+            if name is None:
+                values[key] = list(map(SETTINGS[SWEEPS[key]][1], val.replace(",", " ").split()))
             else:
-                none = val == "" and _DEFAULTS[field] is None
-                values[key] = None if none else SETTINGS[field][1](val)
+                none = val == "" and _DEFAULTS[name] is None
+                values[key] = None if none else SETTINGS[name][1](val)
         except ValueError:
             raise ConfigError(f"{source}:{lineno}: bad value for {key}: {val!r}") from None
-    for key, field in CONFIG_KEYS.items():
-        values.setdefault(key, None if field is None else _DEFAULTS[field])
+    for key, name in CONFIG_KEYS.items():
+        values.setdefault(key, None if name is None else _DEFAULTS[name])
     return values
 
 
@@ -157,23 +147,18 @@ def cells_from_values(values: dict, seed: int | None = None) -> list[RunConfig]:
     seeds, every cell built (and so validated) once.  A sweep axis, when
     set, must be nonempty and distinct.  A given seed replaces the seed axis
     before any cell is built."""
-    for key in ("sweep.populations", "sweep.learners", "sweep.seeds"):
+    for key in SWEEPS:
         axis = values[key]
         if axis is not None and (not axis or len(set(axis)) != len(axis)):
             raise ConfigError(f"{key}: must be nonempty and distinct, got {axis}")
-    seeds = values["sweep.seeds"]
-    kwargs = {field: values[key] for key, field in CONFIG_KEYS.items() if field}
+    kwargs = {name: values[key] for key, name in CONFIG_KEYS.items() if name}
+    axes = {name: values[key] for key, name in SWEEPS.items()}
     if seed is not None:
-        kwargs["seed"] = seed
-        seeds = None
+        kwargs["seed"], axes["seed"] = seed, None
     try:
         base = RunConfig(**kwargs)
-        return [
-            replace(base, n=n, learner=kind, seed=s)
-            for n in values["sweep.populations"] or [base.n]
-            for kind in values["sweep.learners"] or [base.learner]
-            for s in seeds or [base.seed]
-        ]
+        grid = itertools.product(*(axis or [getattr(base, name)] for name, axis in axes.items()))
+        return [replace(base, **dict(zip(axes, cell))) for cell in grid]
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 

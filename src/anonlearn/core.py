@@ -44,9 +44,14 @@ def _action(a, k, name: str) -> int:
 def _profile(actions, k, name: str) -> np.ndarray:
     """A pure profile, a nonempty 1-d vector of actions (k = inf before the
     game is known), as a new int64 array; else DimensionError naming `name`."""
-    arr = np.asarray(actions)
+    rule = f"{name}: must be a nonempty 1-d action vector, got"
+    try:
+        arr = np.asarray(actions)
+    except ValueError:  # a ragged nesting, which has no shape
+        raise DimensionError(f"{rule} a ragged sequence") from None
     if arr.ndim != 1 or not arr.size:
-        raise DimensionError(f"{name}: must be a nonempty 1-d action vector, got shape {arr.shape}")
+        raise DimensionError(f"{rule} shape {arr.shape}")
+    k = min(k, 2**63)  # an action must fit the int64 it is cast to
     if arr.dtype.kind not in "iu" or ((arr < 0) | (arr >= k)).any():
         for a in arr.tolist():  # the first entry that is no action is named
             _action(a, k, name)

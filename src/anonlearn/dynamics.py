@@ -94,6 +94,14 @@ def pure_profile_distribution(actions, k: int) -> ActionDistribution:
     return ActionDistribution.from_counts(np.bincount(a, minlength=k))
 
 
+def _mixed_profile(strategies, name: str) -> tuple:
+    """A mixed profile as a tuple of MixedActions; else ValueError naming `name`."""
+    for s in (strategies := tuple(strategies)):
+        if not isinstance(s, MixedAction):
+            raise ValueError(f"{name}: must hold MixedActions, got {s!r}")
+    return strategies
+
+
 def mixed_profile_distribution(strategies, k: int) -> ActionDistribution:
     """Population distribution induced by per-agent mixed strategies.
 
@@ -101,6 +109,7 @@ def mixed_profile_distribution(strategies, k: int) -> ActionDistribution:
     1 - e*k/(k-1) more on b, so the sum is one bincount over the bases.
     """
     _number(k, "k", "[2, inf)", integer=True)
+    strategies = _mixed_profile(strategies, "strategies")
     bases = _profile([s.base for s in strategies], k, "strategies")
     explore = np.array([s.explore for s in strategies])
     w = np.bincount(bases, weights=1.0 - explore * k / (k - 1), minlength=k)
@@ -112,8 +121,8 @@ class CloseWitness:
     """Candidate evidence that one distribution is (e, eps)-close to another.
 
     g and gprime assign a pure action to each agent; ghat assigns a mixed
-    action.  Construction checks shapes and that g and gprime hold actions of
-    some game; the game's k and the closeness conditions are verify_close's job.
+    action.  Construction checks shapes and that g, gprime and ghat hold (mixed)
+    actions of some game; the game's k and the closeness conditions are verify_close's job.
     """
 
     g: tuple[int, ...]
@@ -125,7 +134,7 @@ class CloseWitness:
     def __post_init__(self):
         for key in ("g", "gprime"):
             object.__setattr__(self, key, tuple(_profile(getattr(self, key), np.inf, key).tolist()))
-        object.__setattr__(self, "ghat", tuple(self.ghat))
+        object.__setattr__(self, "ghat", _mixed_profile(self.ghat, "ghat"))
         if not len(self.g) == len(self.gprime) == len(self.ghat):
             raise DimensionError(
                 f"profiles must cover one population: sizes {len(self.g)}, "

@@ -1,8 +1,10 @@
 """Config file parsing and experiment grids."""
 
 import ast
+import re
 from dataclasses import fields
 from pathlib import Path
+from typing import get_type_hints
 
 import pytest
 
@@ -148,6 +150,21 @@ def test_every_run_config_field_has_one_settings_row():
     keys = [key for key, _, _ in SETTINGS.values()]
     assert len(set(keys)) == len(keys)
     assert {CONFIG_KEYS[key] for key in keys} == set(SETTINGS)
+
+
+def test_each_settings_row_has_its_fields_annotated_type():
+    # the annotation is the row's type, optional exactly when the default is None (derived)
+    hints = get_type_hints(RunConfig)
+    for f in fields(RunConfig):
+        kind = SETTINGS[f.name][1]
+        assert hints[f.name] == (kind | None if f.default is None else kind), f.name
+
+
+def test_readme_config_table_lists_every_config_key_once():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Config format\n", 1)[1].split("\n## ", 1)[0]
+    keys = re.findall(r"^\| `([^`]+)`", section, flags=re.M)
+    assert sorted(keys) == sorted(CONFIG_KEYS)
 
 
 @pytest.mark.parametrize("field", [f.name for f in fields(RunConfig)])

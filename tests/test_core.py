@@ -202,7 +202,11 @@ UNIFORM_20 = ActionDistribution.uniform(20)
      WRONG_LENGTH),
     (lambda: pure_profile_distribution([], 3), rf"^actions: {NO_PROFILE}\(0,\)$"),
     (lambda: pure_profile_distribution([[0, 1]], 3), rf"^actions: {NO_PROFILE}\(1, 2\)$"),
+    (lambda: pure_profile_distribution([[0], [0, 1]], 3),
+     "^actions: must be a nonempty 1-d action vector, got a ragged sequence$"),
     (lambda: mixed_profile_distribution([], 3), rf"^strategies: {NO_PROFILE}\(0,\)$"),
+    (lambda: mixed_profile_distribution([[0, 1]], 3),
+     r"^strategies: must hold MixedActions, got \[0, 1\]$"),
     (lambda: run_stationary(ContributionGame(), UNIFORM_20, [], 0.1, 10, 20, 0),
      rf"^bases: {NO_PROFILE}\(0,\)$"),
     (lambda: run_stationary(ContributionGame(), UNIFORM_20, [[0, 1]], 0.1, 10, 20, 0),
@@ -210,14 +214,22 @@ UNIFORM_20 = ActionDistribution.uniform(20)
     (lambda: CloseWitness(g=[], gprime=[], ghat=[], e=0.1, eps=0.1), rf"^g: {NO_PROFILE}\(0,\)$"),
     (lambda: CloseWitness(g=[[0, 1]], gprime=[0, 1], ghat=[MixedAction(0)] * 2, e=0.1, eps=0.1),
      rf"^g: {NO_PROFILE}\(1, 2\)$"),
+    # 2**63 as a uint64 once wrapped to -2**63 in the int64 cast
+    (lambda: CloseWitness(g=np.array([2**63], dtype=np.uint64), gprime=[0], ghat=[MixedAction(0)],
+                          e=0.1, eps=0.1),
+     f"^g: action {2**63} out of range for {2**63} actions$"),
+    (lambda: CloseWitness(g=[0], gprime=[0], ghat=[0], e=0.1, eps=0.1),
+     "^ghat: must hold MixedActions, got 0$"),
     (lambda: br_step(UNIFORM_20, 0.0, ContributionGame(), rule="x"),
      r"^rule: must be one of \('pointmass', 'uniform'\), got 'x'$"),
     (lambda: build_game("x", 20, None), r"^game: must be one of \('contribution', .*\), got 'x'$"),
 ], ids=["_number-bool", "MixedAction-explore-bool", "uniform-0", "uniform-1", "uniform-float",
         "uniform-bool", "point_mass-float", "vector-1", "distribution-1",
         "as_strategy_vector-length", "utility-length", "pure_profile-empty", "pure_profile-2d",
-        "mixed_profile-empty", "run_stationary-empty", "run_stationary-2d", "CloseWitness-empty",
-        "CloseWitness-2d", "br_step-rule", "build_game-kind"])
+        "pure_profile-ragged", "mixed_profile-empty", "mixed_profile-not-mixed",
+        "run_stationary-empty", "run_stationary-2d", "CloseWitness-empty", "CloseWitness-2d",
+        "CloseWitness-uint64-2**63", "CloseWitness-ghat-not-mixed", "br_step-rule",
+        "build_game-kind"])
 def test_bad_arguments_raise_value_error_naming_them(call, message):
     with pytest.raises(ValueError, match=message):
         call()
