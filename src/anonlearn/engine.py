@@ -40,7 +40,7 @@ class RunTrace:
     # base is the action each played last, so their base row is the realized row
     stage_base: np.ndarray | None
     stage_rho: np.ndarray  # (stages, k)
-    stage_distance: np.ndarray  # (stages,)
+    stage_distance: np.ndarray  # (stages,): np.vecdot, each row's bits of its @
     stage_br_fraction: np.ndarray  # (stages,)
 
     @property
@@ -162,7 +162,6 @@ def run(config: RunConfig) -> RunTrace:
     realized_counts = np.empty((config.rounds, k), dtype=np.int32)
     stage_base = None if regret else np.empty((math.ceil(config.rounds / tau), k), np.int32)
     stage_rho = np.empty((stages, k))
-    stage_distance = np.empty(stages)
     stage_br = np.empty(stages)
     width = 1 if regret else max(1, CAP // (n + k))
 
@@ -198,7 +197,6 @@ def run(config: RunConfig) -> RunTrace:
             stage_end(bases[nf:], sums, counts, base_sum, s1 - s0)
         rho = ActionDistribution((realized_counts[s0:s1] / n).mean(axis=0))
         stage_rho[s] = rho.weights
-        stage_distance[s] = rho.weights @ np.abs(np.arange(k) - config.target)
         abr = list(best_reply_set(rho, config.metrics_eta, game))
         stage_br[s] = np.bincount(bases, minlength=k)[abr].sum() / n  # bases in ABR_eta(rho)
         if config.churn_rate > 0.0:  # fixed agents are never churned: only learners
@@ -213,7 +211,7 @@ def run(config: RunConfig) -> RunTrace:
         realized_counts=realized_counts,
         stage_base=stage_base,
         stage_rho=stage_rho,
-        stage_distance=stage_distance,
+        stage_distance=np.vecdot(stage_rho, np.abs(np.arange(k) - config.target)),
         stage_br_fraction=stage_br,
     )
 

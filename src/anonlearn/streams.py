@@ -57,20 +57,19 @@ def _seed_state(entropy: list) -> list:
     return [out[2 * j] | out[2 * j + 1] << 32 for j in range(4)]
 
 
-def _jumps(count: int) -> tuple:
-    """M**j and M**(j-1) + ... + 1 for j = 1..count, as ints: j steps take s
-    to M**j·s + (M**(j-1) + ... + 1)·inc."""
-    powers, sums = [MULT], [1]
-    for _ in range(count - 1):
-        powers.append(powers[-1] * MULT & MASK)
-        sums.append(sums[-1] * MULT + 1 & MASK)
-    return powers, sums
-
-
 def _words(values: list) -> np.ndarray:
     """128-bit ints as a (2, len) array of their (hi, lo) uint64 words."""
     return np.frombuffer(b"".join(v.to_bytes(16, "little") for v in values),
                          np.uint64).reshape(-1, 2)[:, ::-1].T
+
+
+# M**j and M**(j-1) + ... + 1 for j = 1..AHEAD, as ints and as (2, AHEAD) words,
+# built once for every stream: j steps take s to M**j·s + (M**(j-1) + ... + 1)·inc.
+POWERS, SUMS = [MULT], [1]
+while len(POWERS) < AHEAD:
+    POWERS.append(POWERS[-1] * MULT & MASK)
+    SUMS.append(SUMS[-1] * MULT + 1 & MASK)
+POWER_WORDS, SUM_WORDS = _words(POWERS), _words(SUMS)
 
 
 def _mul_add(a, b, c, out, tmp):
@@ -120,8 +119,8 @@ class AgentStreams:
     multiplier."""
 
     def __init__(self, seed: int, n: int):
-        powers, sums = _jumps(min(AHEAD, max(1, UCAP // n)))  # j = 1..L
-        self._powers, self._sums = _words(powers)[..., None], _words(sums)[..., None]
+        lead = min(AHEAD, max(1, UCAP // n))  # L: the table's columns j = 1..L
+        self._powers, self._sums = POWER_WORDS[:, :lead, None], SUM_WORDS[:, :lead, None]
         v0, v1, v2, v3 = _seed_state([seed, 0, np.arange(n, dtype=np.uint32)])
         self._inc = (v2 << 1 | v3 >> 63, v3 << 1 | 1)
         # numpy's seeding: the state is inc + v0·2**64 + v1, stepped once
@@ -195,11 +194,10 @@ class RawStream:
 
     def __init__(self, entropy: list):
         v0, v1, v2, v3 = map(int, _seed_state(entropy))
-        powers, sums = _jumps(AHEAD)
         inc = (v2 << 64 | v3) << 1 & MASK | 1
         self._state = ((inc + (v0 << 64 | v1)) * MULT + inc) & MASK  # numpy's seeding
-        self._jump = powers[-1], sums[-1] * inc & MASK  # AHEAD steps
-        self._table = _words(powers), _words([v * inc & MASK for v in sums])
+        self._jump = POWERS[-1], SUMS[-1] * inc & MASK  # AHEAD steps
+        self._table = POWER_WORDS, _words([v * inc & MASK for v in SUMS])
         self._words, self.half = np.empty(0, np.uint64), None
 
     def peek(self, count: int) -> np.ndarray:

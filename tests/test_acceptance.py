@@ -1,7 +1,8 @@
-"""Acceptance suite: the nine headline behaviors, one test and one report
-line each.  Heavier than the unit tests (about a minute in total); the
+"""Acceptance suite: the eleven headline behaviors, one test and one report
+line each.  Heavier than the unit tests (about 15 s on 2 CPUs); the
 batches are shared across criteria through session fixtures."""
 
+import math
 import time
 
 import numpy as np
@@ -16,6 +17,7 @@ from anonlearn import (
     RunConfig,
     best_reply_set,
     br_sequence,
+    climbing_game,
     close_l1_bound,
     is_eta_nash,
     l1_distance,
@@ -87,16 +89,15 @@ def test_criterion_2_population_ordering(fig1_traces, acceptance_report):
     assert inversions <= 1
 
 
+# Matching-mode payoffs are single samples, so the over-contribution penalty
+# must dominate a lucky draw; penalty_n=200 keeps it dominated.
+FIG2 = dict(game="contribution", penalty_n=200, mode="matching", explore=0.01,
+            stage_len=2000, rounds=30000)
+
+
 @pytest.fixture(scope="module")
 def fig2_traces():
-    # Matching-mode payoffs are single samples, so the over-contribution
-    # penalty must dominate a lucky draw; penalty_n=200 keeps it dominated.
-    cfgs = [
-        RunConfig(game="contribution", penalty_n=200, mode="matching",
-                  explore=0.01, stage_len=2000, rounds=30000, n=100, seed=s)
-        for s in range(10)
-    ]
-    return run_many(cfgs, threads=THREADS)
+    return run_many([RunConfig(n=100, seed=s, **FIG2) for s in range(10)], threads=THREADS)
 
 
 def test_criterion_3_matching_figure(fig2_traces, fig1_traces, acceptance_report):
@@ -248,3 +249,52 @@ def test_criterion_9_determinism(tmp_path, acceptance_report):
         f"byte-identical CSVs across reruns at 1 and 8 threads"
     )
     assert identical
+
+
+def _climbing_final_bases(explore, n, seeds):
+    """stage_base[-1] of each climbing-game run of 30 stages of ceil(1/eps**2)
+    rounds, target 0 (the optimal equilibrium)."""
+    rounds = 30 * math.ceil(1.0 / explore**2)
+    cfgs = [RunConfig(game="climbing", target=0, explore=explore, rounds=rounds, n=n, seed=s)
+            for s in seeds]
+    return [t.stage_base[-1] for t in run_many(cfgs, threads=THREADS)]
+
+
+def test_criterion_10_population_selects_equilibrium(acceptance_report):
+    # eps = 0.05, 100 seeds: runs whose bases are all on the optimum, action 0
+    # (18/3/0 at n = 4/10/30 when sized; 8 is 2.6 binomial sd below 18)
+    on_zero = {n: sum(int(row[0] == n) for row in _climbing_final_bases(0.05, n, range(100)))
+               for n in (4, 10, 30)}
+    # eps = 0.2, 20 seeds: the majority base (19/20 on 1 at n = 10, 20/20 on 2 at n = 10**3)
+    majority = {n: np.bincount([np.argmax(row) for row in _climbing_final_bases(0.2, n, range(20))],
+                               minlength=3) for n in (10, 1000)}
+    game, all_two = climbing_game(), ActionDistribution.point_mass(2, 3)
+    nash = (is_eta_nash(all_two, 1.0, game), is_eta_nash(all_two, 0.0, game))
+    ok = (on_zero[4] >= 8 and on_zero[30] <= 1 and majority[10][1] >= 16
+          and majority[1000][2] >= 16 and nash == (True, False))
+    acceptance_report(
+        f"criterion 10 (population size selects the equilibrium): {'PASS' if ok else 'FAIL'} "
+        f"eps=0.05 all-0 runs n=4/10/30 {on_zero[4]}/{on_zero[10]}/{on_zero[30]} of 100 "
+        f"(n=4 >= 8, n=30 <= 1); eps=0.2 majority 1 at n=10 {majority[10][1]}/20, "
+        f"majority 2 at n=1000 {majority[1000][2]}/20 (>= 16); all-2 1-nash {nash[0]}, "
+        f"0-nash {nash[1]}"
+    )
+    assert on_zero[4] >= 8 and on_zero[30] <= 1
+    assert majority[10][1] >= 16 and majority[1000][2] >= 16
+    assert nash == (True, False)
+
+
+def test_criterion_11_matching_more_agents_stop_helping(fig2_traces, acceptance_report):
+    means = {n: _mean_final(run_many([RunConfig(n=n, seed=s, **FIG2) for s in seeds],
+                                     threads=THREADS))
+             for n, seeds in ((2, range(10)), (10, range(10)), (1000, range(3)))}
+    means[100] = _mean_final(fig2_traces)
+    # 0.2 is about three standard errors of the difference of the two means
+    # (per-seed sd 0.20 over 10 seeds at n = 100, 0.05 over 3 at n = 1000)
+    ok = means[1000] >= means[100] - 0.2
+    acceptance_report(
+        f"criterion 11 (matching: more agents stop helping): {'PASS' if ok else 'FAIL'} "
+        f"mean final distance n=1000 {means[1000]:.3f} >= n=100 {means[100]:.3f} - 0.2; "
+        f"n=2/10/100 {means[2]:.3f}/{means[10]:.3f}/{means[100]:.3f}"
+    )
+    assert means[1000] >= means[100] - 0.2

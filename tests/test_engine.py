@@ -221,6 +221,19 @@ def test_meanfield_payoffs_block_matches_per_round_gemv(k, rounds):
     assert got.tobytes() == _per_round_payoffs(acts, counts, m).tobytes()
 
 
+@pytest.mark.parametrize("k", [2, 3, 4, 8, 20, 33, 64, 101])
+def test_stage_distances_vecdot_matches_per_stage_product(k):
+    # run takes every stage's distance in one np.vecdot after its stage loop;
+    # each row must keep the bits of that stage's rho.weights @ distances
+    rng = np.random.default_rng(k)
+    n = int(rng.integers(2, 1000))
+    counts = rng.multinomial(n, rng.dirichlet(np.ones(k)), size=(100, 25))  # (stages, rounds, k)
+    rows = np.array([ActionDistribution((c / n).mean(axis=0)).weights for c in counts])
+    for target in {0, k // 2, k - 1}:
+        w = np.abs(np.arange(k) - target)
+        assert np.vecdot(rows, w).tobytes() == np.array([r @ w for r in rows]).tobytes()
+
+
 def test_matching_payoffs_is_a_perfect_matching():
     # payoff 10*own + partner decodes who met whom
     k = 6
