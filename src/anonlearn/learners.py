@@ -57,9 +57,8 @@ def stage_tally(sums, counts, base_sum, acts, payoffs, x):
     stage_end puts them in place."""
     (m, k), w = sums.shape, acts.shape[1]
     cell = x % w - (w - m)
-    if m < w:
-        keep = cell >= 0
-        x, cell = x[keep], cell[keep]
+    keep = cell >= 0
+    x, cell = x[keep], cell[keep]
     cell *= k
     cell += acts.reshape(-1)[x]
     flat = payoffs.reshape(-1)
@@ -67,9 +66,6 @@ def stage_tally(sums, counts, base_sum, acts, payoffs, x):
     np.add.at(counts.reshape(-1), cell, 1.0)
     flat[x] = -0.0
     own = payoffs[:, w - m :]
-    if own.shape[0] == 1:
-        base_sum += own[0]
-        return
     own[0] += base_sum  # so a sum down the rounds adds them to it in time order
     if m > 1:  # numpy sums pairwise only along the fast axis, here the learners'
         np.add.reduce(own, axis=0, out=base_sum)

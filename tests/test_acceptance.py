@@ -1,5 +1,5 @@
-"""Acceptance suite: the eleven headline behaviors, one test and one report
-line each.  Heavier than the unit tests (about 15 s on 2 CPUs); the
+"""Acceptance suite: the thirteen headline behaviors, one test and one report
+line each.  Heavier than the unit tests (about 17 s on 2 CPUs); the
 batches are shared across criteria through session fixtures."""
 
 import math
@@ -298,3 +298,63 @@ def test_criterion_11_matching_more_agents_stop_helping(fig2_traces, acceptance_
         f"n=2/10/100 {means[2]:.3f}/{means[10]:.3f}/{means[100]:.3f}"
     )
     assert means[1000] >= means[100] - 0.2
+
+
+def test_criterion_12_closeness_budget_on_runs(acceptance_report):
+    # Each full stage of a fig1 run against rhohat, the a_eps law of the
+    # stage's bases.  The theorem's budget d_eta = eta/(8K) is sufficient, not
+    # necessary: the median L1 meets it only near n = 3e4, yet containment
+    # holds from n = 10, so the L1 gate is its 1/sqrt(n) fall.  Sized on six
+    # seed sets: 2.95-3.67 per decade; 2.5 leaves room for a re-seeding.
+    game, eps, eta = ContributionGame(), FIG1["explore"], 1.0
+    medians, held, stages = {}, 0, 0
+    for n, seeds in ((10, range(3)), (100, range(3)), (1000, range(3)), (10_000, range(1))):
+        l1 = []
+        for t in run_many([RunConfig(seed=s, **{**FIG1, "n": n}) for s in seeds], threads=THREADS):
+            for w, base in zip(t.stage_rho, t.stage_base):
+                beta = base / n
+                rho = ActionDistribution(w)
+                rhohat = ActionDistribution((1 - eps) * beta + eps * (1 - beta) / (game.k - 1))
+                l1.append(l1_distance(rho, rhohat))
+                held += best_reply_set(rho, eta / 2, game) <= best_reply_set(rhohat, eta, game)
+        stages += len(l1)
+        medians[n] = float(np.median(l1))
+    falls = [medians[n] / medians[10 * n] for n in (10, 100, 1000)]
+    ok = held == stages and min(falls) >= 2.5
+    acceptance_report(
+        f"criterion 12 (closeness budget on runs): {'PASS' if ok else 'FAIL'} "
+        f"ABR_eta/2(stage rho) within ABR_eta(rhohat) in {held}/{stages} stages; median L1 "
+        f"n=10/1e2/1e3/1e4 {'/'.join(f'{m:.2e}' for m in medians.values())} "
+        f"(d_eta {eta / (8.0 * game.lipschitz):.2e}), falling "
+        f"{'/'.join(f'{f:.1f}' for f in falls)}x a decade (>= 2.5)"
+    )
+    assert held == stages
+    assert min(falls) >= 2.5
+
+
+def _tail_distance(**settings):
+    """Mean over 3 seeds of a fig1 run's mean stage distance over its last 8
+    of 24 stages."""
+    cfgs = [RunConfig(seed=s, **{**FIG1, "rounds": 6000, **settings}) for s in range(3)]
+    return float(np.mean([t.stage_distance[-8:].mean() for t in run_many(cfgs, threads=THREADS)]))
+
+
+def test_criterion_13_churn_moves_the_end_point(acceptance_report):
+    # Sized on six seed sets: each rise was 0.24 or more, each anchor drop
+    # 0.32 or more, and the seeds of one setting spread by at most 0.38 (0.08
+    # in seeds 0-2), so a 0.1 margin stays clear of a three-seed mean's noise.
+    rates = (0.0, 0.05, 0.2, 0.5)
+    churned = dict(zip(rates, (_tail_distance(churn_rate=c) for c in rates)))
+    anchored = {c: _tail_distance(churn_rate=c, fixed_fraction=0.25, fixed_base=8)
+                for c in (0.2, 0.5)}
+    rises = all(churned[b] > churned[a] + 0.1 for a, b in zip(rates, rates[1:]))
+    lowers = all(anchored[c] < churned[c] - 0.1 for c in anchored)
+    ok = rises and lowers
+    acceptance_report(
+        f"criterion 13 (churn moves the end point): {'PASS' if ok else 'FAIL'} "
+        f"last-8-stage distance at churn 0/0.05/0.2/0.5 "
+        f"{'/'.join(f'{d:.3f}' for d in churned.values())} (each > the last + 0.1); "
+        f"a quarter fixed on 8 at 0.2/0.5 {anchored[0.2]:.3f}/{anchored[0.5]:.3f} (< unanchored - 0.1)"
+    )
+    assert rises
+    assert lowers

@@ -258,8 +258,11 @@ def add_at_tally(sums, counts, acts, payoffs):
     (5, 3, [2, 1, 6]),  # fixed agents in the block's low columns
     (4, 0, [1]),  # a one-round stage
     (0, 4, [3, 2]),  # no learners
+    (5, 3, [1] * 6),  # one-round blocks beside fixed columns, as at large n
+    (1, 2, [1, 1, 1]),  # a lone learner beside fixed columns, one round a block
 ], ids=["one_round_blocks", "split_blocks", "lone_learner", "fixed_columns",
-        "one_round_stage", "no_learners"])
+        "one_round_stage", "no_learners", "one_round_fixed_columns",
+        "lone_learner_fixed_columns"])
 def test_stage_tally_matches_add_at_reference(m, nf, widths):
     # the split tally, folded at the stage end, carries the bits of np.add.at
     # over every draw: sums, counts, the sign of each zero, and the new bases
