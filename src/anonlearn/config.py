@@ -28,12 +28,6 @@ class ConfigError(ValueError):
     """Malformed config text, unknown key, or bad value."""
 
 
-def _cover_stage(rounds: int, stage_len: int):
-    """A run of `rounds` rounds plays at least one stage of `stage_len`; else ValueError."""
-    if rounds < stage_len:
-        raise ValueError(f"rounds: must cover at least one stage of {stage_len}, got {rounds}")
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Everything one run needs; validation happens at construction, against
@@ -71,7 +65,8 @@ class RunConfig:
                 f"churn_rate: churn replaces learners, and fixed_fraction="
                 f"{self.fixed_fraction} leaves none among {self.n} agents"
             )
-        _cover_stage(self.rounds, self.resolved_stage_len)
+        if self.rounds < (tau := self.resolved_stage_len):
+            raise ValueError(f"rounds: must cover at least one stage of {tau}, got {self.rounds}")
         game = build_game(self.game, self.penalty_n, self.matrix_path)
         for key in ("target", "fixed_base"):
             _action(getattr(self, key), game.k, key)
@@ -101,7 +96,7 @@ class RunConfig:
 
 _DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
 # RunConfig field -> (config key, type, what it may hold), in field order; the
-# type is the field's annotation (int for int | None).  run_stationary reads it too.
+# type is the field's annotation (int for int | None).
 _TYPES = {name: (get_args(t) or (t,))[0] for name, t in get_type_hints(RunConfig).items()}
 SETTINGS = {f.name: (f.metadata["key"], _TYPES[f.name], f.metadata["allowed"])
             for f in fields(RunConfig)}

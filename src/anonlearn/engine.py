@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import SETTINGS, RunConfig, _cover_stage
+from .config import RunConfig
 from .core import ActionDistribution, MatrixGame, _number, _profile
 from .dynamics import best_reply_set
 from .learners import regret_act, regret_observe, sample_mixed, stage_end, stage_tally
@@ -221,15 +221,13 @@ def run_stationary(game: MatrixGame, rho: ActionDistribution, bases, explore: fl
     """Drive one stage learner per entry of bases against a frozen rho for
     `rounds` rounds, and return their bases after the last full stage.
 
-    The mean-field oracle hands back exact expected payoffs, so the only noise
-    is the learners' own exploration.  Learner i draws from
-    default_rng([seed, 0, i]).
+    The mean-field oracle hands back exact expected payoffs, so the only noise is
+    the learners' own exploration; learner i draws from default_rng([seed, 0, i]).
+    A RunConfig checks the settings, as in a run, so stage_len None is ceil(1/explore**2).
     """
-    for key, v in (("explore", explore), ("stage_len", stage_len), ("rounds", rounds),
-                   ("seed", seed)):
-        _number(v, key, SETTINGS[key][2], SETTINGS[key][1] is int)
+    stage_len = RunConfig(explore=explore, stage_len=stage_len, rounds=rounds,
+                          seed=seed).resolved_stage_len
     bases = _profile(bases, game.k, "bases")
-    _cover_stage(rounds, stage_len)
     payoffs = game.utilities(rho)
     n = bases.size
     streams = AgentStreams(seed, n)

@@ -1,5 +1,5 @@
-"""Acceptance suite: the thirteen headline behaviors, one test and one report
-line each.  Heavier than the unit tests (about 17 s on 2 CPUs); the
+"""Acceptance suite: the fourteen headline behaviors, one test and one report
+line each.  Heavier than the unit tests (about 12 s on 2 CPUs); the
 batches are shared across criteria through session fixtures."""
 
 import math
@@ -358,3 +358,42 @@ def test_criterion_13_churn_moves_the_end_point(acceptance_report):
     )
     assert rises
     assert lowers
+
+
+def _crossing_and_tail(n, stage_len, seeds, rounds=3000):
+    """Over fig1 runs at this n and stage length: the mean round by which a full
+    stage's distance dips below 0.5 (nan if a run never does), and the mean
+    distance over the last floor(1000 / stage_len) full stages."""
+    cfgs = [RunConfig(seed=s, **{**FIG1, "n": n, "stage_len": stage_len, "rounds": rounds})
+            for s in seeds]
+    traces = run_many(cfgs, threads=THREADS)
+    crossings = [t.rounds_to_threshold(0.5) for t in traces]
+    crossing = float("nan") if None in crossings else float(np.mean(crossings))
+    tail = float(np.mean([t.stage_distance[-(1000 // stage_len):].mean() for t in traces]))
+    return crossing, tail
+
+
+def test_criterion_14_more_agents_buy_shorter_stages(acceptance_report):
+    # Sized on seven seed sets (seeds b to b+4 at n = 1e3 and b to b+9 at
+    # n = 1e2, for b = 0, 100, ..., 600): tau = 50 crossed 1.60-1.64x sooner
+    # than tau = 400 at n = 1e3 and 1.29-1.51x at n = 1e2 (at most 1.53 over
+    # fourteen sets), and the n = 1e3 tails lay 0.001-0.003 apart.  The n = 10
+    # reversal, a higher tail at tau = 25 than at 400, held on four sets of
+    # the seven, so it is printed and not gated.
+    big = {tau: _crossing_and_tail(1000, tau, range(5)) for tau in (50, 400)}
+    mid = {tau: _crossing_and_tail(100, tau, range(10)) for tau in (50, 400)}
+    small = {tau: _crossing_and_tail(10, tau, range(10), rounds=6000)[1] for tau in (25, 400)}
+    speedup = {n: runs[400][0] / runs[50][0] for n, runs in ((1000, big), (100, mid))}
+    gap = abs(big[50][1] - big[400][1])
+    ok = speedup[1000] >= 1.3 and speedup[1000] > speedup[100] and gap <= 0.01
+    acceptance_report(
+        f"criterion 14 (more agents buy shorter stages): {'PASS' if ok else 'FAIL'} "
+        f"crossing round at tau=50/400: n=1000 {big[50][0]:.0f}/{big[400][0]:.0f}, "
+        f"{speedup[1000]:.2f}x sooner (>= 1.3); n=100 {mid[50][0]:.0f}/{mid[400][0]:.0f}, "
+        f"{speedup[100]:.2f}x (< n=1000's); n=1000 tails {big[50][1]:.3f}/{big[400][1]:.3f}, "
+        f"{gap:.3f} apart (<= 0.01); n=10 tails at tau=25/400 {small[25]:.3f}/{small[400]:.3f} "
+        f"(not gated)"
+    )
+    assert speedup[1000] >= 1.3
+    assert speedup[1000] > speedup[100]
+    assert gap <= 0.01

@@ -1,6 +1,8 @@
 """tools/bench_pairs.py: the summary every BENCH_*.json records."""
 
 import importlib.util
+import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -107,18 +109,38 @@ def test_gain_rule_needs_ten_pairs_nine_wins_and_more_than_the_parent_iqr():
 
 def test_environment_records_machine_once_and_bytecode_writes(monkeypatch):
     env = {"cpu_model": "x", "nproc": 2, "python": "3.11.7", "numpy": "2.4.6", "other": 1}
-    doc = {}
+    doc = {"parent": {}}
     monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
-    bench_pairs.record_environment(doc, env)
+    bench_pairs.record_environment(doc, "parent", env)
     monkeypatch.delenv("PYTHONDONTWRITEBYTECODE")
-    bench_pairs.record_environment(doc, {**env, "nproc": 4})  # a later run's line
-    assert doc == {"machine": {"cpu_model": "x", "nproc": 2}, "PYTHONDONTWRITEBYTECODE": True,
-                   "python": "3.11.7", "numpy": "2.4.6"}
+    bench_pairs.record_environment(doc, "parent", {**env, "nproc": 4})  # a later run's line
+    assert doc == {"parent": {}, "machine": {"cpu_model": "x", "nproc": 2},
+                   "PYTHONDONTWRITEBYTECODE": True, "python": "3.11.7", "numpy": "2.4.6"}
     for value, was_set in ((None, False), ("", False), ("x", True)):
         if value is None:
             monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
         else:
             monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", value)
-        doc = {}
-        bench_pairs.record_environment(doc, env)
+        doc = {"change": {}}
+        bench_pairs.record_environment(doc, "change", env)
         assert doc["PYTHONDONTWRITEBYTECODE"] is was_set
+
+
+def test_src_sha256_is_the_one_a_sides_environment_line_reports(monkeypatch, tmp_path):
+    def fake_run(stdout):
+        return lambda *args, **kwargs: subprocess.CompletedProcess(args, 0, stdout, "")
+
+    env = {"cpu_model": "x", "src_sha256": "ab" * 32}
+    stdout = f"environment: {json.dumps(env)}\n{json.dumps(ok(1.0))}\n"
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run(stdout))
+    line, reported = bench_pairs.perfbench(tmp_path, "w", 0, 1.0)
+    assert (line, reported) == (ok(1.0), env)
+    doc = {"parent": {"src_lines": 3}, "change": {"src_lines": 4}}
+    bench_pairs.record_environment(doc, "change", reported)
+    assert doc["change"] == {"src_lines": 4, "src_sha256": "ab" * 32}
+    assert doc["parent"] == {"src_lines": 3}
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run(""))  # a run that printed nothing
+    line, reported = bench_pairs.perfbench(tmp_path, "w", 0, 1.0)
+    assert (line["correct"], reported) == (False, {})
+    bench_pairs.record_environment(doc, "change", reported)
+    assert doc["change"]["src_sha256"] == "ab" * 32

@@ -133,13 +133,26 @@ def test_run_config_choices_share_one_message(key, value):
                             20, 0), "^explore: must be a real number, got '0.1'$"),
     (lambda: run_stationary(ContributionGame(), ActionDistribution.uniform(20), [0], 0.1, True,
                             20, 0), "^stage_len: must be an integer, got True$"),
+    # RunConfig's messages for the same values, which run_stationary checks by building one
+    (lambda: run_stationary(ContributionGame(), ActionDistribution.uniform(20), [0], 1.5, 10,
+                            20, 0), r"^explore: must be in \(0, 1\), got 1.5$"),
+    (lambda: run_stationary(ContributionGame(), ActionDistribution.uniform(20), [0], 0.1, 0,
+                            20, 0), r"^stage_len: must be in \[1, inf\), got 0$"),
+    (lambda: run_stationary(ContributionGame(), ActionDistribution.uniform(20), [0], 0.1, 10,
+                            0, 0), r"^rounds: must be in \[1, inf\), got 0$"),
+    (lambda: run_stationary(ContributionGame(), ActionDistribution.uniform(20), [0], 0.1, 10,
+                            20, -1), r"^seed: must be in \[0, inf\), got -1$"),
+    (lambda: run_stationary(ContributionGame(), ActionDistribution.uniform(20), [0], 0.1, 11,
+                            10, 0), "^rounds: must cover at least one stage of 11, got 10$"),
     (lambda: pool_size("2", 3, 2), "^threads: must be an integer, got '2'$"),
     (lambda: pool_size(2.5, 3, 2), "^threads: must be an integer, got 2.5$"),
     (lambda: pool_size(float("nan"), 3, 2), "^threads: must be an integer, got nan$"),
     (lambda: pool_size(True, 3, 2), "^threads: must be an integer, got True$"),
     (lambda: apply_churn(np.full(4, 8), "0.1", RawStream([0]), 20),
      "^rate: must be a real number, got '0.1'$"),
-], ids=["run_stationary-explore", "run_stationary-stage_len", "pool_size-str",
+], ids=["run_stationary-explore", "run_stationary-stage_len", "run_stationary-explore-range",
+        "run_stationary-stage_len-range", "run_stationary-rounds-range",
+        "run_stationary-seed-range", "run_stationary-rounds-cover", "pool_size-str",
         "pool_size-float", "pool_size-nan", "pool_size-bool", "apply_churn-rate"])
 def test_numeric_arguments_raise_value_error_naming_them(call, message):
     with pytest.raises(ValueError, match=message):

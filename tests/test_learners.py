@@ -156,6 +156,9 @@ def test_stage_learner_validation():
         with pytest.raises(ValueError, match=f"{key}: must be an integer, got "):
             run_stationary(game, rho, [8] * 10, 0.1, stage_len, rounds, seed)
     assert run_stationary(game, rho, [8], 0.1, np.int64(10), np.int64(20), np.int64(1)).shape == (1,)
+    # a stage_len of None is a run's: ceil(1 / explore**2)
+    np.testing.assert_array_equal(run_stationary(game, rho, [8, 3], 0.1, None, 200, 1),
+                                  run_stationary(game, rho, [8, 3], 0.1, 100, 200, 1))
 
 
 def test_stage_learner_moves_to_best_average():

@@ -20,7 +20,8 @@ report it (ties count for neither), the ratio of the medians and
 `gain_rule_met`: whether at least ten pairs ran, the change won at least nine
 tenths of them and its median is better than the parent's by more than the
 parent's q3 - q1.  A failed run reports no metrics; it lowers those counts and
-shows in `correct`.  Each side also records its `src_sha256`, `src_lines` (the
+shows in `correct`.  Each side also records its `src_sha256`, as the
+`environment:` line of its perfbench runs reports it, its `src_lines` (the
 total of `wc -l src/anonlearn/*.py`) and `module_lines`, each module's share of
 it.  Beside `machine`, `PYTHONDONTWRITEBYTECODE` records whether that variable
 was set: with it, each launch in the fresh copies compiles the package.
@@ -32,7 +33,6 @@ stderr.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import shutil
@@ -74,14 +74,6 @@ def export_change(dest: Path):
         if name and src.is_file():
             (dest / name).parent.mkdir(parents=True, exist_ok=True)
             shutil.copy2(src, dest / name)
-
-
-def src_sha256(tree: Path) -> str:
-    """The hash perfbench prints as src_sha256: every src/**/*.py, by path."""
-    h = hashlib.sha256()
-    for f in sorted((tree / "src").rglob("*.py")):
-        h.update(f.relative_to(tree).as_posix().encode() + b"\0" + f.read_bytes())
-    return h.hexdigest()
 
 
 def module_lines(tree: Path) -> dict:
@@ -147,9 +139,12 @@ def summarize(entry: dict, end_to_end: list):
     entry["correct"] = {side: all(r["correct"] for r in runs[side]) for side in SIDES}
 
 
-def record_environment(doc: dict, env: dict):
+def record_environment(doc: dict, side: str, env: dict):
     """Set doc's machine, python and numpy from the first perfbench environment
-    line, and whether PYTHONDONTWRITEBYTECODE is set (perfbench inherits it)."""
+    line, and whether PYTHONDONTWRITEBYTECODE is set (perfbench inherits it);
+    and side's src_sha256 from each line that reports one."""
+    if "src_sha256" in env:
+        doc[side]["src_sha256"] = env["src_sha256"]
     doc.setdefault("machine", {k: env[k] for k in (
         "cpu_model", "nproc", "cpu_affinity", "bench_cpus", "ref_cal_s") if k in env})
     doc.setdefault("PYTHONDONTWRITEBYTECODE", bool(os.environ.get("PYTHONDONTWRITEBYTECODE")))
@@ -189,8 +184,7 @@ def main() -> int:
         commits = {"parent": parent_commit,
                    "change": f"working tree of {head}" if dirty else head}
         for side in SIDES:
-            doc[side] = {"commit": commits[side], "src_sha256": src_sha256(trees[side]),
-                         "src_lines": src_lines(trees[side]),
+            doc[side] = {"commit": commits[side], "src_lines": src_lines(trees[side]),
                          "module_lines": module_lines(trees[side])}
         for workload in args.workload:
             key = f"{workload}/seed{args.seed}"
@@ -203,7 +197,7 @@ def main() -> int:
                 for side in order:
                     line, env = perfbench(trees[side], workload, args.seed, seconds)
                     entry["runs"][side].append(line)
-                    record_environment(doc, env)
+                    record_environment(doc, side, env)
                     print(f"{key} pair {entry['pairs']} {side}: {json.dumps(line)}", flush=True)
                 summarize(entry, bench["end_to_end"])
                 args.out.write_text(json.dumps(doc, indent=1) + "\n")
