@@ -31,10 +31,13 @@ EXIT_IO = 3
 
 
 def _atomic_write(path: Path, write_to):
-    """write_to(tmp_path) then rename onto path."""
+    """write_to(tmp_path) then rename onto path, which gets the mode open() would
+    give it under the umask (mkstemp makes its file 0600)."""
     fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=f".{path.name}.", suffix=".tmp")
     os.close(fd)
     try:
+        os.umask(mask := os.umask(0))  # reading the umask sets it; this restores it
+        os.chmod(tmp, 0o666 & ~mask)
         write_to(tmp)
         os.replace(tmp, path)
     except BaseException:

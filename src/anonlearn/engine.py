@@ -22,7 +22,7 @@ from .streams import AgentStreams, RawStream, apply_churn
 # Working-memory bounds for run: a block's (rounds, n) actions and (rounds, k)
 # histogram hold at most CAP entries, unless n + k alone exceeds CAP, when a
 # block is one round (the agents' streams are bounded by streams.UCAP and
-# AHEAD); RunTrace.to_csv formats and writes CSV_ROWS rows at a time.
+# AHEAD); RunTrace.to_csv joins at most CSV_ROWS rows of one stage at a time.
 CAP = 1 << 12
 CSV_ROWS = 512
 
@@ -82,34 +82,40 @@ class RunTrace:
 
     def to_csv(self, path):
         """One row per round: round, stage, that stage's end metrics, then the
-        round's realized and base distributions.  The bytes csv.writer would
-        write, CSV_ROWS rows at a time: a cell holding count c is repr(c / n),
-        formatted once for each count present; each stage's lead and base row
-        are joined once."""
-        tau, n = self.config.resolved_stage_len, self.config.n
+        round's realized and base distributions, as csv.writer would write them.
+        A cell holding count c is "," + repr(c / n), formatted once for each count
+        present.  Each chunk of at most CSV_ROWS rounds of one stage is one join
+        over an object array: the round numbers, the stage's lead, the realized
+        cells and the row end, which is the stage's base row (one string per
+        stage) or, for a regret matcher, the realized cells again and "\\r\\n"."""
+        tau, n, k = self.config.resolved_stage_len, self.config.n, self.k
+        regret = self.stage_base is None
         seen = np.zeros(n + 1, dtype=bool)
         seen[self.realized_counts] = True
-        if self.stage_base is not None:
+        if not regret:
             seen[self.stage_base] = True
         table = np.empty(n + 1, dtype=object)
         c = np.flatnonzero(seen)
-        table[c] = [repr(v) for v in (c / n).tolist()]
-        leads = [f"{s},{d!r},{b!r}," for s, (d, b) in enumerate(zip(
+        table[c] = [f",{v!r}" for v in (c / n).tolist()]
+        leads = [f",{s},{d!r},{b!r}" for s, (d, b) in enumerate(zip(
             self.stage_distance.tolist(), self.stage_br_fraction.tolist()))]
-        leads.append(f"{self.stages},,,")  # a trailing partial stage
-        bases = None if self.stage_base is None else [
-            ",".join(row) for row in table[self.stage_base].tolist()]
+        leads.append(f",{self.stages},,")  # a trailing partial stage
         header = ["round", "stage", "distance", "br_fraction"] + [
-            f"{p}_{a}" for p in ("rho", "base") for a in range(self.k)]
+            f"{p}_{a}" for p in ("rho", "base") for a in range(k)]
         with open(path, "w", newline="", encoding="utf-8") as fh:
             fh.write(",".join(header) + "\r\n")
-            for r0 in range(0, self.rounds, CSV_ROWS):
-                cells = [",".join(row) for row in
-                         table[self.realized_counts[r0 : r0 + CSV_ROWS]].tolist()]
-                ts = range(r0, r0 + len(cells))
-                tails = cells if bases is None else [bases[t // tau] for t in ts]
-                fh.writelines(f"{t},{leads[t // tau]}{row},{tail}\r\n"
-                              for t, row, tail in zip(ts, cells, tails))
+            for s, s0 in enumerate(range(0, self.rounds, tau)):
+                base = [] if regret else table[self.stage_base[s]].tolist()
+                end = "".join(base) + "\r\n"
+                for r0 in range(s0, s1 := min(s0 + tau, self.rounds), CSV_ROWS):
+                    cells = table[self.realized_counts[r0 : min(r0 + CSV_ROWS, s1)]]
+                    rows = np.empty((len(cells), 3 + k * (1 + regret)), dtype=object)
+                    rows[:, 0] = list(map(str, range(r0, r0 + len(cells))))
+                    rows[:, 1], rows[:, -1] = leads[s], end
+                    rows[:, 2 : 2 + k] = cells
+                    if regret:
+                        rows[:, 2 + k : -1] = cells
+                    fh.write("".join(rows.ravel().tolist()))
 
     def summary_text(self) -> str:
         threshold = 0.5

@@ -396,6 +396,23 @@ def test_gnuplot_pivots_aggregate(tiny_cfg, tmp_path):
     assert value == agg[0]["mean_distance"]
 
 
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+def test_written_files_honour_the_umask(umask, mode, tiny_cfg, tmp_path):
+    # each file is written to a mkstemp file (always 0600) and renamed, so it
+    # gets the mode open() would have given it
+    out = tmp_path / "out"
+    old = os.umask(umask)
+    try:
+        assert main(["run", "--config", str(tiny_cfg), "--out", str(out)]) == EXIT_OK
+        agg, dat = str(out / "aggregate.csv"), str(out / "plot.dat")
+        assert main(["gnuplot", "--aggregate", agg, "--out", dat]) == EXIT_OK
+    finally:
+        os.umask(old)
+    modes = {p.name: oct(p.stat().st_mode & 0o777) for p in out.iterdir()}
+    assert len(modes) == 6  # two CSVs, two summaries, the aggregate, the .dat
+    assert modes == dict.fromkeys(modes, oct(mode))
+
+
 def test_gnuplot_unknown_metric_exits_2(tiny_cfg, tmp_path, capsys):
     out = tmp_path / "out"
     main(["run", "--config", str(tiny_cfg), "--out", str(out)])

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -648,12 +649,26 @@ def _csv_digests(trace, tmp_path):
     return [hashlib.sha256(p.read_bytes()).hexdigest() for p in (fast, slow)]
 
 
-# stage and regret learners, both modes, churn, trailing partial stages; and
-# one run longer than a to_csv block of engine.CSV_ROWS rows
-@pytest.mark.parametrize("cfg", random_configs() + [RunConfig(n=20, rounds=800, explore=0.1)])
-def test_run_trace_csv_matches_csv_writer(cfg, tmp_path):
-    fast, slow = _csv_digests(run(cfg), tmp_path)
-    assert fast == slow
+# stage and regret learners, both modes, churn, trailing partial stages; runs
+# longer than a to_csv chunk of engine.CSV_ROWS rows: one, stages longer than a
+# chunk (600 rounds: 512 + 88 rows) with a 300-round partial stage trailing, a
+# regret run with the same stages; one-round stages; and n = 3 with k = 2,
+# whose cells are 18-character reprs
+@pytest.mark.parametrize("cfg", random_configs() + [
+    RunConfig(n=20, rounds=800, explore=0.1),
+    RunConfig(n=20, rounds=1500, stage_len=600, explore=0.1),
+    RunConfig(learner="regret", n=10, rounds=1500, stage_len=600, explore=0.1),
+    RunConfig(n=10, rounds=40, stage_len=1, explore=0.1),
+    RunConfig(game="prisoners_dilemma", n=3, rounds=250, explore=0.1, target=1),
+])
+def test_run_trace_csv_matches_csv_writer(cfg, tmp_path, monkeypatch):
+    # and with chunks of 1 and 7 rows, which end both inside stages and on
+    # stage ends
+    trace = run(cfg)
+    for rows in (engine.CSV_ROWS, 1, 7):
+        monkeypatch.setattr(engine, "CSV_ROWS", rows)
+        fast, slow = _csv_digests(trace, tmp_path)
+        assert fast == slow, rows
 
 
 def test_run_trace_csv_covers_every_count(tmp_path):
@@ -708,6 +723,28 @@ def test_run_trace_csv_keeps_each_stage_base_row(style, tmp_path):
         assert lines[1 + 1299].endswith(",0.1,0.2,0.7")
     else:
         assert lines[1 + 40].endswith(",0.0,0.5,0.5,0.0,0.5,0.5")
+
+
+def test_run_trace_csv_memory_does_not_grow_with_rounds(tmp_path):
+    # to_csv holds one chunk and one string per stage: ten times the rounds
+    # (2 and 20 stages of 2 000) must not raise its traced peak by 64 KB; a
+    # join of the whole file raised it by 7.7 MB
+    def peak(rounds):
+        rng = np.random.default_rng(5)
+        stages = rounds // 2000
+        trace = RunTrace(
+            config=RunConfig(n=10, rounds=rounds, explore=0.1, stage_len=2000),
+            realized_counts=_counts_rows(rng, 10, rounds),
+            stage_base=_counts_rows(rng, 10, stages), stage_rho=np.full((stages, 3), 1 / 3),
+            stage_distance=rng.random(stages) * 3, stage_br_fraction=rng.random(stages))
+        tracemalloc.start()
+        try:
+            trace.to_csv(tmp_path / "trace.csv")
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(40_000) - peak(4_000) < 64 * 1024
 
 
 @pytest.mark.parametrize("learner", ["stage", "regret"])
