@@ -14,7 +14,7 @@ from typing import get_args, get_type_hints
 from .core import _action, _number
 from .games import PENALTY_N, build_game
 
-LEARNER_KINDS = ("stage", "regret")
+LEARNER_KINDS = ("stage", "regret", "stats")
 
 
 def _setting(key: str, default, allowed=None):

@@ -193,6 +193,7 @@ class MatrixGame:
         m = m.copy()
         m.setflags(write=False)
         self.matrix = m
+        self._transposed = m.T.reshape(-1)  # a copy: matrix[a'][a] at a·k + a'
         self.k = m.shape[0]
         self.labels = None if labels is None else tuple(labels)
         self.lipschitz = float(np.abs(m).max())
@@ -221,31 +222,33 @@ class MatrixGame:
         if n.min() < 2:
             raise DimensionError("mean-field payoffs need at least 2 agents")
         totals = np.matmul(self.matrix, counts.astype(float)[..., None])[..., 0]
-        return (totals - np.diagonal(self.matrix)) / (n - 1)
+        totals -= np.diagonal(self.matrix)
+        totals /= n - 1
+        return totals
 
     def matching_payoffs(self, actions, rng) -> np.ndarray:
         """Payoffs of a uniform random perfect matching, matrix[a_i][a_partner],
         for (n,) actions or a (rounds, n) block.  A block draws the
         permutations that rng.permutation(n) would draw one per row, in row
-        order, in one rng.permuted call; offset by n per row, they index the
-        flat block, so the pairs' actions are one 1-D gather, both payoffs of
-        each pair one lookup in the flat matrix at left·k + right and
-        right·k + left, and the scatter back one 1-D store."""
+        order, in one rng.permuted call on rows r·n + arange(n) (a shuffle
+        moves positions whatever they hold), so they index the flat block: the
+        pairs' actions are one 1-D gather, each pair's cell is left·k + right,
+        both payoffs are lookups there in the flat matrix and its transpose,
+        and the scatter back is one 1-D store."""
         block = np.atleast_2d(np.asarray(actions, dtype=int))
         b, n = block.shape
         if n % 2:
             raise ValueError(f"matching needs an even number of agents, got {n}")
-        perm = np.empty((b, n), np.int64)
-        perm[...] = np.arange(n)
-        rng.permuted(perm, axis=1, out=perm)
-        perm += n * np.arange(b)[:, None]
-        perm = perm.reshape(-1)
-        pair = block.reshape(-1)[perm]  # left, right, left, right, ...
-        cell = pair * self.k
-        cell[0::2] += pair[1::2]
-        cell[1::2] += pair[0::2]
+        perm = np.arange(b * n).reshape(b, n)
+        perm = rng.permuted(perm, axis=1, out=perm).reshape(-1)
+        pair = block.reshape(-1)[perm].reshape(-1, 2)  # (left, right) rows
+        cell = pair[:, 0] * self.k
+        cell += pair[:, 1]
+        pays = np.empty(pair.shape)
+        pays[:, 0] = self.matrix.reshape(-1)[cell]
+        pays[:, 1] = self._transposed[cell]
         payoffs = np.empty(block.shape)
-        payoffs.reshape(-1)[perm] = self.matrix.reshape(-1)[cell]
+        payoffs.reshape(-1)[perm] = pays.reshape(-1)
         return payoffs.reshape(np.shape(actions))
 
     def payoff_bounds(self) -> tuple[float, float]:

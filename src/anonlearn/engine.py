@@ -16,14 +16,15 @@ import numpy as np
 from .config import RunConfig
 from .core import ActionDistribution, MatrixGame, _number, _profile
 from .dynamics import best_reply_set
-from .learners import regret_act, regret_observe, sample_mixed, stage_end, stage_tally
+from .learners import (event_histogram, explorers, regret_act, regret_observe, sample_mixed,
+                       stage_end, stage_tally)
 from .streams import AgentStreams, RawStream, apply_churn
 
-# Working-memory bounds for run: a block's (rounds, n) actions and (rounds, k)
-# histogram hold at most CAP entries, unless n + k alone exceeds CAP, when a
-# block is one round (the agents' streams are bounded by streams.UCAP and
+# Working-memory bounds for run: a block's (rounds, n) uniforms and payoffs and
+# (rounds, k) histogram hold at most CAP entries, unless n + k alone exceeds CAP,
+# when a block is one round (the agents' streams are bounded by streams.UCAP and
 # AHEAD); RunTrace.to_csv joins at most CSV_ROWS rows of one stage at a time.
-CAP = 1 << 12
+CAP = 1 << 13
 CSV_ROWS = 512
 
 
@@ -154,6 +155,7 @@ def run(config: RunConfig) -> RunTrace:
     bases[nf:] = streams.integers(k, nf)  # drawn even for regret
     explore = np.full(n, config.explore)
     explore[:nf] = config.fixed_explore
+    stay = 1.0 - explore
     if regret:
         mu = config.resolved_mu
         proxy = np.zeros((n - nf, k, k))
@@ -177,30 +179,36 @@ def run(config: RunConfig) -> RunTrace:
             stage_base[s] = np.bincount(bases, minlength=k)
         for r in range(s0, s1, width):
             u = streams.take(min(width, s1 - r))
-            if regret:
-                acts = np.empty(u.shape, dtype=np.int64)
+            if regret:  # one round
+                acts = np.empty(n, dtype=np.int64)
                 if nf:
-                    acts[:, :nf] = sample_mixed(bases[:nf], explore[:nf], k, u[:, :nf])[0]
-                acts[0, nf:] = regret_act(probs, u[0, nf:])
-            else:
-                acts, x = sample_mixed(bases, explore, k, u)
-            b = acts.shape[0]
-            flat = acts + k * np.arange(b)[:, None]
-            hist = np.bincount(flat.reshape(-1), minlength=b * k).reshape(b, k)
-            realized_counts[r : r + b] = hist
-            if matching:
-                payoffs = game.matching_payoffs(acts, match_rng)
-            else:
-                payoffs = game.meanfield_table(hist).reshape(-1)[flat]
-            if regret:
-                regret_observe(proxy, probs, t, bases[nf:], acts[0, nf:], payoffs[0, nf:],
+                    acts[:nf] = sample_mixed(bases[:nf], explore[:nf], k, u[0, :nf])[0]
+                acts[nf:] = regret_act(probs, u[0, nf:])
+                realized_counts[r] = hist = np.bincount(acts, minlength=k)
+                payoffs = (game.matching_payoffs(acts, match_rng) if matching
+                           else game.meanfield_table(hist[None])[0, acts])
+                regret_observe(proxy, probs, t, bases[nf:], acts[nf:], payoffs[nf:],
                                mu, config.delta)
             else:
-                stage_tally(sums, counts, base_sum, acts, payoffs, x)
+                x, j = explorers(bases, explore, stay, k, u)
+                rows, cols = np.divmod(x, n)
+                hist = event_histogram(stage_base[s], bases, rows, cols, j, len(u))
+                realized_counts[r : r + len(u)] = hist
+                if matching:  # the partners need every action
+                    acts = bases[None].repeat(len(u), axis=0)
+                    acts.reshape(-1)[x] = j
+                    own = game.matching_payoffs(acts, match_rng)
+                    pay = own.reshape(-1)[x]
+                else:
+                    table = game.meanfield_table(hist)
+                    own, pay = table.take(bases, axis=1), table[rows, j]
+                stage_tally(sums, counts, base_sum, own, rows, cols, j, pay)
+                u = own = acts = None  # free this block's arrays before the next take
         if s == stages:  # trailing partial stage: no stage end, no metrics
             break
         if not regret:
-            stage_end(bases[nf:], sums, counts, base_sum, s1 - s0)
+            seen = realized_counts[s0:s1].sum(axis=0) if config.learner == "stats" else None
+            stage_end(bases[nf:], sums, counts, base_sum, s1 - s0, seen, game.matrix)
         rho = ActionDistribution((realized_counts[s0:s1] / n).mean(axis=0))
         stage_rho[s] = rho.weights
         abr = list(best_reply_set(rho, config.metrics_eta, game))
@@ -244,8 +252,9 @@ def run_stationary(game: MatrixGame, rho: ActionDistribution, bases, explore: fl
     for s0 in range(0, rounds - stage_len + 1, stage_len):
         for r in range(s0, s0 + stage_len, width):
             u = streams.take(min(width, s0 + stage_len - r))
-            acts, x = sample_mixed(bases, explore, game.k, u)
-            stage_tally(sums, counts, base_sum, acts, payoffs[acts], x)
+            x, j = explorers(bases, explore, 1.0 - explore, game.k, u)
+            own = payoffs[bases][None].repeat(len(u), axis=0)
+            stage_tally(sums, counts, base_sum, own, *np.divmod(x, n), j, payoffs[j])
         stage_end(bases, sums, counts, base_sum, stage_len)
     return bases
 

@@ -2,14 +2,16 @@
 
 A stage learner keeps a mixed action a_eps fixed for a stage, tallies the
 payoffs of what it played, and at the stage end moves its base to the action
-with the best stage average.  Its tally is split in two: a running sum of its
-base's payoffs, added a round at a time, and sums and counts of its explorer
-rounds, the only ones played off base; the stage end folds the first into the
-second.  A payoff-only regret matcher (Hart and Mas-Colell's reinforcement
-procedure) re-weights its next action by estimated regrets every round.  A
-fixed agent plays one mixed action forever and is just sample_mixed's draws.
-Learners see nothing but their own actions and payoffs; every random draw
-arrives as a uniform, so the caller owns the streams.
+with the best stage average.  It plays its base but at its explorer events,
+so its tally is split in two: a running sum of its base's payoffs, added a
+round at a time, and sums and counts of its events; the stage end folds the
+first into the second.  A stats learner also sees each round's histogram of
+actions and scores every action against it.  A payoff-only regret matcher
+(Hart and Mas-Colell's reinforcement procedure) re-weights its next action by
+estimated regrets every round.  A fixed agent plays one mixed action forever.
+Learners see only their own actions and payoffs, and stats learners the
+histograms; every random draw arrives as a uniform, so the caller owns the
+streams.
 """
 
 from __future__ import annotations
@@ -17,55 +19,58 @@ from __future__ import annotations
 import numpy as np
 
 
-def sample_mixed(bases, explore, k: int, u):
-    """The a_eps law, elementwise: base where u < 1-explore, else uniform over
-    the other k-1 actions.  bases and explore broadcast against the uniforms
-    u; one uniform per draw, even where explore is 0.  Returns the draws and
-    the ascending flat positions in them of the explorers: the draws off base.
+def explorers(bases, explore, stay, k: int, u):
+    """The a_eps law's draws off base in uniforms u, where u >= stay = 1 - explore: the
+    floor((u - stay)·(k-1)/explore)-th other action, the last at u -> 1.  Returns their
+    ascending flat positions in u and actions; bases, explore and stay end u's shape."""
+    x = np.flatnonzero(u >= stay)
+    j = ((u.reshape(-1)[x] - np.take(stay, x, mode="wrap")) * (k - 1)
+         / np.take(explore, x, mode="wrap")).astype(np.int64)
+    np.minimum(j, k - 2, out=j)
+    j += j >= np.take(bases, x, mode="wrap")
+    return x, j
 
-    Three passes over the block (fill the bases, compare, find the explorers);
-    the rest touches only the explorers.  explore keeps its own shape, whose
-    flat index is u's modulo its size when it ends u's shape."""
+
+def sample_mixed(bases, explore, k: int, u):
+    """The a_eps law, elementwise, as dense draws: bases and explore broadcast
+    against the uniforms u, one per draw even where explore is 0.  Returns the
+    draws and the ascending flat positions in them of the explorers."""
     u = np.asarray(u, dtype=float)
-    acts = np.empty(u.shape, np.int64)  # C-ordered, so reshape(-1) is a view
-    acts[...] = bases
-    explore = np.asarray(explore)
-    if explore.shape != u.shape[u.ndim - explore.ndim :]:
-        explore = np.broadcast_to(explore, u.shape)
-    x = np.flatnonzero(u >= 1.0 - explore)
-    e = explore.take(x, mode="wrap")
-    j = ((u.reshape(-1)[x] - (1.0 - e)) * (k - 1) / e).astype(np.int64)
-    np.minimum(j, k - 2, out=j)  # guard the u -> 1 edge
-    flat = acts.reshape(-1)
-    j += j >= flat[x]
-    flat[x] = j
+    bases, explore = np.broadcast_arrays(bases, explore, u)[:2]
+    x, j = explorers(bases, explore, 1.0 - explore, k, u)
+    acts = bases.astype(np.int64, order="C")  # a copy, so reshape(-1) is a view
+    acts.reshape(-1)[x] = j
     return acts, x
 
 
-def stage_tally(sums, counts, base_sum, acts, payoffs, x):
-    """Add a (rounds, w) block of actions and payoffs to the stage tallies of
-    the m learners in its last m columns, so each sum is the one sequential
-    additions give.  x holds the block's explorers as ascending flat positions
-    (sample_mixed's second value); those in the first w - m columns, which
-    are not learners', are skipped.
+def event_histogram(base_counts, bases, rows, cols, acts, rounds: int):
+    """The (rounds, k) histogram of a block whose agents play their bases (of
+    histogram base_counts) but at the events, cols[e] playing acts[e] in round
+    rows[e]: exact integers, counted from the events alone."""
+    rows, size = rows * base_counts.size, rounds * base_counts.size
+    hist = np.bincount(rows + acts, minlength=size) - np.bincount(rows + bases[cols], minlength=size)
+    return hist.reshape(rounds, -1) + base_counts
 
-    The explorers' payoffs go to their (m, k) sums and counts cells by
-    np.add.at, in time order, and are then set to -0.0 in payoffs; the (m,)
-    base_sum then adds the block's learner columns round by round.  An
-    explorer is never on base and every other draw is, and x + -0.0 is x, so
-    base_sum holds the base cells' sums, which stay 0 in sums and counts until
-    stage_end puts them in place."""
-    (m, k), w = sums.shape, acts.shape[1]
-    cell = x % w - (w - m)
-    keep = cell >= 0
-    x, cell = x[keep], cell[keep]
-    cell *= k
-    cell += acts.reshape(-1)[x]
-    flat = payoffs.reshape(-1)
-    np.add.at(sums.reshape(-1), cell, flat[x])
+
+def stage_tally(sums, counts, base_sum, own, rows, cols, acts, pay):
+    """Add a block of rounds to the stage tallies of the m learners in the
+    last m columns of own, the (rounds, w) block of base payoffs, which it
+    overwrites and whose fast axis must be its columns.  The block's explorer
+    events, in time order, are agent cols[e] playing acts[e] in round rows[e]
+    for pay[e]; those in the first w - m columns, not learners', are skipped.
+
+    The events' payoffs go to their (m, k) sums and counts cells by np.add.at,
+    in time order, and their cells of own are set to -0.0; base_sum then adds
+    own's learner columns round by round.  x + -0.0 is x, so each sum is the
+    sequential one, and base_sum the base cells' until stage_end folds it in."""
+    (m, k), lo = sums.shape, own.shape[1] - sums.shape[0]
+    keep = cols >= lo
+    rows, cols = rows[keep], cols[keep] - lo
+    cell = cols * k + acts[keep]
+    np.add.at(sums.reshape(-1), cell, pay[keep])
     np.add.at(counts.reshape(-1), cell, 1.0)
-    flat[x] = -0.0
-    own = payoffs[:, w - m :]
+    own = own[:, lo:]
+    own[rows, cols] = -0.0
     own[0] += base_sum  # so a sum down the rounds adds them to it in time order
     if m > 1:  # numpy sums pairwise only along the fast axis, here the learners'
         np.add.reduce(own, axis=0, out=base_sum)
@@ -73,20 +78,27 @@ def stage_tally(sums, counts, base_sum, acts, payoffs, x):
         base_sum[:] = np.add.accumulate(own, axis=0)[-1]
 
 
-def stage_end(bases, sums, counts, base_sum, rounds):
+def stage_end(bases, sums, counts, base_sum, rounds, seen=None, matrix=None):
     """Fold each base's sum and count into the tallies of a stage of rounds
-    rounds, move each base to the action with the best stage average and reset
+    rounds, move each base to the action with the best stage value and reset
     the tallies.
 
-    A base's count is the rounds less the row's explorer counts.  Unexplored
-    actions score 0, as 0 / max(count, 1) — deliberately, even though that can
-    shadow actions whose true payoffs are negative.  Ties keep the current
-    base when it is among the maximizers, else the lowest index.
+    A base's count is the rounds less the row's explorer counts.  A stage
+    learner's value is its stage average: unexplored actions score 0, as
+    0 / max(count, 1) — deliberately, even though that can shadow actions
+    whose true payoffs are negative.  A stats learner, given seen, the (k,)
+    sum of the stage's histograms, scores action a by matrix[a] @ (seen - its
+    own counts), (n - 1)·rounds times a's mean payoff against the others.
+    Ties keep the current base when it is among the maximizers, else the
+    lowest index.
     """
     rows = np.arange(bases.size)
-    sums[rows, bases] = base_sum
     counts[rows, bases] = rounds - counts.sum(axis=1)
-    values = np.divide(sums, np.maximum(counts, 1.0, out=counts), out=sums)
+    if seen is None:
+        sums[rows, bases] = base_sum
+        values = np.divide(sums, np.maximum(counts, 1.0, out=counts), out=sums)
+    else:
+        values = (seen - counts) @ matrix.T
     best = values.argmax(axis=1)
     move = values[rows, bases] < values[rows, best]
     bases[move] = best[move]

@@ -1,4 +1,4 @@
-"""Acceptance suite: the fourteen headline behaviors, one test and one report
+"""Acceptance suite: the fifteen headline behaviors, one test and one report
 line each.  Heavier than the unit tests (about 12 s on 2 CPUs); the
 batches are shared across criteria through session fixtures."""
 
@@ -397,3 +397,30 @@ def test_criterion_14_more_agents_buy_shorter_stages(acceptance_report):
     assert speedup[1000] >= 1.3
     assert speedup[1000] > speedup[100]
     assert gap <= 0.01
+
+
+def test_criterion_15_statistics_reduce_the_observations_needed(fig1_traces, acceptance_report):
+    # Claim 3: a stats learner, which also sees each round's action histogram,
+    # scores every action every round.  Sized on five seed sets of ten (seeds
+    # b to b+9, b = 0, 100, ..., 400) at fig1's settings: stats at tau = 20
+    # crossed 0.5 at round 40 in every run, the tau = 250 stage learner at a
+    # mean of 1 125-1 225, 28-31x later; stats' mean final distance was
+    # 0.257-0.284 against the stage learner's 0.309-0.321.
+    stats = run_many([RunConfig(seed=s, **{**FIG1, "learner": "stats", "stage_len": 20})
+                      for s in range(10)], threads=THREADS)
+    crossings = [t.rounds_to_threshold(0.5) for t in stats]
+    stage = float(np.mean([t.rounds_to_threshold(0.5) for t in fig1_traces]))
+    crossed = None not in crossings
+    mean = float(np.mean(crossings)) if crossed else math.inf
+    speedup = stage / mean
+    final = _mean_final(stats)
+    ok = crossed and speedup >= 10.0 and final < 0.5
+    acceptance_report(
+        f"criterion 15 (statistics reduce the observations needed): {'PASS' if ok else 'FAIL'} "
+        f"mean crossing of 0.5 at stats tau=20 {mean:.0f} (every run crosses: {crossed}) vs "
+        f"stage tau=250 {stage:.0f}, {speedup:.1f}x sooner (>= 10); stats mean final distance "
+        f"{final:.3f} (< 0.5) vs stage {_mean_final(fig1_traces):.3f}"
+    )
+    assert crossed
+    assert speedup >= 10.0
+    assert final < 0.5

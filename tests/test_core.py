@@ -62,8 +62,8 @@ def test_public_names_are_declared_once_in_their_modules():
     joined = [name for module in modules for name in module.__all__]
     assert len(set(joined)) == len(joined)
     assert joined == anonlearn.__all__
-    for name in ("sample_mixed", "stage_tally", "stage_end", "regret_act", "regret_observe",
-                 "AgentStreams", "RawStream", "apply_churn"):
+    for name in ("explorers", "sample_mixed", "event_histogram", "stage_tally", "stage_end",
+                 "regret_act", "regret_observe", "AgentStreams", "RawStream", "apply_churn"):
         assert not hasattr(anonlearn, name), name
 
 

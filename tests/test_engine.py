@@ -462,13 +462,46 @@ def _trace_arrays(t):
         t.realized_counts, t.stage_base, t.stage_rho, t.stage_distance, t.stage_br_fraction)]
 
 
-@pytest.mark.parametrize("cap", [1, 64])
+@pytest.mark.parametrize("cap", [1, 64, 1 << 15])
 def test_run_bits_do_not_depend_on_block_width(cap, monkeypatch):
-    # one-round blocks (CAP 1) and blocks of a few rounds (CAP 64) give the
-    # bytes the default blocks of up to CAP // (n + k) rounds give
-    want = [_trace_arrays(run(cfg)) for cfg in random_configs()]
+    # one-round blocks (CAP 1), blocks of a few rounds (CAP 64) and blocks
+    # longer than a stream refill (CAP 2**15: up to 744 rounds, refills of 128)
+    # give the bytes the default blocks of up to CAP // (n + k) rounds give,
+    # and hand every stage end the same tallies, bit for bit
+    tallies, stage_end = [], engine.stage_end
+
+    def spy(*args):
+        tallies.append(b"".join(a.tobytes() for a in args[:4]))
+        return stage_end(*args)
+
+    monkeypatch.setattr(engine, "stage_end", spy)
+    want = [_trace_arrays(run(cfg)) for cfg in random_configs()], tallies[:]
+    tallies.clear()
     monkeypatch.setattr(engine, "CAP", cap)
-    assert [_trace_arrays(run(cfg)) for cfg in random_configs()] == want
+    assert ([_trace_arrays(run(cfg)) for cfg in random_configs()], tallies) == want
+    assert len(tallies) == 46  # the stage learners' stage ends
+
+
+@pytest.mark.parametrize("cfg, bound_kb", [
+    (dict(penalty_n=200, mode="matching", explore=0.01, stage_len=2000, rounds=10_000), 1024),
+    (dict(explore=0.05, stage_len=250, rounds=3000), 700),
+], ids=["fig2_cell", "fig1_cell"])
+def test_run_working_memory_is_bounded(cfg, bound_kb):
+    # run's traced peak above the RunTrace arrays it returns, at n = 100: the
+    # blocks, the streams' lanes and the stage's scratch.  It read 815 and
+    # 590 KB at CAP 2**13, and 897 and 606 KB with the dense blocks at 2**12;
+    # CAP 2**14 reads 1 151 and 743 KB, and 2**15 1 876 and 1 003 KB
+    cfg = dict(cfg, game="contribution", n=100, target=8)
+    run(RunConfig(**{**cfg, "rounds": cfg["stage_len"]}))  # one-time allocations: numpy.random
+    tracemalloc.start()
+    try:
+        trace = run(RunConfig(**cfg))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = sum(a.nbytes for a in (trace.realized_counts, trace.stage_base, trace.stage_rho,
+                                  trace.stage_distance, trace.stage_br_fraction))
+    assert peak - held < bound_kb * 1024
 
 
 def test_stage_br_fraction_is_the_share_of_stage_end_bases_in_abr():

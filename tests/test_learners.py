@@ -8,6 +8,7 @@ import pytest
 from anonlearn import (
     ActionDistribution,
     ContributionGame,
+    MatrixGame,
     RunConfig,
     run,
     run_stationary,
@@ -116,6 +117,14 @@ def test_sample_mixed_layout_matches_scalar_reference(layout):
 # stage learner
 
 
+def tally(sums, counts, base_sum, acts, payoffs, x):
+    """stage_tally of a dense (rounds, w) block of draws and their payoffs,
+    given its explorers' flat positions, as sample_mixed returns them; the
+    payoffs block is overwritten."""
+    rows, cols = np.divmod(x, acts.shape[1])
+    stage_tally(sums, counts, base_sum, payoffs, rows, cols, acts[rows, cols], payoffs[rows, cols])
+
+
 def one_stage(table, base, explore, stage_len, rng):
     """One stage learner (n = 1) playing a stage against a payoff table, one
     uniform from rng per round; returns its new base and emptied tallies."""
@@ -123,7 +132,7 @@ def one_stage(table, base, explore, stage_len, rng):
     bases, sums, counts = np.array([base]), np.zeros((1, k)), np.zeros((1, k))
     base_sum = np.zeros(1)
     acts, x = sample_mixed(bases, explore, k, rng.random((stage_len, 1)))
-    stage_tally(sums, counts, base_sum, acts, np.asarray(table)[acts], x)
+    tally(sums, counts, base_sum, acts, np.asarray(table)[acts], x)
     stage_end(bases, sums, counts, base_sum, stage_len)
     return int(bases[0]), sums, counts
 
@@ -178,7 +187,7 @@ def test_stage_learner_average_values_mid_stage():
     sums, counts, base_sum = np.zeros((1, 3)), np.zeros((1, 3)), np.zeros(1)
     acts, x = sample_mixed(0, 0.3, 3, rng.random((2, 1)))
     a, b = (int(v) for v in acts[:, 0])
-    stage_tally(sums, counts, base_sum, acts, np.array([[4.0], [4.0 if b == a else -2.0]]), x)
+    tally(sums, counts, base_sum, acts, np.array([[4.0], [4.0 if b == a else -2.0]]), x)
     sums, counts = with_base(sums, counts, base_sum, np.array([0]), 2)
     vals = np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)[0]
     assert vals[a] == 4.0
@@ -198,7 +207,7 @@ def test_stage_tally_adds_in_time_order():
     bases = acts[0]  # so that the explorers are the draws off it
     for block in (slice(0, 17), slice(17, rounds)):
         x = np.flatnonzero(acts[block] != bases)
-        stage_tally(sums, counts, base_sum, acts[block], payoffs[block].copy(), x)
+        tally(sums, counts, base_sum, acts[block], payoffs[block].copy(), x)
     sums, counts = with_base(sums, counts, base_sum, bases, rounds)
     ref_sums, ref_counts = np.zeros((m, k)), np.zeros((m, k))
     for t in range(rounds):
@@ -284,7 +293,7 @@ def test_stage_tally_matches_add_at_reference(m, nf, widths):
     for width in widths:
         block = slice(r0, r0 + width)
         acts, x = sample_mixed(bases, 0.3, k, u[block])
-        stage_tally(sums, counts, base_sum, acts, payoffs[block].copy(), x)
+        tally(sums, counts, base_sum, acts, payoffs[block].copy(), x)
         add_at_tally(ref_sums, ref_counts, acts[:, nf:], payoffs[block, nf:])
         r0 += width
     got_sums, got_counts = with_base(sums, counts, base_sum, bases[nf:], rounds)
@@ -308,6 +317,61 @@ def test_stage_learner_unexplored_zero_shadows_negative_base():
     assert (sample_mixed(0, 0.001, 3, np.random.default_rng(0).random(50))[0] == 0).all()
     base, _, _ = one_stage([-5.0, -1.0, -2.0], 0, 0.001, 50, rng)
     assert base == 1
+
+
+def stats_reference(game, bases, acts):
+    """A stats learner's stage end, a round at a time: each learner scores
+    action a by its summed payoff against the others, the meanfield_table
+    entry of a in the round's histogram with the learner moved to a, then
+    moves to the lowest-index best action if it strictly beats its base."""
+    (rounds, n), k = acts.shape, game.k
+    values = np.zeros((n, k))
+    for row in acts:
+        moved = np.broadcast_to(np.bincount(row, minlength=k), (n, k, k)).copy()
+        moved[np.arange(n), :, row] -= 1
+        moved[:, np.arange(k), np.arange(k)] += 1  # learner i moved to action a
+        table = game.meanfield_table(moved.reshape(-1, k)).reshape(n, k, k)
+        values += table[:, np.arange(k), np.arange(k)]
+    rows, best = np.arange(n), values.argmax(axis=1)
+    move = values[rows, bases] < values[rows, best]
+    return np.where(move, best, bases), values
+
+
+@pytest.mark.parametrize("n", [3, 5, 9])
+def test_stats_stage_end_matches_per_round_reference(n):
+    # stage_end's stats kernel, (seen - own counts) @ matrix.T, moves every
+    # base where the per-round reference does; n - 1 a power of two and an
+    # integer matrix keep both sides exact, so their ties are the same ties
+    rng = np.random.default_rng(n)
+    k, rounds, moves, ties = 4, 30, 0, 0
+    for _ in range(8):
+        game = MatrixGame(rng.integers(-1, 2, size=(k, k)))
+        bases = rng.integers(k, size=n)
+        acts, x = sample_mixed(bases, 0.4, k, rng.random((rounds, n)))
+        want, values = stats_reference(game, bases, acts)
+        sums, counts, base_sum = np.zeros((n, k)), np.zeros((n, k)), np.zeros(n)
+        tally(sums, counts, base_sum, acts, rng.normal(size=(rounds, n)), x)
+        seen = np.array([np.bincount(row, minlength=k) for row in acts]).sum(axis=0)
+        got = bases.copy()
+        stage_end(got, sums, counts, base_sum, rounds, seen, game.matrix)
+        np.testing.assert_array_equal(got, want)
+        assert not (sums.any() or counts.any() or base_sum.any())
+        moves += (got != bases).sum()
+        ties += ((values == values.max(axis=1, keepdims=True)).sum(axis=1) > 1).sum()
+    assert moves > 0 and ties > 0
+
+
+def test_stats_learner_moves_to_the_best_reply_of_the_stage():
+    # against a population whose other members all play 1, the stats learner
+    # moves to the best reply to 1 whether or not it explored it
+    game = MatrixGame([[0.0, 0.0, 5.0], [1.0, 2.0, 0.0], [0.0, 3.0, 0.0]])
+    acts = np.ones((5, 4), np.int64)
+    acts[:, 0] = 0  # learner 0 never leaves its base
+    seen = np.array([np.bincount(row, minlength=3) for row in acts]).sum(axis=0)
+    bases = acts[0].copy()
+    counts = np.zeros((4, 3))
+    stage_end(bases, np.zeros((4, 3)), counts, np.zeros(4), 5, seen, game.matrix)
+    np.testing.assert_array_equal(bases, [2, 2, 2, 2])
 
 
 # ---------------------------------------------------------------------------

@@ -8,13 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anonlearn import MatrixGame, RunConfig, run
+from anonlearn.learners import event_histogram, explorers, sample_mixed
 
 ACTIONS = {"contribution": 20, "prisoners_dilemma": 2, "climbing": 3}
 FEW = settings(max_examples=25, deadline=None)
 
 
 @st.composite
-def configs(draw, learner=st.sampled_from(["stage", "regret"])):
+def configs(draw, learner=st.sampled_from(["stage", "regret", "stats"])):
     game = draw(st.sampled_from(sorted(ACTIONS)))
     k = ACTIONS[game]
     stage_len = draw(st.integers(1, 12))
@@ -71,3 +72,27 @@ def test_matching_payoffs_pairs_every_agent_once(half, seed):
     partner = game.matching_payoffs(np.arange(n), np.random.default_rng(seed)).astype(int)
     assert (partner != np.arange(n)).all()
     np.testing.assert_array_equal(partner[partner], np.arange(n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.sampled_from([2, 20, 257]), rounds=st.integers(1, 40), n=st.integers(1, 30),
+       fixed=st.floats(0.0, 1.0), fixed_explore=st.sampled_from([0.0, 0.1]),
+       explore=st.sampled_from([0.05, 0.3, 0.9]), seed=st.integers(0, 2**32))
+def test_event_histogram_is_the_bincount_of_the_draws(k, rounds, n, fixed, fixed_explore,
+                                                      explore, seed):
+    # a block's explorer events, fixed agents' included, give the histogram
+    # and the draws that sample_mixed's dense (rounds, n) block gives
+    rng = np.random.default_rng(seed)
+    nf = int(fixed * n)
+    bases = rng.integers(k, size=n)
+    rates = np.full(n, explore)
+    rates[:nf] = fixed_explore
+    u = rng.random((rounds, n))
+    acts, x_dense = sample_mixed(bases, rates, k, u)
+    x, j = explorers(bases, rates, 1.0 - rates, k, u)
+    np.testing.assert_array_equal(x, x_dense)
+    np.testing.assert_array_equal(j, acts.reshape(-1)[x])
+    rows, cols = np.divmod(x, n)
+    hist = event_histogram(np.bincount(bases, minlength=k), bases, rows, cols, j, rounds)
+    want = np.array([np.bincount(row, minlength=k) for row in acts])
+    assert hist.shape == want.shape and (hist == want).all()
