@@ -16,8 +16,7 @@ import numpy as np
 from .config import RunConfig
 from .core import ActionDistribution, MatrixGame, _number, _profile
 from .dynamics import best_reply_set
-from .learners import (event_histogram, explorers, regret_act, regret_observe, sample_mixed,
-                       stage_end, stage_tally)
+from .learners import RegretMatchers, StageLearners
 from .streams import AgentStreams, RawStream, apply_churn
 
 # Working-memory bounds for run: a block's (rounds, n) uniforms and payoffs and
@@ -131,15 +130,8 @@ class RunTrace:
 
 def run(config: RunConfig) -> RunTrace:
     """Execute one run: actions, payoffs and learner updates a block of rounds
-    at a time; metrics and churn at stage boundaries.  Deterministic given
-    config (seed included).
-
-    The population is arrays in slot order, fixed agents in the low slots:
-    bases and explore rates (n,); stage-learner tallies (learners, k) and base
-    sums (learners,), or a regret matcher's proxy (learners, k, k), action
-    probabilities (learners, k) and round count.  A regret matcher's base is
-    the action it played last.
-    """
+    at a time, by one learners object of config's kind; metrics and churn at
+    stage boundaries.  Deterministic given config (seed included)."""
     game = config._game
     k, n, tau = game.k, config.n, config.resolved_stage_len
     streams = AgentStreams(config.seed, n)
@@ -148,82 +140,53 @@ def run(config: RunConfig) -> RunTrace:
     # stream is computed, as the agents' are
     match_rng = np.random.default_rng([config.seed, 1]) if matching else None
     churn = RawStream([config.seed, 2]) if config.churn_rate > 0.0 else None
-    regret = config.learner == "regret"
 
     nf = int(config.fixed_fraction * n)  # fixed agents hold slots 0..nf-1
     bases = np.full(n, config.fixed_base, dtype=np.int64)
     bases[nf:] = streams.integers(k, nf)  # drawn even for regret
     explore = np.full(n, config.explore)
     explore[:nf] = config.fixed_explore
-    stay = 1.0 - explore
-    if regret:
-        mu = config.resolved_mu
-        proxy = np.zeros((n - nf, k, k))
-        probs = np.full((n - nf, k), 1.0 / k)
-        t = np.zeros(n - nf, dtype=np.int64)
-    else:
-        sums = np.zeros((n - nf, k))
-        counts = np.zeros((n - nf, k))
-        base_sum = np.zeros(n - nf)
+    learner = {"stage": lambda: StageLearners(bases, explore, nf, k),
+               "stats": lambda: StageLearners(bases, explore, nf, k, game.matrix),
+               "regret": lambda: RegretMatchers(bases, explore, nf, k, config.resolved_mu,
+                                                config.delta)}[config.learner]()
+
+    def pays(hist, x, rows, j):  # the bases' payoffs, and the events' (x in rounds rows play j)
+        if matching:  # the partners need every action
+            acts = bases[None].repeat(len(hist), axis=0)
+            acts.reshape(-1)[x] = j
+            own = game.matching_payoffs(acts, match_rng)
+            return own, own.reshape(-1)[x]
+        table = game.meanfield_table(hist)
+        return table.take(bases, axis=1), table[rows, j]
 
     stages = config.rounds // tau
     realized_counts = np.empty((config.rounds, k), dtype=np.int32)
-    stage_base = None if regret else np.empty((math.ceil(config.rounds / tau), k), np.int32)
+    stage_base = np.empty((math.ceil(config.rounds / tau), k), np.int32)
     stage_rho = np.empty((stages, k))
     stage_br = np.empty(stages)
-    width = 1 if regret else max(1, CAP // (n + k))
+    width = max(1, CAP // (n + k))
 
     for s, s0 in enumerate(range(0, config.rounds, tau)):
         s1 = min(s0 + tau, config.rounds)
-        if not regret:
-            stage_base[s] = np.bincount(bases, minlength=k)
-        for r in range(s0, s1, width):
-            u = streams.take(min(width, s1 - r))
-            if regret:  # one round
-                acts = np.empty(n, dtype=np.int64)
-                if nf:
-                    acts[:nf] = sample_mixed(bases[:nf], explore[:nf], k, u[0, :nf])[0]
-                acts[nf:] = regret_act(probs, u[0, nf:])
-                realized_counts[r] = hist = np.bincount(acts, minlength=k)
-                payoffs = (game.matching_payoffs(acts, match_rng) if matching
-                           else game.meanfield_table(hist[None])[0, acts])
-                regret_observe(proxy, probs, t, bases[nf:], acts[nf:], payoffs[nf:],
-                               mu, config.delta)
-            else:
-                x, j = explorers(bases, explore, stay, k, u)
-                rows, cols = np.divmod(x, n)
-                hist = event_histogram(stage_base[s], bases, rows, cols, j, len(u))
-                realized_counts[r : r + len(u)] = hist
-                if matching:  # the partners need every action
-                    acts = bases[None].repeat(len(u), axis=0)
-                    acts.reshape(-1)[x] = j
-                    own = game.matching_payoffs(acts, match_rng)
-                    pay = own.reshape(-1)[x]
-                else:
-                    table = game.meanfield_table(hist)
-                    own, pay = table.take(bases, axis=1), table[rows, j]
-                stage_tally(sums, counts, base_sum, own, rows, cols, j, pay)
-                u = own = acts = None  # free this block's arrays before the next take
+        stage_base[s] = np.bincount(bases, minlength=k)
+        for r in range(s0, s1, width):  # each block's arrays are freed before the next take
+            w = min(width, s1 - r)
+            realized_counts[r : r + w] = learner.block(streams.take(w), stage_base[s], pays)
         if s == stages:  # trailing partial stage: no stage end, no metrics
             break
-        if not regret:
-            seen = realized_counts[s0:s1].sum(axis=0) if config.learner == "stats" else None
-            stage_end(bases[nf:], sums, counts, base_sum, s1 - s0, seen, game.matrix)
+        learner.end(realized_counts[s0:s1])
         rho = ActionDistribution((realized_counts[s0:s1] / n).mean(axis=0))
         stage_rho[s] = rho.weights
         abr = list(best_reply_set(rho, config.metrics_eta, game))
         stage_br[s] = np.bincount(bases, minlength=k)[abr].sum() / n  # bases in ABR_eta(rho)
         if config.churn_rate > 0.0:  # fixed agents are never churned: only learners
-            rows = apply_churn(bases[nf:], config.churn_rate, churn, None if regret else k)
-            if regret:
-                proxy[rows] = 0.0
-                probs[rows] = 1.0 / k
-                t[rows] = 0
+            learner.reset(apply_churn(bases[nf:], config.churn_rate, churn, learner.base_k))
 
     return RunTrace(
         config=config,
         realized_counts=realized_counts,
-        stage_base=stage_base,
+        stage_base=None if learner.base_k is None else stage_base,
         stage_rho=stage_rho,
         stage_distance=np.vecdot(stage_rho, np.abs(np.arange(k) - config.target)),
         stage_br_fraction=stage_br,
@@ -237,25 +200,26 @@ def run_stationary(game: MatrixGame, rho: ActionDistribution, bases, explore: fl
 
     The mean-field oracle hands back exact expected payoffs, so the only noise is
     the learners' own exploration; learner i draws from default_rng([seed, 0, i]).
-    A RunConfig checks the settings, as in a run, so stage_len None is ceil(1/explore**2).
-    """
+    A RunConfig checks the settings, as in a run, so stage_len None is ceil(1/explore**2)."""
     stage_len = RunConfig(explore=explore, stage_len=stage_len, rounds=rounds,
                           seed=seed).resolved_stage_len
     bases = _profile(bases, game.k, "bases")
     payoffs = game.utilities(rho)
-    n = bases.size
+    n, k = bases.size, game.k
     streams = AgentStreams(seed, n)
-    sums = np.zeros((n, game.k))
-    counts = np.zeros((n, game.k))
-    base_sum = np.zeros(n)
-    width = max(1, CAP // (n + game.k))
-    for s0 in range(0, rounds - stage_len + 1, stage_len):
-        for r in range(s0, s0 + stage_len, width):
-            u = streams.take(min(width, s0 + stage_len - r))
-            x, j = explorers(bases, explore, 1.0 - explore, game.k, u)
-            own = payoffs[bases][None].repeat(len(u), axis=0)
-            stage_tally(sums, counts, base_sum, own, *np.divmod(x, n), j, payoffs[j])
-        stage_end(bases, sums, counts, base_sum, stage_len)
+    learners = StageLearners(bases, np.full(n, explore), 0, k)
+    hists = np.empty((stage_len, k), dtype=np.int64)
+    width = max(1, CAP // (n + k))
+
+    def pays(hist, x, rows, j):  # every round's payoffs are payoffs
+        return payoffs[bases][None].repeat(len(hist), axis=0), payoffs[j]
+
+    for _ in range(rounds // stage_len):
+        base_row = np.bincount(bases, minlength=k)
+        for r in range(0, stage_len, width):
+            hists[r : r + width] = learners.block(streams.take(min(width, stage_len - r)),
+                                                  base_row, pays)
+        learners.end(hists)
     return bases
 
 

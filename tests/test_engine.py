@@ -1,5 +1,6 @@
 """Simulation engine: configs, payoff realization, churn, full runs, the pool."""
 
+import ast
 import csv
 import dataclasses
 import hashlib
@@ -37,9 +38,10 @@ from anonlearn import (
 )
 from anonlearn.config import SETTINGS
 from anonlearn.engine import pool_map, pool_size
+from anonlearn.learners import StageLearners
 from anonlearn.streams import RawStream, apply_churn
 from test_core import meanfield
-from test_golden import GOLDEN, random_configs
+from test_golden import GOLDEN, STATIONARY, random_configs
 
 
 # ---------------------------------------------------------------------------
@@ -462,24 +464,82 @@ def _trace_arrays(t):
         t.realized_counts, t.stage_base, t.stage_rho, t.stage_distance, t.stage_br_fraction)]
 
 
+def _spy_stage_ends(monkeypatch) -> list:
+    """The bytes of what each stage end is handed from now on: the learners'
+    bases, sums, counts and base sums, and the stage's histograms."""
+    tallies, end = [], StageLearners.end
+
+    def spy(self, hists):
+        tallies.append(b"".join(a.tobytes() for a in (
+            self.bases[self.lo:], self.sums, self.counts, self.base_sum, hists)))
+        return end(self, hists)
+
+    monkeypatch.setattr(StageLearners, "end", spy)
+    return tallies
+
+
 @pytest.mark.parametrize("cap", [1, 64, 1 << 15])
 def test_run_bits_do_not_depend_on_block_width(cap, monkeypatch):
     # one-round blocks (CAP 1), blocks of a few rounds (CAP 64) and blocks
     # longer than a stream refill (CAP 2**15: up to 744 rounds, refills of 128)
     # give the bytes the default blocks of up to CAP // (n + k) rounds give,
     # and hand every stage end the same tallies, bit for bit
-    tallies, stage_end = [], engine.stage_end
-
-    def spy(*args):
-        tallies.append(b"".join(a.tobytes() for a in args[:4]))
-        return stage_end(*args)
-
-    monkeypatch.setattr(engine, "stage_end", spy)
+    tallies = _spy_stage_ends(monkeypatch)
     want = [_trace_arrays(run(cfg)) for cfg in random_configs()], tallies[:]
     tallies.clear()
     monkeypatch.setattr(engine, "CAP", cap)
     assert ([_trace_arrays(run(cfg)) for cfg in random_configs()], tallies) == want
     assert len(tallies) == 46  # the stage learners' stage ends
+
+
+# the stats golden configs (tests/golden/stats_*.cfg): mean-field and matching,
+# churn, fixed agents and a trailing partial stage; then a stats run whose
+# stages span several blocks of many rounds (68 rounds at n = 100, k = 20)
+STATS_CONFIGS = [
+    RunConfig(learner="stats", n=20, rounds=450, explore=0.1, churn_rate=0.2,
+              fixed_fraction=0.25, fixed_base=8, fixed_explore=0.1, seed=81),
+    RunConfig(learner="stats", game="climbing", mode="matching", target=0, n=10, rounds=275,
+              explore=0.2, stage_len=50, churn_rate=0.2, fixed_fraction=0.2, fixed_base=1,
+              fixed_explore=0.0, metrics_eta=2.0, seed=82),
+    RunConfig(learner="stats", n=100, rounds=600, explore=0.05, stage_len=250, seed=83),
+]
+# run_stationary's golden cases, then one whose stages span several blocks
+STATIONARY_CASES = [*(STATIONARY[label] for label in sorted(STATIONARY)),
+                    lambda: run_stationary(ContributionGame(), ActionDistribution.uniform(20),
+                                           np.arange(100) % 20, 0.05, 200, 400, 9)]
+
+
+@pytest.mark.parametrize("cap", [1, 64, 1 << 15])
+def test_stats_runs_and_run_stationary_do_not_depend_on_block_width(cap, monkeypatch):
+    # the same block widths as above leave the stats runs' bytes and the
+    # tallies their stage ends see, and the bases run_stationary returns and
+    # the tallies its stage ends see, as the default blocks leave them
+    tallies = _spy_stage_ends(monkeypatch)
+
+    def outputs():
+        return ([_trace_arrays(run(cfg)) for cfg in STATS_CONFIGS],
+                [case().tobytes() for case in STATIONARY_CASES])
+
+    want = outputs(), tallies[:]
+    tallies.clear()
+    monkeypatch.setattr(engine, "CAP", cap)
+    assert (outputs(), tallies) == want
+    assert len(tallies) == 4 + 5 + 2 + 150 + 2 + 2 + 2  # the stats runs', then run_stationary's
+
+
+def test_run_reads_the_learner_kind_once():
+    # run builds one learners object from config.learner, in one expression,
+    # and never tests the kind again; the engine leaves the stage kernels to it
+    tree = ast.parse(Path(engine.__file__).read_text(encoding="utf-8"))
+    body = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "run")
+    reads = [node for node in ast.walk(body)
+             if isinstance(node, ast.Attribute) and node.attr == "learner"]
+    assert len(reads) == 1
+    names = {getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+             for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute, ast.alias))}
+    assert names.isdisjoint({"explorers", "event_histogram", "stage_tally", "stage_end",
+                             "regret_act", "regret_observe", "sample_mixed"})
 
 
 @pytest.mark.parametrize("cfg, bound_kb", [

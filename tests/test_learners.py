@@ -13,7 +13,20 @@ from anonlearn import (
     run,
     run_stationary,
 )
-from anonlearn.learners import regret_act, regret_observe, sample_mixed, stage_end, stage_tally
+from anonlearn.learners import RegretMatchers, StageLearners, explorers
+
+
+def sample_mixed(bases, explore, k, u):
+    """The a_eps law, elementwise, as dense draws built from explorers: bases
+    and explore broadcast against the uniforms u, one per draw even where
+    explore is 0.  Returns the draws and the ascending flat positions in them
+    of the explorers."""
+    u = np.asarray(u, dtype=float)
+    bases, explore = np.broadcast_arrays(bases, explore, u)[:2]
+    x, j = explorers(bases, explore, 1.0 - explore, k, u)
+    acts = bases.astype(np.int64, order="C")  # a copy, so reshape(-1) is a view
+    acts.reshape(-1)[x] = j
+    return acts, x
 
 
 def scalar_sample_mixed(base, explore, k, u):
@@ -117,32 +130,45 @@ def test_sample_mixed_layout_matches_scalar_reference(layout):
 # stage learner
 
 
-def tally(sums, counts, base_sum, acts, payoffs, x):
-    """stage_tally of a dense (rounds, w) block of draws and their payoffs,
-    given its explorers' flat positions, as sample_mixed returns them; the
-    payoffs block is overwritten."""
+def stage_learners(bases, k, lo=0, matrix=None):
+    """StageLearners over a copy of bases, lo of them fixed agents, with
+    empty tallies (their explore rates, which only block reads, 0.1)."""
+    bases = np.array(bases, dtype=np.int64)
+    return StageLearners(bases, np.full(bases.size, 0.1), lo, k, matrix)
+
+
+def tally(learners, acts, payoffs, x):
+    """StageLearners.tally of a dense (rounds, w) block of draws and their
+    payoffs, given its explorers' flat positions, as sample_mixed returns
+    them; the payoffs block is overwritten."""
     rows, cols = np.divmod(x, acts.shape[1])
-    stage_tally(sums, counts, base_sum, payoffs, rows, cols, acts[rows, cols], payoffs[rows, cols])
+    learners.tally(payoffs, payoffs[rows, cols], rows, cols, acts[rows, cols])
+
+
+def stage_of(rounds, k):
+    """A stage's (rounds, k) histograms, for a stage learner's end, which reads
+    only their number."""
+    return np.zeros((rounds, k), dtype=np.int64)
 
 
 def one_stage(table, base, explore, stage_len, rng):
     """One stage learner (n = 1) playing a stage against a payoff table, one
     uniform from rng per round; returns its new base and emptied tallies."""
     k = len(table)
-    bases, sums, counts = np.array([base]), np.zeros((1, k)), np.zeros((1, k))
-    base_sum = np.zeros(1)
-    acts, x = sample_mixed(bases, explore, k, rng.random((stage_len, 1)))
-    tally(sums, counts, base_sum, acts, np.asarray(table)[acts], x)
-    stage_end(bases, sums, counts, base_sum, stage_len)
-    return int(bases[0]), sums, counts
+    learners = stage_learners([base], k)
+    acts, x = sample_mixed(learners.bases, explore, k, rng.random((stage_len, 1)))
+    tally(learners, acts, np.asarray(table)[acts], x)
+    learners.end(stage_of(stage_len, k))
+    return int(learners.bases[0]), learners.sums, learners.counts
 
 
-def with_base(sums, counts, base_sum, bases, rounds):
-    """Copies of a stage's tallies with the base column folded in, as
-    stage_end folds it, to read them mid-stage."""
+def with_base(learners, rounds):
+    """Copies of a stage's tallies with the base column folded in, as end
+    folds it, to read them mid-stage."""
+    bases = learners.bases[learners.lo:]
     rows = np.arange(bases.size)
-    sums, counts = sums.copy(), counts.copy()
-    sums[rows, bases] = base_sum
+    sums, counts = learners.sums.copy(), learners.counts.copy()
+    sums[rows, bases] = learners.base_sum
     counts[rows, bases] = rounds - counts.sum(axis=1)
     return sums, counts
 
@@ -184,11 +210,11 @@ def test_stage_learner_keeps_base_on_tie():
 
 def test_stage_learner_average_values_mid_stage():
     rng = np.random.default_rng(3)
-    sums, counts, base_sum = np.zeros((1, 3)), np.zeros((1, 3)), np.zeros(1)
+    learners = stage_learners([0], 3)
     acts, x = sample_mixed(0, 0.3, 3, rng.random((2, 1)))
     a, b = (int(v) for v in acts[:, 0])
-    tally(sums, counts, base_sum, acts, np.array([[4.0], [4.0 if b == a else -2.0]]), x)
-    sums, counts = with_base(sums, counts, base_sum, np.array([0]), 2)
+    tally(learners, acts, np.array([[4.0], [4.0 if b == a else -2.0]]), x)
+    sums, counts = with_base(learners, 2)
     vals = np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)[0]
     assert vals[a] == 4.0
     if b != a:
@@ -203,12 +229,12 @@ def test_stage_tally_adds_in_time_order():
     m, k, rounds = 7, 3, 40
     acts = rng.integers(k, size=(rounds, m))
     payoffs = rng.normal(scale=3.0, size=(rounds, m)) * 10.0 ** rng.integers(-8, 8, size=(rounds, m))
-    sums, counts, base_sum = np.zeros((m, k)), np.zeros((m, k)), np.zeros(m)
     bases = acts[0]  # so that the explorers are the draws off it
+    learners = stage_learners(bases, k)
     for block in (slice(0, 17), slice(17, rounds)):
         x = np.flatnonzero(acts[block] != bases)
-        tally(sums, counts, base_sum, acts[block], payoffs[block].copy(), x)
-    sums, counts = with_base(sums, counts, base_sum, bases, rounds)
+        tally(learners, acts[block], payoffs[block].copy(), x)
+    sums, counts = with_base(learners, rounds)
     ref_sums, ref_counts = np.zeros((m, k)), np.zeros((m, k))
     for t in range(rounds):
         for i in range(m):
@@ -219,7 +245,7 @@ def test_stage_tally_adds_in_time_order():
 
 
 def masked_stage_end(bases, sums, counts):
-    """stage_end written with a masked divide and a separate max, kept as the
+    """StageLearners.end written with a masked divide and a separate max, kept as the
     reference for its bits."""
     values = np.divide(sums, counts, out=sums, where=counts > 0.0)
     move = values[np.arange(bases.size), bases] < values.max(axis=1)
@@ -239,20 +265,27 @@ def test_stage_end_matches_masked_divide():
     sums = np.where(np.arange(m)[:, None] % 2 == 0, grid, noisy) * counts
     sums[counts == 0.0] = 0.0
     bases = rng.integers(k, size=m)
-    got = (bases.copy(), sums.copy(), counts.copy())
     want = (bases.copy(), sums.copy(), counts.copy())
-    rows = np.arange(m)  # got's base cells go to the base column, as stage_tally leaves them
-    base_sum = sums[rows, bases].copy()
-    got[1][rows, bases] = got[2][rows, bases] = 0.0
-    stage_end(*got, base_sum, counts.sum(axis=1))
     masked_stage_end(*want)
+    got = bases.copy()
+    totals = counts.sum(axis=1)
+    for total in np.unique(totals):  # one population per stage length, its rows' count total
+        sel = np.flatnonzero(totals == total)
+        learners = stage_learners(bases[sel], k)
+        rows = np.arange(sel.size)  # the base cells go to the base column, as tally leaves them
+        learners.sums[:], learners.counts[:] = sums[sel], counts[sel]
+        learners.base_sum[:] = sums[sel, bases[sel]]
+        learners.sums[rows, bases[sel]] = learners.counts[rows, bases[sel]] = 0.0
+        learners.end(stage_of(int(total), k))
+        got[sel] = learners.bases
+        assert not (learners.sums.any() or learners.counts.any() or learners.base_sum.any())
     values = np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0.0)
     top = values == values.max(axis=1, keepdims=True)
     assert (top[np.arange(m), bases] & (top.sum(axis=1) > 1)).sum() > 100  # base tied at the top
     assert (top[np.arange(m), bases] < top.any(axis=1)).sum() > 100  # bases that move
     assert (values < 0.0).sum() > 1000 and (counts[np.arange(m), bases] == 0.0).sum() > 100
-    for a, b in zip(got, want):
-        assert a.tobytes() == b.tobytes()
+    assert got.tobytes() == want[0].tobytes()
+    assert not (want[1].any() or want[2].any())
 
 
 def add_at_tally(sums, counts, acts, payoffs):
@@ -287,27 +320,27 @@ def test_stage_tally_matches_add_at_reference(m, nf, widths):
     if m > 1:
         u[:, nf] = 1.0 - 1e-16  # the first learner explores every round
         payoffs[:, -1] = -0.0  # and the last is paid only -0.0
-    sums, counts, base_sum = np.zeros((m, k)), np.zeros((m, k)), np.zeros(m)
+    learners = stage_learners(bases, k, nf)
     ref_sums, ref_counts = np.zeros((m, k)), np.zeros((m, k))
     r0 = 0
     for width in widths:
         block = slice(r0, r0 + width)
         acts, x = sample_mixed(bases, 0.3, k, u[block])
-        tally(sums, counts, base_sum, acts, payoffs[block].copy(), x)
+        tally(learners, acts, payoffs[block].copy(), x)
         add_at_tally(ref_sums, ref_counts, acts[:, nf:], payoffs[block, nf:])
         r0 += width
-    got_sums, got_counts = with_base(sums, counts, base_sum, bases[nf:], rounds)
+    got_sums, got_counts = with_base(learners, rounds)
     assert got_sums.tobytes() == ref_sums.tobytes()
     assert got_counts.tobytes() == ref_counts.tobytes()
     np.testing.assert_array_equal(np.signbit(got_sums), np.signbit(ref_sums))
     assert not np.signbit(ref_sums[ref_sums == 0.0]).any()  # -0.0 payoffs sum to +0.0
     if m > 1:  # the first learner never played its base
         assert ref_counts[0, bases[nf]] == 0.0 and ref_counts[0].sum() == rounds
-    got_bases, ref_bases = bases[nf:].copy(), bases[nf:].copy()
-    stage_end(got_bases, sums, counts, base_sum, rounds)
+    ref_bases = bases[nf:].copy()
+    learners.end(stage_of(rounds, k))
     masked_stage_end(ref_bases, ref_sums, ref_counts)
-    np.testing.assert_array_equal(got_bases, ref_bases)
-    assert not (sums.any() or counts.any() or base_sum.any())
+    np.testing.assert_array_equal(learners.bases[nf:], ref_bases)
+    assert not (learners.sums.any() or learners.counts.any() or learners.base_sum.any())
 
 
 def test_stage_learner_unexplored_zero_shadows_negative_base():
@@ -339,7 +372,7 @@ def stats_reference(game, bases, acts):
 
 @pytest.mark.parametrize("n", [3, 5, 9])
 def test_stats_stage_end_matches_per_round_reference(n):
-    # stage_end's stats kernel, (seen - own counts) @ matrix.T, moves every
+    # a stats learner's end, (seen - own counts) @ matrix.T, moves every
     # base where the per-round reference does; n - 1 a power of two and an
     # integer matrix keep both sides exact, so their ties are the same ties
     rng = np.random.default_rng(n)
@@ -349,13 +382,12 @@ def test_stats_stage_end_matches_per_round_reference(n):
         bases = rng.integers(k, size=n)
         acts, x = sample_mixed(bases, 0.4, k, rng.random((rounds, n)))
         want, values = stats_reference(game, bases, acts)
-        sums, counts, base_sum = np.zeros((n, k)), np.zeros((n, k)), np.zeros(n)
-        tally(sums, counts, base_sum, acts, rng.normal(size=(rounds, n)), x)
-        seen = np.array([np.bincount(row, minlength=k) for row in acts]).sum(axis=0)
-        got = bases.copy()
-        stage_end(got, sums, counts, base_sum, rounds, seen, game.matrix)
+        learners = stage_learners(bases, k, matrix=game.matrix)
+        tally(learners, acts, rng.normal(size=(rounds, n)), x)
+        learners.end(np.array([np.bincount(row, minlength=k) for row in acts]))
+        got = learners.bases
         np.testing.assert_array_equal(got, want)
-        assert not (sums.any() or counts.any() or base_sum.any())
+        assert not (learners.sums.any() or learners.counts.any() or learners.base_sum.any())
         moves += (got != bases).sum()
         ties += ((values == values.max(axis=1, keepdims=True)).sum(axis=1) > 1).sum()
     assert moves > 0 and ties > 0
@@ -367,21 +399,18 @@ def test_stats_learner_moves_to_the_best_reply_of_the_stage():
     game = MatrixGame([[0.0, 0.0, 5.0], [1.0, 2.0, 0.0], [0.0, 3.0, 0.0]])
     acts = np.ones((5, 4), np.int64)
     acts[:, 0] = 0  # learner 0 never leaves its base
-    seen = np.array([np.bincount(row, minlength=3) for row in acts]).sum(axis=0)
-    bases = acts[0].copy()
-    counts = np.zeros((4, 3))
-    stage_end(bases, np.zeros((4, 3)), counts, np.zeros(4), 5, seen, game.matrix)
-    np.testing.assert_array_equal(bases, [2, 2, 2, 2])
+    learners = stage_learners(acts[0], 3, matrix=game.matrix)
+    learners.end(np.array([np.bincount(row, minlength=3) for row in acts]))
+    np.testing.assert_array_equal(learners.bases, [2, 2, 2, 2])
 
 
 # ---------------------------------------------------------------------------
 # regret matcher
 
 
-def matchers(m, k):
-    """Fresh state for m regret matchers: proxy, probabilities, rounds, last action."""
-    return (np.zeros((m, k, k)), np.full((m, k), 1.0 / k), np.zeros(m, dtype=np.int64),
-            np.full(m, -1, dtype=np.int64))
+def matchers(m, k, mu=100.0, delta=0.1, lo=0):
+    """m fresh regret matchers after lo fixed agents, all of base -1."""
+    return RegretMatchers(np.full(lo + m, -1), np.zeros(lo + m), lo, k, mu, delta)
 
 
 def test_regret_matcher_validation():
@@ -394,9 +423,9 @@ def test_regret_matcher_validation():
 
 
 def test_regret_matcher_first_round_uniform():
-    _, probs, _, _ = matchers(1, 4)
+    matcher = matchers(1, 4)
     u = (np.arange(400) + 0.5) / 400
-    acts = [int(regret_act(probs, [x])[0]) for x in u]
+    acts = [int(matcher.act([x])[0]) for x in u]
     np.testing.assert_array_equal(np.bincount(acts, minlength=4), [100] * 4)
 
 
@@ -404,11 +433,12 @@ def test_regret_matcher_repeat_probability_after_gain():
     # One round, positive payoff: no positive regret, so the played action
     # repeats with probability 1 - delta + delta/k and the rest split delta.
     k, delta = 3, 0.1
-    proxy, probs, t, prev = matchers(1, k)
-    a = regret_act(probs, np.random.default_rng(2).random(1))
-    regret_observe(proxy, probs, t, prev, a, np.array([6.0]), 100.0, delta)
+    matcher = matchers(1, k, 100.0, delta)
+    probs = matcher.probs
+    a = matcher.act(np.random.default_rng(2).random(1))
+    matcher.observe(np.array([6.0]))
     a = int(a[0])
-    assert prev[0] == a and t[0] == 1
+    assert matcher.bases[0] == a and matcher.t[0] == 1
     assert probs[0, a] == pytest.approx(1.0 - delta + delta / k)
     for b in range(k):
         if b != a:
@@ -418,9 +448,10 @@ def test_regret_matcher_repeat_probability_after_gain():
 def test_regret_matcher_switch_probability_after_loss():
     # One round, payoff -P: every other action carries regret P/t = P.
     k, delta, mu, P = 3, 0.1, 100.0, 8.0
-    proxy, probs, t, prev = matchers(1, k)
-    a = regret_act(probs, np.random.default_rng(2).random(1))
-    regret_observe(proxy, probs, t, prev, a, np.array([-P]), mu, delta)
+    matcher = matchers(1, k, mu, delta)
+    probs = matcher.probs
+    a = matcher.act(np.random.default_rng(2).random(1))
+    matcher.observe(np.array([-P]))
     a = int(a[0])
     expected_other = (1.0 - delta) * min(P / mu, 1.0 / (k - 1)) + delta / k
     for b in range(k):
@@ -461,36 +492,60 @@ class ReferenceMatcher:
 def test_regret_matcher_lockstep_with_reference():
     # three matchers at once, each against its own scalar reference
     m, k, mu, delta = 3, 4, 50.0, 0.07
-    proxy, probs, t, prev = matchers(m, k)
+    matcher = matchers(m, k, mu, delta)
     refs = [ReferenceMatcher(k, mu, delta) for _ in range(m)]
     rng = np.random.default_rng(9)
     for _ in range(300):
         u = rng.random(m)
-        acts = regret_act(probs, u)
+        acts = matcher.act(u)
         assert list(acts) == [ref.act(x) for ref, x in zip(refs, u)]
         payoffs = rng.normal(scale=5.0, size=m)
-        regret_observe(proxy, probs, t, prev, acts, payoffs, mu, delta)
+        matcher.observe(payoffs)
         for i, ref in enumerate(refs):
             ref.feed(int(acts[i]), float(payoffs[i]))
-            np.testing.assert_allclose(probs[i], ref.probs, atol=1e-12)
-    assert list(prev) == [ref.prev for ref in refs]
+            np.testing.assert_allclose(matcher.probs[i], ref.probs, atol=1e-12)
+    assert list(matcher.bases) == [ref.prev for ref in refs]
 
 
 def test_regret_matcher_probability_floor():
-    proxy, probs, t, prev = matchers(1, 5)
+    matcher = matchers(1, 5, 20.0, 0.05)
     rng = np.random.default_rng(4)
     for _ in range(300):
-        a = regret_act(probs, rng.random(1))
-        regret_observe(proxy, probs, t, prev, a, rng.normal(scale=30.0, size=1), 20.0, 0.05)
-        assert probs.min() >= 0.05 / 5 - 1e-12
-        assert probs.sum() == pytest.approx(1.0)
+        matcher.act(rng.random(1))
+        matcher.observe(rng.normal(scale=30.0, size=1))
+        assert matcher.probs.min() >= 0.05 / 5 - 1e-12
+        assert matcher.probs.sum() == pytest.approx(1.0)
 
 
 def test_regret_matcher_act_edge_clamp():
-    _, probs, _, _ = matchers(1, 3)
-    assert regret_act(probs, [1.0 - 1e-16])[0] == 2
-    probs[0] = [0.1, 0.45, 0.45 - 1e-9]  # sums just short of 1
-    assert regret_act(probs, [1.0 - 1e-16])[0] == 2
+    matcher = matchers(1, 3)
+    assert matcher.act([1.0 - 1e-16])[0] == 2
+    matcher.probs[0] = [0.1, 0.45, 0.45 - 1e-9]  # sums just short of 1
+    assert matcher.act([1.0 - 1e-16])[0] == 2
+
+
+def test_regret_matcher_reset_makes_churned_rows_fresh():
+    # after some rounds, reset(rows) gives the churned matchers a fresh
+    # matcher's state (proxy 0, probabilities 1/k, round count 0), leaves the
+    # other rows alone, and leaves the fixed agents' bases and every base as is
+    m, k, lo = 6, 3, 2
+    matcher = matchers(m, k, 10.0, 0.1, lo)
+    rng = np.random.default_rng(13)
+    for _ in range(20):
+        matcher.act(rng.random(m))
+        matcher.observe(rng.normal(scale=4.0, size=m))
+    before = [a.copy() for a in (matcher.proxy, matcher.probs, matcher.t, matcher.bases)]
+    rows = np.array([1, 4])
+    matcher.reset(rows)
+    fresh = matchers(m, k, lo=lo)
+    kept = np.setdiff1d(np.arange(m), rows)
+    for got, was, new in zip((matcher.proxy, matcher.probs, matcher.t), before, (
+            fresh.proxy, fresh.probs, fresh.t)):
+        assert got[rows].tobytes() == new[rows].tobytes()
+        assert got[kept].tobytes() == was[kept].tobytes()
+        assert (was[rows] != new[rows]).any()  # the reset changed something
+    assert matcher.bases.tobytes() == before[3].tobytes()
+    np.testing.assert_array_equal(matcher.bases[:lo], -1)
 
 
 def test_regret_matcher_for_game():

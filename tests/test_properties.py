@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anonlearn import MatrixGame, RunConfig, run
-from anonlearn.learners import event_histogram, explorers, sample_mixed
+from anonlearn.learners import event_histogram, explorers
+from test_learners import sample_mixed
 
 ACTIONS = {"contribution": 20, "prisoners_dilemma": 2, "climbing": 3}
 FEW = settings(max_examples=25, deadline=None)
